@@ -19,6 +19,7 @@
 //!   which is why no meta-programming is needed (the axes stay orthogonal,
 //!   as the thesis observes).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -206,12 +207,14 @@ pub struct Aaa {
 /// Outcome of admission control for one message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Admission {
-    /// Authenticated principal, or `"anonymous"`.
-    pub principal: String,
+    /// Authenticated principal, or `"anonymous"`. Borrowed for the
+    /// anonymous case, so admitting an unauthenticated message allocates
+    /// nothing.
+    pub principal: Cow<'static, str>,
     /// Whether the message may trigger rules.
     pub allowed: bool,
-    /// Human-readable denial reason (empty when allowed).
-    pub reason: String,
+    /// Human-readable denial reason (`"ok"` when allowed).
+    pub reason: Cow<'static, str>,
 }
 
 impl Aaa {
@@ -237,7 +240,7 @@ impl Aaa {
         );
     }
 
-    fn authenticate(&self, creds: Option<&Credentials>) -> Result<String, String> {
+    fn authenticate(&self, creds: Option<&Credentials>) -> Result<Cow<'static, str>, String> {
         match creds {
             None => {
                 if self.config.require_auth {
@@ -250,7 +253,7 @@ impl Aaa {
                 None => Err(format!("unknown principal `{}`", c.principal)),
                 Some(p) => {
                     if p.salted_hash == salted(&p.name, &c.secret) {
-                        Ok(p.name.clone())
+                        Ok(p.name.clone().into())
                     } else {
                         Err(format!("bad credentials for `{}`", c.principal))
                     }
@@ -279,13 +282,12 @@ impl Aaa {
     ) -> (Admission, Option<Term>) {
         let admission = match self.authenticate(meta.credentials.as_ref()) {
             Err(reason) => Admission {
-                principal: meta
-                    .credentials
-                    .as_ref()
-                    .map(|c| c.principal.clone())
-                    .unwrap_or_else(|| "anonymous".into()),
+                principal: match &meta.credentials {
+                    Some(c) => c.principal.clone().into(),
+                    None => "anonymous".into(),
+                },
                 allowed: false,
-                reason,
+                reason: reason.into(),
             },
             Ok(principal) => {
                 let authorized = !self.config.authorize
@@ -300,7 +302,7 @@ impl Aaa {
                     reason: if authorized {
                         "ok".into()
                     } else {
-                        format!("not authorized to send `{payload_label}`")
+                        format!("not authorized to send `{payload_label}`").into()
                     },
                 }
             }
@@ -312,12 +314,15 @@ impl Aaa {
         if self.config.accounting && payload_label != "accounting" {
             let rec = AccountingRecord {
                 time: now,
-                principal: admission.principal.clone(),
+                principal: admission.principal.to_string(),
                 action: "receive".into(),
                 detail: payload_label.to_string(),
                 allowed: admission.allowed,
             };
-            let usage = self.usage.entry(admission.principal.clone()).or_default();
+            let usage = self
+                .usage
+                .entry(admission.principal.to_string())
+                .or_default();
             if admission.allowed {
                 usage.messages += 1;
                 usage.bytes += payload_bytes as u64;

@@ -587,7 +587,14 @@ impl ReactiveEngine {
         // `as_str` on the interned label is `&'static`, so admission works
         // on a borrowed label with no per-event `String` allocation.
         let label: &str = payload.label_sym().map(Sym::as_str).unwrap_or("");
-        let (admission, acct_event) = self.aaa.admit(meta, label, payload.serialized_size(), now);
+        // The wire size feeds `Usage.bytes` only; without accounting nobody
+        // reads it.
+        let bytes = if self.aaa.config.accounting {
+            payload.serialized_size()
+        } else {
+            0
+        };
+        let (admission, acct_event) = self.aaa.admit(meta, label, bytes, now);
         if !admission.allowed {
             self.metrics.events_denied += 1;
             self.metrics.errors.push(format!(
@@ -743,8 +750,14 @@ impl ReactiveEngine {
     fn process_event(&mut self, payload: Term, source: &str, out: &mut Vec<OutMessage>) {
         let tracing = self.obs.is_enabled();
         self.next_event_id += 1;
-        let mut e = Event::new(EventId(self.next_event_id), self.now, payload)
-            .with_source(source.to_string());
+        let mut e = Event {
+            id: EventId(self.next_event_id),
+            occurred: self.now,
+            received: self.now,
+            source: source.to_string(),
+            payload,
+            trace: 0,
+        };
         let t0 = if tracing {
             e.trace = self.obs.next_trace();
             self.obs.now_ns()
@@ -839,11 +852,12 @@ impl ReactiveEngine {
         let cr = &compiled[idx];
         let binds = &ans.bindings;
         for branch in &cr.rule.branches {
+            let evaluated;
             let answers = if branch.cond.is_trivial() {
-                vec![binds.clone()]
+                std::slice::from_ref(binds)
             } else {
                 metrics.condition_evals += 1;
-                match qe.eval_condition(&branch.cond, binds) {
+                evaluated = match qe.eval_condition(&branch.cond, binds) {
                     Ok(a) => a,
                     Err(e) => {
                         metrics
@@ -851,20 +865,23 @@ impl ReactiveEngine {
                             .push(format!("rule {}: condition error: {e}", cr.rule.name));
                         return;
                     }
-                }
+                };
+                &evaluated[..]
             };
             if answers.is_empty() {
                 continue; // try the next branch (ECAA/ECnAn)
             }
             metrics.rules_fired += 1;
-            *metrics
-                .fires_by_rule
-                .entry(cr.rule.name.clone())
-                .or_default() += 1;
+            match metrics.fires_by_rule.get_mut(&cr.rule.name) {
+                Some(n) => *n += 1,
+                None => {
+                    metrics.fires_by_rule.insert(cr.rule.name.clone(), 1);
+                }
+            }
             let mut produced = false;
             for b in answers {
                 let mut ex = Executor::new(qe, &cr.procs);
-                if let Err(e) = ex.execute(&branch.action, &b) {
+                if let Err(e) = ex.execute(&branch.action, b) {
                     metrics.actions_failed += 1;
                     metrics.errors.push(format!(
                         "rule {} ({}): action failed: {e}",

@@ -1,0 +1,189 @@
+//! Allocation budgets of the per-event path.
+//!
+//! This binary installs a counting `#[global_allocator]` and asserts how
+//! many heap allocations one input event costs in steady state (after a
+//! warm-up that lets scratch buffers, join stores and the symbol snapshot
+//! reach their working size). Budgets are counts, so they repeat exactly
+//! and fail loudly when someone reintroduces a per-pattern-node `Vec`.
+//! Each budget sits a little above what the tree measured when it was set
+//! (in parentheses, with the count before the allocation-free match
+//! kernel).
+//!
+//! The counter is thread-local: the four scenarios run on libtest's
+//! parallel threads without seeing each other's allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use reweb_core::{InMessage, MessageMeta, ReactiveEngine};
+use reweb_term::{Term, Timestamp};
+
+struct Counting;
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates or registers a TLS dtor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the only addition
+// is a thread-local counter bump that itself never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const BATCH: usize = 256;
+const WARMUP: usize = 8 * BATCH;
+const MEASURED: usize = 16 * BATCH;
+
+const RESOURCE: &str = "http://svc/stock";
+
+fn order(j: usize, route: usize) -> Term {
+    Term::build("order")
+        .unordered()
+        .attr("route", format!("r{route}"))
+        .field("n", j.to_string())
+        .field("sku", format!("s{}", j % 32))
+        .finish()
+}
+
+fn pair(label: &str, route: usize, id: usize) -> Term {
+    Term::build(label)
+        .unordered()
+        .attr("route", format!("c{route}"))
+        .field("id", id.to_string())
+        .finish()
+}
+
+fn stock() -> Term {
+    Term::build("stock")
+        .unordered()
+        .children((0..16).map(|k| {
+            Term::build("item")
+                .unordered()
+                .field("sku", format!("s{k}"))
+                .finish()
+        }))
+        .finish()
+}
+
+/// Steady-state allocations per input event of `program` over the stream
+/// `event(j)`, fed in `BATCH`-message `receive_batch_tagged` calls.
+fn allocs_per_event(program: &str, event: impl Fn(usize) -> Term) -> f64 {
+    let mut engine = ReactiveEngine::new("http://svc");
+    engine.qe.store.put(RESOURCE, stock());
+    engine.install_program(program).expect("program installs");
+    let meta = MessageMeta::from_uri("http://client");
+    let msgs: Vec<InMessage> = (0..WARMUP + MEASURED)
+        .map(|j| InMessage::new(event(j), meta.clone(), Timestamp(20 * j as u64 + 1)))
+        .collect();
+    let (warm, measured) = msgs.split_at(WARMUP);
+    for chunk in warm.chunks(BATCH) {
+        std::hint::black_box(engine.receive_batch_tagged(chunk));
+    }
+    let before = ALLOCS.with(Cell::get);
+    for chunk in measured.chunks(BATCH) {
+        std::hint::black_box(engine.receive_batch_tagged(chunk));
+    }
+    let after = ALLOCS.with(Cell::get);
+    assert_eq!(engine.metrics.actions_failed, 0);
+    (after - before) as f64 / MEASURED as f64
+}
+
+fn assert_budget(what: &str, got: f64, budget: f64) {
+    eprintln!("alloc budget: {what}: {got:.2} allocations/event (budget {budget})");
+    assert!(
+        got <= budget,
+        "{what}: {got:.2} allocations per event exceeds the budget of {budget}"
+    );
+}
+
+#[test]
+fn unmatched_event() {
+    let got = allocs_per_event(
+        "RULE a ON order{{@route=\"r1\", n[[var N]]}} DO NOOP END",
+        |j| pair("other", j, j),
+    );
+    // 1.00: the event's `source` string (was 15).
+    assert_budget("unmatched event", got, 2.0);
+}
+
+#[test]
+fn one_atomic_noop_rule() {
+    let got = allocs_per_event("RULE a ON order{{n[[var N]]}} DO NOOP END", |j| order(j, 1));
+    // 4.00: source, answer vector, its bindings, its constituents (was 31).
+    assert_budget("one atomic NOOP rule", got, 6.0);
+}
+
+#[test]
+fn conditional_send_over_16_item_resource() {
+    let got = allocs_per_event(
+        "RULE a ON order{{n[[var N]], sku[[var S]]}} \
+         IF in \"http://svc/stock\" item{{sku[[var S]]}} \
+         THEN SEND hit{n[var N]} TO \"http://sink/a\" ELSE NOOP END",
+        |j| order(j, 1),
+    );
+    // 9.02 (was 180).
+    assert_budget("conditional SEND over a 16-item resource", got, 12.0);
+}
+
+/// `match-mix` in miniature: attr-routed atomic rules (1 in 10
+/// conditional), `and`/`seq` joins within 10 s, a two-step DETECT chain
+/// and one absence rule, under a 60/40 order/pair stream.
+#[test]
+fn match_mix_shaped_program() {
+    let mut program = String::new();
+    for i in 0..40 {
+        if i % 10 == 0 {
+            program.push_str(&format!(
+                "RULE a{i} ON order{{{{@route=\"r{i}\", n[[var N]], sku[[var S]]}}}} \
+                 IF in \"{RESOURCE}\" item{{{{sku[[var S]]}}}} \
+                 THEN SEND hit{{n[var N]}} TO \"http://sink/a\" ELSE NOOP END\n"
+            ));
+        } else {
+            program.push_str(&format!(
+                "RULE a{i} ON order{{{{@route=\"r{i}\", n[[var N]]}}}} DO NOOP END\n"
+            ));
+        }
+    }
+    for i in 0..8 {
+        let op = if i % 2 == 0 { "and" } else { "seq" };
+        program.push_str(&format!(
+            "RULE c{i} ON {op}(pa{{{{@route=\"c{i}\", id[[var K]]}}}}, \
+             pb{{{{@route=\"c{i}\", id[[var K]]}}}}) within 10s \
+             DO SEND joined{{k[var K]}} TO \"http://sink/c\" END\n"
+        ));
+    }
+    program.push_str(
+        "DETECT hot{n[var N]} ON order{{@route=\"r1\", n[[var N]]}} END\n\
+         DETECT hotter{n[var N]} ON hot{{n[[var N]]}} END\n\
+         RULE on_hotter ON hotter{{n[[var N]]}} DO SEND alarm{n[var N]} TO \"http://sink/d\" END\n\
+         RULE stale ON absence(pa{{@route=\"c0\", id[[var K]]}}, pb{{@route=\"c0\", id[[var K]]}}, 10s) \
+         DO SEND stale{k[var K]} TO \"http://sink/s\" END\n",
+    );
+    let got = allocs_per_event(&program, |j| match j % 5 {
+        // Every `pa` is closed by its `pb` two events later on even
+        // routes; odd routes never close and expire with the window.
+        1 => pair("pa", (j / 5) % 8, j),
+        3 if (j / 5) % 2 == 0 => pair("pb", (j / 5) % 8, j - 2),
+        3 => pair("pb", (j / 5) % 8, j),
+        _ => order(j, (j * 7) % 40),
+    });
+    // 6.97 (was 51).
+    assert_budget("match-mix-shaped program", got, 10.0);
+}

@@ -59,9 +59,29 @@ impl EventRule {
 /// other rules (acyclicity enforced).
 #[derive(Debug, Default)]
 pub struct DeductionLayer {
-    rules: Vec<(EventRule, IncrementalEngine)>,
+    rules: Vec<Detector>,
     next_derived_id: u64,
     join_mode: JoinMode,
+}
+
+/// One registered DETECT rule with its event-query engine.
+#[derive(Debug)]
+struct Detector {
+    rule: EventRule,
+    engine: IncrementalEngine,
+    /// The payload labels worth pushing into `engine`; `None` = every
+    /// event. Precomputed from [`EventRule::listens_to`]. A rule with an
+    /// `absence` takes every event, as events also move its clock.
+    listens: Option<Vec<Sym>>,
+}
+
+impl Detector {
+    fn listens_to(&self, e: &Event) -> bool {
+        match &self.listens {
+            None => true,
+            Some(labels) => e.label_sym().is_some_and(|l| labels.contains(&l)),
+        }
+    }
 }
 
 impl DeductionLayer {
@@ -74,7 +94,7 @@ impl DeductionLayer {
     /// of event rules cyclic (a rule depends on another if it listens to
     /// the label the other derives — or could, for label-less patterns).
     pub fn register(&mut self, rule: EventRule) -> Result<(), TermError> {
-        let mut rules: Vec<&EventRule> = self.rules.iter().map(|(r, _)| r).collect();
+        let mut rules: Vec<&EventRule> = self.rules.iter().map(|d| &d.rule).collect();
         rules.push(&rule);
         if has_cycle(&rules) {
             return Err(TermError::InvalidEdit(format!(
@@ -84,7 +104,16 @@ impl DeductionLayer {
             )));
         }
         let engine = IncrementalEngine::new(&rule.on).with_join_mode(self.join_mode);
-        self.rules.push((rule, engine));
+        let listens = if rule.on.has_absence() {
+            None
+        } else {
+            rule.listens_to()
+        };
+        self.rules.push(Detector {
+            rule,
+            engine,
+            listens,
+        });
         Ok(())
     }
 
@@ -98,8 +127,8 @@ impl DeductionLayer {
     /// [`IncrementalEngine::set_join_mode`].
     pub fn set_join_mode(&mut self, mode: JoinMode) {
         self.join_mode = mode;
-        for (_, e) in self.rules.iter_mut() {
-            e.set_join_mode(mode);
+        for d in self.rules.iter_mut() {
+            d.engine.set_join_mode(mode);
         }
     }
 
@@ -107,25 +136,25 @@ impl DeductionLayer {
     /// host-level metrics.
     pub fn stats_total(&self) -> EngineStats {
         let mut total = EngineStats::default();
-        for (_, e) in &self.rules {
-            total.events_processed += e.stats.events_processed;
-            total.answers_emitted += e.stats.answers_emitted;
-            total.join_attempts += e.stats.join_attempts;
-            total.index_probes += e.stats.index_probes;
+        for d in &self.rules {
+            total.events_processed += d.engine.stats.events_processed;
+            total.answers_emitted += d.engine.stats.answers_emitted;
+            total.join_attempts += d.engine.stats.join_attempts;
+            total.index_probes += d.engine.stats.index_probes;
         }
         total
     }
 
     /// Total partial-match state across all DETECT rules (Thesis 4).
     pub fn state_size(&self) -> usize {
-        self.rules.iter().map(|(_, e)| e.state_size()).sum()
+        self.rules.iter().map(|d| d.engine.state_size()).sum()
     }
 
     /// Earliest pending absence deadline across all DETECT rules.
     pub fn next_deadline(&self) -> Option<Timestamp> {
         self.rules
             .iter()
-            .filter_map(|(_, e)| e.next_deadline())
+            .filter_map(|d| d.engine.next_deadline())
             .min()
     }
 
@@ -153,8 +182,8 @@ impl DeductionLayer {
     /// an engine TTL, so the bound uses none.
     pub fn replay_horizon(&self) -> Option<reweb_term::Dur> {
         let mut max = reweb_term::Dur::ZERO;
-        for (r, _) in &self.rules {
-            max = max.max(r.on.replay_horizon(None)?);
+        for d in &self.rules {
+            max = max.max(d.rule.on.replay_horizon(None)?);
         }
         Some(max)
     }
@@ -162,7 +191,7 @@ impl DeductionLayer {
     /// Does any registered DETECT rule use an `absence` operator (and
     /// therefore need timer advances)?
     pub fn has_absence(&self) -> bool {
-        self.rules.iter().any(|(r, _)| r.on.has_absence())
+        self.rules.iter().any(|d| d.rule.on.has_absence())
     }
 
     /// Feed one external event; returns all *derived* events, including
@@ -170,71 +199,83 @@ impl DeductionLayer {
     /// the rule graph is acyclic).
     pub fn push(&mut self, e: &Event) -> Result<Vec<Event>, TermError> {
         let mut derived = Vec::new();
-        let mut frontier = vec![e.clone()];
-        // Each pass can only move "up" the acyclic rule graph, so at most
-        // `rules.len()` cascade levels are possible.
-        let mut levels = 0;
-        while !frontier.is_empty() {
+        // `next` collects one cascade level at a time. Each level can only
+        // move "up" the acyclic rule graph, so at most `rules.len()`
+        // levels are possible.
+        let mut next = Vec::new();
+        self.derive(e, &mut next)?;
+        let mut cascaded = 0;
+        let mut levels = 1;
+        while !next.is_empty() {
             levels += 1;
             if levels > self.rules.len() + 1 {
                 return Err(TermError::InvalidEdit(
                     "event deduction cascade exceeded the acyclic depth bound".into(),
                 ));
             }
-            let mut next = Vec::new();
-            for ev in &frontier {
-                for (rule, engine) in self.rules.iter_mut() {
-                    let answers = engine.push(ev);
-                    for a in answers {
-                        for payload in construct(&rule.head, std::slice::from_ref(&a.bindings))? {
-                            self.next_derived_id += 1;
-                            let d = Event {
-                                id: EventId(u64::MAX - self.next_derived_id),
-                                occurred: ev.time(),
-                                received: ev.time(),
-                                source: format!("derived:{}", rule.name),
-                                payload,
-                                trace: ev.trace,
-                            };
-                            next.push(d);
-                        }
-                    }
-                }
+            derived.append(&mut next);
+            for ev in &derived[cascaded..] {
+                self.derive(ev, &mut next)?;
             }
-            derived.extend(next.iter().cloned());
-            frontier = next;
+            cascaded = derived.len();
         }
         Ok(derived)
+    }
+
+    /// Push `ev` into every rule listening for it, appending the events
+    /// their answers derive to `out`.
+    fn derive(&mut self, ev: &Event, out: &mut Vec<Event>) -> Result<(), TermError> {
+        for d in self.rules.iter_mut().filter(|d| d.listens_to(ev)) {
+            let answers = d.engine.push(ev);
+            let seq = &mut self.next_derived_id;
+            derive_events(&d.rule, &answers, ev.time(), ev.trace, seq, out)?;
+        }
+        Ok(())
     }
 
     /// Advance the clock for all rule engines (absence deadlines inside
     /// DETECT rules); returns events derived by firing deadlines.
     pub fn advance_to(&mut self, t: Timestamp) -> Result<Vec<Event>, TermError> {
-        let mut derived = Vec::new();
         let mut initial = Vec::new();
-        for (rule, engine) in self.rules.iter_mut() {
-            for a in engine.advance_to(t) {
-                for payload in construct(&rule.head, std::slice::from_ref(&a.bindings))? {
-                    self.next_derived_id += 1;
-                    initial.push(Event {
-                        id: EventId(u64::MAX - self.next_derived_id),
-                        occurred: t,
-                        received: t,
-                        source: format!("derived:{}", rule.name),
-                        payload,
-                        // Deadline-derived: no single triggering event.
-                        trace: 0,
-                    });
-                }
-            }
+        for d in self.rules.iter_mut() {
+            let answers = d.engine.advance_to(t);
+            let seq = &mut self.next_derived_id;
+            // Deadline-derived: no single triggering event, so trace 0.
+            derive_events(&d.rule, &answers, t, 0, seq, &mut initial)?;
         }
         // Cascade the deadline-derived events through the other rules.
+        let mut derived = Vec::new();
         for ev in &initial {
             derived.extend(self.push(ev)?);
         }
-        derived.splice(0..0, initial);
-        Ok(derived)
+        initial.append(&mut derived);
+        Ok(initial)
     }
+}
+
+/// Instantiate `rule`'s head once per answer into derived events.
+fn derive_events(
+    rule: &EventRule,
+    answers: &[crate::event::Answer],
+    at: Timestamp,
+    trace: u64,
+    next_derived_id: &mut u64,
+    out: &mut Vec<Event>,
+) -> Result<(), TermError> {
+    for a in answers {
+        for payload in construct(&rule.head, std::slice::from_ref(&a.bindings))? {
+            *next_derived_id += 1;
+            out.push(Event {
+                id: EventId(u64::MAX - *next_derived_id),
+                occurred: at,
+                received: at,
+                source: format!("derived:{}", rule.name),
+                payload,
+                trace,
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Dependency: r1 → r2 if r2 listens to what r1 derives (conservatively

@@ -31,7 +31,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use reweb_query::{match_at, AggFn, Bindings, Cmp, QueryTerm};
+use reweb_query::{match_at, match_each, AggFn, Bindings, Cmp, QueryTerm};
 use reweb_term::{Dur, Sym, Timestamp};
 
 use crate::beta::{join_indexed, JoinIndex, JoinMode, JoinPlan};
@@ -83,6 +83,10 @@ pub struct IncrementalEngine {
     ttl: Option<Dur>,
     now: Timestamp,
     join_mode: JoinMode,
+    /// Does any operator hold state that [`OpNode::gc`] prunes? Fixed at
+    /// compile time; lets atomic (and absence-over-atomic) queries skip
+    /// the per-step gc walk.
+    collects: bool,
     /// Work counters (join attempts, index probes, …).
     pub stats: EngineStats,
 }
@@ -92,8 +96,10 @@ impl IncrementalEngine {
     /// knows its retention.
     pub fn new(q: &EventQuery) -> IncrementalEngine {
         let join_mode = JoinMode::default();
+        let root = compile(q, None, join_mode);
         IncrementalEngine {
-            root: compile(q, None, join_mode),
+            collects: root.collects(),
+            root,
             policy: Policy::default(),
             ttl: None,
             now: Timestamp::ZERO,
@@ -154,27 +160,33 @@ impl IncrementalEngine {
     pub fn advance_to(&mut self, t: Timestamp) -> Vec<Answer> {
         self.now = self.now.max(t);
         let mut out = Vec::new();
-        self.root
-            .delta(&Input::Time(self.now), &mut out, &mut self.stats);
+        // Passing time only ever fires pending deadlines: with none due,
+        // the time delta is a no-op and is skipped (gc still runs).
+        if self.next_deadline().is_some_and(|d| d <= self.now) {
+            self.root
+                .delta(&Input::Time(self.now), &mut out, &mut self.stats);
+        }
         self.finish_batch(out)
     }
 
     fn finish_batch(&mut self, mut out: Vec<Answer>) -> Vec<Answer> {
-        out.sort();
-        out.dedup_by(|a, b| a.key() == b.key());
-        if self.policy.selection == Selection::First && out.len() > 1 {
-            out.truncate(1);
+        if out.len() > 1 {
+            out.sort();
+            out.dedup();
+            if self.policy.selection == Selection::First {
+                out.truncate(1);
+            }
         }
-        if self.policy.consume {
+        if self.policy.consume && !out.is_empty() {
             let ids: BTreeSet<EventId> = out
                 .iter()
                 .flat_map(|a| a.constituents.iter().copied())
                 .collect();
-            if !ids.is_empty() {
-                self.root.consume(&ids);
-            }
+            self.root.consume(&ids);
         }
-        self.root.gc(self.now, self.ttl);
+        if self.collects {
+            self.root.gc(self.now, self.ttl);
+        }
         self.stats.answers_emitted += out.len() as u64;
         out
     }
@@ -250,6 +262,10 @@ enum OpNode {
         window: Dur,
         /// Trigger answers awaiting their deadline (`end + window`).
         pending: Vec<Answer>,
+        /// The earliest deadline in `pending`, kept current whenever
+        /// `pending` changes, so asking "is anything due?" on every clock
+        /// tick does not scan it.
+        next_due: Option<Timestamp>,
     },
     Count {
         pattern: QueryTerm,
@@ -277,6 +293,11 @@ fn min_opt(a: Option<Dur>, b: Option<Dur>) -> Option<Dur> {
         (Some(a), Some(b)) => Some(a.min(b)),
         (x, None) | (None, x) => x,
     }
+}
+
+/// The earliest deadline among pending absence triggers.
+fn earliest_deadline(pending: &[Answer], window: Dur) -> Option<Timestamp> {
+    pending.iter().map(|ta| ta.end + window).min()
 }
 
 fn compile(q: &EventQuery, inherited: Option<Dur>, mode: JoinMode) -> OpNode {
@@ -319,6 +340,7 @@ fn compile(q: &EventQuery, inherited: Option<Dur>, mode: JoinMode) -> OpNode {
                 absent: Box::new(compile(absent, child_bound, mode)),
                 window: *window,
                 pending: Vec::new(),
+                next_due: None,
             }
         }
         EventQuery::Count { pattern, n, window } => OpNode::Count {
@@ -362,9 +384,9 @@ impl OpNode {
         match self {
             OpNode::Atomic { pattern } => {
                 if let Input::Ev(e) = inp {
-                    for b in match_at(pattern, &e.payload, &Bindings::new()) {
-                        out.push(Answer::atomic(e, b));
-                    }
+                    match_each(pattern, &e.payload, &Bindings::new(), |b| {
+                        out.push(Answer::atomic(e, b))
+                    });
                 }
             }
             OpNode::Join {
@@ -416,6 +438,7 @@ impl OpNode {
                 absent,
                 window,
                 pending,
+                next_due,
             } => {
                 // New triggers open pending deadlines; consistent absent
                 // answers strictly after a trigger cancel it; passing time
@@ -424,34 +447,47 @@ impl OpNode {
                 trigger.delta(inp, &mut tdelta, stats);
                 let mut adelta = Vec::new();
                 absent.delta(inp, &mut adelta, stats);
+                *next_due = earliest_deadline(&tdelta, *window)
+                    .into_iter()
+                    .chain(*next_due)
+                    .min();
                 pending.extend(tdelta);
-                pending.retain(|ta| {
-                    !adelta.iter().any(|aa| {
-                        aa.end > ta.end
-                            && aa.end <= ta.end + *window
-                            && ta.bindings.merge(&aa.bindings).is_some()
-                    })
-                });
+                if !adelta.is_empty() {
+                    let before = pending.len();
+                    pending.retain(|ta| {
+                        !adelta.iter().any(|aa| {
+                            aa.end > ta.end
+                                && aa.end <= ta.end + *window
+                                && ta.bindings.merge(&aa.bindings).is_some()
+                        })
+                    });
+                    if pending.len() != before {
+                        *next_due = earliest_deadline(pending, *window);
+                    }
+                }
                 let now = match inp {
                     Input::Ev(e) => e.time(),
                     Input::Time(t) => *t,
                 };
-                let mut fired: Vec<Answer> = Vec::new();
-                pending.retain(|ta| {
-                    if ta.end + *window <= now {
-                        fired.push(Answer {
-                            constituents: ta.constituents.clone(),
-                            bindings: ta.bindings.clone(),
-                            start: ta.start,
-                            end: ta.end + *window,
-                        });
-                        false
-                    } else {
-                        true
-                    }
-                });
-                fired.sort();
-                out.extend(fired);
+                if next_due.is_some_and(|d| d <= now) {
+                    let mut fired: Vec<Answer> = Vec::new();
+                    pending.retain(|ta| {
+                        if ta.end + *window <= now {
+                            fired.push(Answer {
+                                constituents: ta.constituents.clone(),
+                                bindings: ta.bindings.clone(),
+                                start: ta.start,
+                                end: ta.end + *window,
+                            });
+                            false
+                        } else {
+                            true
+                        }
+                    });
+                    *next_due = earliest_deadline(pending, *window);
+                    fired.sort();
+                    out.extend(fired);
+                }
             }
             OpNode::Count {
                 pattern,
@@ -585,6 +621,19 @@ impl OpNode {
         }
     }
 
+    /// Does this subtree hold anything [`OpNode::gc`] prunes?
+    fn collects(&self) -> bool {
+        match self {
+            OpNode::Atomic { .. } => false,
+            OpNode::Join { .. } | OpNode::Count { .. } | OpNode::Agg { .. } => true,
+            OpNode::Or { children } => children.iter().any(OpNode::collects),
+            OpNode::Absence {
+                trigger, absent, ..
+            } => trigger.collects() || absent.collects(),
+            OpNode::Where { inner, .. } => inner.collects(),
+        }
+    }
+
     fn consume(&mut self, ids: &BTreeSet<EventId>) {
         match self {
             OpNode::Atomic { .. } => {}
@@ -615,10 +664,12 @@ impl OpNode {
             OpNode::Absence {
                 trigger,
                 absent,
+                window,
                 pending,
-                ..
+                next_due,
             } => {
                 pending.retain(|a| a.constituents.iter().all(|id| !ids.contains(id)));
+                *next_due = earliest_deadline(pending, *window);
                 trigger.consume(ids);
                 absent.consume(ids);
             }
@@ -715,16 +766,12 @@ impl OpNode {
             OpNode::Absence {
                 trigger,
                 absent,
-                window,
-                pending,
-            } => [
-                pending.iter().map(|ta| ta.end + *window).min(),
-                trigger.next_deadline(),
-                absent.next_deadline(),
-            ]
-            .into_iter()
-            .flatten()
-            .min(),
+                next_due,
+                ..
+            } => [*next_due, trigger.next_deadline(), absent.next_deadline()]
+                .into_iter()
+                .flatten()
+                .min(),
             OpNode::Where { inner, .. } => inner.next_deadline(),
         }
     }

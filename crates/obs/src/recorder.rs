@@ -8,6 +8,7 @@
 //! and otherwise observe a consistent span or nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use reweb_term::Term;
 
@@ -80,8 +81,13 @@ struct Slot {
 
 /// A fixed-capacity lock-free span ring. All methods take `&self`; the
 /// recorder is shared freely across shard workers and network threads.
+///
+/// The ring is allocated by the first [`FlightRecorder::record`]: every
+/// engine carries a recorder, and one that never traces should not keep
+/// `capacity` slots (3 MB at the default) resident.
 pub struct FlightRecorder {
-    slots: Box<[Slot]>,
+    capacity: usize,
+    slots: OnceLock<Box<[Slot]>>,
     head: AtomicU64,
 }
 
@@ -89,16 +95,16 @@ impl FlightRecorder {
     /// A recorder holding the most recent `capacity` spans (rounded up
     /// to at least 2).
     pub fn new(capacity: usize) -> FlightRecorder {
-        let cap = capacity.max(2);
         FlightRecorder {
-            slots: (0..cap).map(|_| Slot::default()).collect(),
+            capacity: capacity.max(2),
+            slots: OnceLock::new(),
             head: AtomicU64::new(0),
         }
     }
 
     /// Number of slots in the ring.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Total spans ever recorded (including those already overwritten).
@@ -110,8 +116,11 @@ impl FlightRecorder {
     /// the same slot (only possible after a full ring wrap-around within
     /// the race window) the younger span is dropped.
     pub fn record(&self, trace: u64, stage: Stage, start_ns: u64, dur_ns: u64) {
+        let slots = self
+            .slots
+            .get_or_init(|| (0..self.capacity).map(|_| Slot::default()).collect());
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
+        let slot = &slots[(seq % slots.len() as u64) as usize];
         let gen = slot.gen.load(Ordering::Relaxed);
         if gen & 1 == 1 {
             return; // a wrapped-around writer owns this slot right now
@@ -134,8 +143,11 @@ impl FlightRecorder {
     /// Every currently published span, oldest first. Slots being written
     /// during the scan are skipped rather than read torn.
     pub fn snapshot(&self) -> Vec<Span> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
+        let Some(slots) = self.slots.get() else {
+            return Vec::new();
+        };
+        let mut out = Vec::with_capacity(slots.len());
+        for slot in slots.iter() {
             let g1 = slot.gen.load(Ordering::Acquire);
             if g1 == 0 || g1 & 1 == 1 {
                 continue;

@@ -5,15 +5,15 @@
 //! produces bindings, the condition part extends or filters them, and the
 //! action part consumes them (Thesis 7's parameterization criterion).
 //!
-//! Representation: a `Vec<(Sym, Term)>` sorted by variable name (string
-//! order, via [`Sym`]'s `Ord`), behind an `Arc`. Cloning — which the
-//! matcher does for every candidate answer — is one reference-count bump;
-//! extending (`bind`/`merge`) copies the small vector once, where each
-//! copied entry is a `u32` plus an `Arc` bump, instead of rebuilding a
-//! `BTreeMap<String, Term>` node by node. Iteration order, `Ord`, and
-//! `Display` are byte-identical to the old B-tree representation because
-//! `Sym` sorts by its interned string.
+//! Representation: an `Arc<[(Sym, Term)]>` sorted by variable name (string
+//! order, via [`Sym`]'s `Ord`). Cloning is one reference-count bump;
+//! extending (`bind`/`merge`, and the matcher materialising an answer)
+//! builds the new slice in a single allocation from an exact-length
+//! iterator, where each copied entry is a `u32` plus an `Arc` bump.
+//! Iteration order, `Ord`, and `Display` are those of a
+//! `BTreeMap<String, Term>` because `Sym` sorts by its interned string.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -21,11 +21,41 @@ use reweb_term::{Sym, Term};
 
 /// A consistent assignment of terms to variable names.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Bindings(Arc<Vec<(Sym, Term)>>);
+pub struct Bindings(Arc<[(Sym, Term)]>);
 
-fn empty() -> &'static Arc<Vec<(Sym, Term)>> {
-    static EMPTY: OnceLock<Arc<Vec<(Sym, Term)>>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(Vec::new()))
+fn empty() -> &'static Arc<[(Sym, Term)]> {
+    static EMPTY: OnceLock<Arc<[(Sym, Term)]>> = OnceLock::new();
+    EMPTY.get_or_init(|| Arc::new([]))
+}
+
+/// The name-sorted union of two name-sorted entry sequences holding
+/// `total` distinct names between them, built in one allocation: `Range`
+/// is an exact-length iterator, which `Arc<[_]>` collects without an
+/// intermediate `Vec`. A name on both sides takes the left entry.
+fn merged(
+    total: usize,
+    left: &[(Sym, Term)],
+    right: impl Iterator<Item = (Sym, Term)>,
+) -> Bindings {
+    let mut left = left.iter().peekable();
+    let mut right = right.peekable();
+    let entries = (0..total).map(|_| {
+        let order = match (left.peek(), right.peek()) {
+            (Some((l, _)), Some((r, _))) => l.cmp(r),
+            (Some(_), None) => Ordering::Less,
+            _ => Ordering::Greater,
+        };
+        if order == Ordering::Equal {
+            right.next();
+        }
+        let entry = if order == Ordering::Greater {
+            right.next()
+        } else {
+            left.next().cloned()
+        };
+        entry.expect("`total` counts the distinct names of both sides")
+    });
+    Bindings(entries.collect())
 }
 
 impl Default for Bindings {
@@ -42,7 +72,7 @@ impl Bindings {
 
     /// Single-variable binding.
     pub fn of(name: impl Into<Sym>, value: Term) -> Bindings {
-        Bindings(Arc::new(vec![(name.into(), value)]))
+        Bindings(Arc::new([(name.into(), value)]))
     }
 
     /// The term bound to `name`, if any. String-based lookup for public
@@ -106,17 +136,15 @@ impl Bindings {
         match self.get_sym(name) {
             Some(existing) if existing == value => Some(self.clone()),
             Some(_) => None,
-            None => {
-                // Insert at the string-sorted position: one allocation, the
-                // copied entries are (u32, Arc) pairs.
-                let pos = self.0.binary_search_by(|(k, _)| k.cmp(&name)).unwrap_err();
-                let mut v = Vec::with_capacity(self.0.len() + 1);
-                v.extend_from_slice(&self.0[..pos]);
-                v.push((name, value.clone()));
-                v.extend_from_slice(&self.0[pos..]);
-                Some(Bindings(Arc::new(v)))
-            }
+            None => Some(self.extended(std::iter::once((name, value.clone())))),
         }
+    }
+
+    /// These bindings plus `fresh`: name-sorted entries for variables not
+    /// bound here. One allocation — how the matcher materialises an
+    /// answer from its seed and binding trail.
+    pub(crate) fn extended(&self, fresh: impl ExactSizeIterator<Item = (Sym, Term)>) -> Bindings {
+        merged(self.0.len() + fresh.len(), &self.0, fresh)
     }
 
     /// Merge two binding sets. Returns `None` if they disagree on any
@@ -129,33 +157,33 @@ impl Bindings {
         if self.0.is_empty() {
             return Some(other.clone());
         }
-        // Merge-join of two sorted vectors.
+        // Merge-join of two sorted slices: the first pass checks the
+        // shared variables and counts them, the second builds the union.
         let (a, b) = (&self.0, &other.0);
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
+        let (mut i, mut j, mut shared) = (0, 0, 0);
         while i < a.len() && j < b.len() {
             match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i].clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j].clone());
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
                     if a[i].1 != b[j].1 {
                         return None;
                     }
-                    out.push(a[i].clone());
+                    shared += 1;
                     i += 1;
                     j += 1;
                 }
             }
         }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-        Some(Bindings(Arc::new(out)))
+        // One side already holds every variable of the other (a join on
+        // the answers' only variable): share it.
+        if shared == b.len() {
+            return Some(self.clone());
+        }
+        if shared == a.len() {
+            return Some(other.clone());
+        }
+        Some(merged(a.len() + b.len() - shared, a, b.iter().cloned()))
     }
 
     /// The restriction of these bindings to the given variable names.
@@ -177,20 +205,28 @@ impl Bindings {
             };
             &sorted_buf
         };
-        let mut out = Vec::new();
-        let mut i = 0;
-        for (k, v) in self.0.iter() {
-            while i < names.len() && names[i] < *k {
-                i += 1;
-            }
-            if i < names.len() && names[i] == *k {
-                out.push((*k, v.clone()));
-            }
-        }
-        if out.is_empty() {
+        let selected = || {
+            let mut i = 0;
+            self.0.iter().filter(move |(k, _)| {
+                while i < names.len() && names[i] < *k {
+                    i += 1;
+                }
+                i < names.len() && names[i] == *k
+            })
+        };
+        // Count first: keeping everything shares this allocation (a join
+        // key that is the answer's only variable), and anything else is
+        // built at its exact length.
+        let n = selected().count();
+        if n == 0 {
             return Bindings::new();
         }
-        Bindings(Arc::new(out))
+        if n == self.0.len() {
+            return self.clone();
+        }
+        let mut picked = selected();
+        let entries = (0..n).map(|_| picked.next().cloned().expect("counted above"));
+        Bindings(entries.collect())
     }
 }
 
@@ -207,7 +243,7 @@ impl FromIterator<(Sym, Term)> for Bindings {
         if out.is_empty() {
             return Bindings::new();
         }
-        Bindings(Arc::new(out))
+        Bindings(out.into())
     }
 }
 

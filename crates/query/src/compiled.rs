@@ -26,10 +26,10 @@
 //!   threads one more path through the existing trie (`insert`), never
 //!   rebuilding the other registrations.
 //!
-//! [`EventShape`] is the per-event fingerprint the tests run against,
-//! built once per event; attribute values resolve through probational
-//! value interning ([`reweb_term::Sym::intern_value`]) so equality tests
-//! compare `Sym`s, not strings.
+//! [`EventShape`] is the per-event view the tests run against: it reads
+//! the payload lazily and resolves an event value to a `Sym` (by
+//! [`reweb_term::Sym::lookup`], never interning) only where a hash layer
+//! dispatches on it.
 //!
 //! Firing order is preserved because the network only ever *selects*
 //! candidate rule indices; the engine sorts and deduplicates them into
@@ -39,7 +39,7 @@
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use reweb_term::{Sym, SymHasher, SymMap, Term};
+use reweb_term::{Element, Sym, SymHasher, SymMap, Term};
 
 use crate::ast::{AttrPattern, LabelPattern, QueryTerm};
 use crate::bindings::Bindings;
@@ -52,104 +52,62 @@ type SymPairMap<V> = HashMap<(Sym, Sym), V, BuildHasherDefault<SymHasher>>;
 // Event fingerprint
 // ---------------------------------------------------------------------------
 
-/// The per-event fingerprint alpha tests evaluate against.
+/// The per-event view alpha tests evaluate against: the payload's root,
+/// read lazily.
 ///
-/// Built once per dispatched event from the payload root: label, resolved
-/// attributes, child shape, and direct text content. Attribute values and
-/// child texts resolve to `Sym`s via [`Sym::intern_value`]; a value that
-/// resolves to `None` can never equal an interned pattern constant (those
-/// are interned eagerly at compile time), so equality tests simply fail.
-#[derive(Debug)]
+/// Nothing is precomputed and nothing is interned. A layer that dispatches
+/// on a value (`@route="eu-1"`, `status["shipped"]`) resolves the event's
+/// string with [`Sym::lookup`] at the moment the network asks, and only
+/// for the attribute names / child labels the visited nodes actually key
+/// on. A value that resolves to `None` was never interned, so it cannot
+/// equal any pattern constant (those are interned at compile time by
+/// [`compile_pattern`]) and the probe simply misses. Event *data* — order
+/// ids, counters, free text — therefore never reaches the symbol table.
+#[derive(Clone, Copy, Debug)]
 pub struct EventShape<'a> {
-    /// Root element label (`None` for a text payload).
-    pub label: Option<Sym>,
-    /// Attributes of the root: name, resolved value symbol, raw value.
-    pub attrs: Vec<(Sym, Option<Sym>, &'a str)>,
-    /// Number of children of the root.
-    pub child_count: usize,
-    /// Labels of the root's element children.
-    pub child_labels: Vec<Sym>,
-    /// `(child label, resolved text)` for each direct text child of each
-    /// element child — the pairs `HasChildLabelText` dispatches on.
-    pub child_pairs: Vec<(Sym, Sym)>,
-    /// Resolved direct text-leaf children of the root.
-    pub text_children: Vec<Sym>,
+    /// The root element (`None` for a text payload).
+    root: Option<&'a Element>,
     /// The payload string, when the event is a bare text leaf.
-    pub text: Option<&'a str>,
+    text: Option<&'a str>,
 }
 
 impl<'a> EventShape<'a> {
-    /// Fingerprint `payload`'s root node.
+    /// View `payload`'s root node.
     pub fn of(payload: &'a Term) -> EventShape<'a> {
-        match payload.as_element() {
-            None => EventShape {
-                label: None,
-                attrs: Vec::new(),
-                child_count: 0,
-                child_labels: Vec::new(),
-                child_pairs: Vec::new(),
-                text_children: Vec::new(),
-                text: payload.as_text(),
-            },
-            Some(e) => {
-                let attrs = e
-                    .attrs
-                    .iter()
-                    .map(|(k, v)| (*k, Sym::intern_value(v), v.as_str()))
-                    .collect();
-                let mut child_labels = Vec::new();
-                let mut child_pairs = Vec::new();
-                let mut text_children = Vec::new();
-                for c in &e.children {
-                    match c {
-                        Term::Elem(ce) => {
-                            child_labels.push(ce.label);
-                            for cc in &ce.children {
-                                if let Some(t) = cc.as_text() {
-                                    if let Some(ts) = Sym::intern_value(t) {
-                                        child_pairs.push((ce.label, ts));
-                                    }
-                                }
-                            }
-                        }
-                        Term::Text(t) => {
-                            if let Some(ts) = Sym::intern_value(t) {
-                                text_children.push(ts);
-                            }
-                        }
-                    }
-                }
-                EventShape {
-                    label: Some(e.label),
-                    attrs,
-                    child_count: e.children.len(),
-                    child_labels,
-                    child_pairs,
-                    text_children,
-                    text: None,
-                }
-            }
+        EventShape {
+            root: payload.as_element(),
+            text: payload.as_text(),
         }
     }
 
-    /// Resolved value symbol of attribute `name`, if present and resolved.
-    fn attr_sym(&self, name: Sym) -> Option<Sym> {
-        self.attrs
-            .iter()
-            .find(|(k, _, _)| *k == name)
-            .and_then(|(_, v, _)| *v)
+    /// Root element label (`None` for a text payload).
+    pub fn label(&self) -> Option<Sym> {
+        self.root.map(|e| e.label)
     }
 
     /// Raw value of attribute `name`, if present.
-    fn attr_raw(&self, name: Sym) -> Option<&'a str> {
-        self.attrs
-            .iter()
-            .find(|(k, _, _)| *k == name)
-            .map(|(_, _, raw)| *raw)
+    fn attr(&self, name: Sym) -> Option<&'a str> {
+        self.root?.attrs.get(&name).map(String::as_str)
     }
 
-    fn has_attr(&self, name: Sym) -> bool {
-        self.attrs.iter().any(|(k, _, _)| *k == name)
+    fn children(&self) -> &'a [Term] {
+        self.root.map_or(&[], |e| &e.children)
+    }
+
+    /// `(child label, text)` for each direct text child of each element
+    /// child whose text is a known symbol — the pairs
+    /// `HasChildLabelText` layers dispatch on.
+    fn child_pairs(&self) -> impl Iterator<Item = (Sym, Sym)> + 'a {
+        self.children()
+            .iter()
+            .filter_map(Term::as_element)
+            .flat_map(|ce| {
+                ce.children
+                    .iter()
+                    .filter_map(Term::as_text)
+                    .filter_map(Sym::lookup)
+                    .map(|t| (ce.label, t))
+            })
     }
 }
 
@@ -175,12 +133,10 @@ impl GuardTest {
     /// operator semantics exactly: an evaluation error means "does not
     /// hold", as in the `Where` operator.
     fn passes(&self, shape: &EventShape<'_>) -> bool {
-        let Some(raw) = shape.attr_raw(self.attr) else {
+        let Some(raw) = shape.attr(self.attr) else {
             return false;
         };
-        let Some(b) = Bindings::new().bind_sym(self.var, &Term::text(raw)) else {
-            return false;
-        };
+        let b = Bindings::of(self.var, Term::text(raw));
         self.cmp.holds(&b).unwrap_or(false)
     }
 }
@@ -234,19 +190,23 @@ impl AlphaTest {
         }
     }
 
-    /// Does the event pass this test?
+    /// Does the event pass this test? Constants compare as strings
+    /// against the event's own data: no symbol is needed on the event side.
     fn passes(&self, shape: &EventShape<'_>) -> bool {
         match self {
-            AlphaTest::AttrPresent(k) => shape.has_attr(*k),
-            AlphaTest::AttrEq(k, v) => shape.attr_sym(*k) == Some(*v),
-            AlphaTest::HasChildLabel(l) => shape.child_labels.contains(l),
-            AlphaTest::HasChildLabelText(l, t) => shape.child_pairs.contains(&(*l, *t)),
-            AlphaTest::HasTextChild(t) => shape.text_children.contains(t),
-            AlphaTest::ChildCountEq(n) => shape.child_count == *n,
-            AlphaTest::ChildCountGe(n) => shape.child_count >= *n,
-            AlphaTest::IsText(t) => {
-                shape.text.is_some() && shape.text.and_then(Sym::lookup) == Some(*t)
+            AlphaTest::AttrPresent(k) => shape.attr(*k).is_some(),
+            AlphaTest::AttrEq(k, v) => shape.attr(*k) == Some(v.as_str()),
+            AlphaTest::HasChildLabel(l) => {
+                shape.children().iter().any(|c| c.label_sym() == Some(*l))
             }
+            AlphaTest::HasChildLabelText(l, t) => shape.child_pairs().any(|p| p == (*l, *t)),
+            AlphaTest::HasTextChild(t) => shape
+                .children()
+                .iter()
+                .any(|c| c.as_text() == Some(t.as_str())),
+            AlphaTest::ChildCountEq(n) => shape.children().len() == *n,
+            AlphaTest::ChildCountGe(n) => shape.children().len() >= *n,
+            AlphaTest::IsText(t) => shape.text == Some(t.as_str()),
             AlphaTest::Guard(g) => g.passes(shape),
         }
     }
@@ -312,7 +272,7 @@ impl Registration {
 /// attribute value into dispatch-time [`AlphaTest::Guard`]s.
 ///
 /// Interns every constant the tests compare against (so event-side
-/// resolution by [`Sym::lookup`]/[`Sym::intern_value`] is exact), and only
+/// resolution by [`Sym::lookup`] is exact), and only
 /// ever *under*-approximates: tests are necessary conditions, never
 /// assumed sufficient.
 pub fn compile_pattern(pattern: &QueryTerm, cmps: &[Cmp]) -> Registration {
@@ -456,7 +416,7 @@ impl CandidateIndex for InterpretedIndex {
     }
 
     fn collect(&self, shape: &EventShape<'_>, out: &mut Vec<usize>, tests_run: &mut u64) {
-        if let Some(l) = shape.label {
+        if let Some(l) = shape.label() {
             *tests_run += 1;
             if let Some(rules) = self.by_label.get(&l) {
                 out.extend_from_slice(rules);
@@ -561,16 +521,16 @@ impl AlphaNetwork {
         out.extend_from_slice(&n.emit);
         for (name, by_value) in &n.attr_eq {
             *tests_run += 1;
-            if let Some(v) = shape.attr_sym(*name) {
+            if let Some(v) = shape.attr(*name).and_then(Sym::lookup) {
                 if let Some(&c) = by_value.get(&v) {
                     self.walk(c, shape, out, tests_run);
                 }
             }
         }
         if !n.child_text.is_empty() {
-            for pair in &shape.child_pairs {
+            for pair in shape.child_pairs() {
                 *tests_run += 1;
-                if let Some(&c) = n.child_text.get(pair) {
+                if let Some(&c) = n.child_text.get(&pair) {
                     self.walk(c, shape, out, tests_run);
                 }
             }
@@ -611,7 +571,7 @@ impl CandidateIndex for AlphaNetwork {
     }
 
     fn collect(&self, shape: &EventShape<'_>, out: &mut Vec<usize>, tests_run: &mut u64) {
-        if let Some(l) = shape.label {
+        if let Some(l) = shape.label() {
             *tests_run += 1;
             if let Some(&n) = self.labels.get(&l) {
                 self.walk(n, shape, out, tests_run);
@@ -704,7 +664,7 @@ mod tests {
                 let interpreted = !crate::matcher::match_at(&q, &t, &Bindings::new()).is_empty();
                 let shape = EventShape::of(&t);
                 let label_ok = match r.label {
-                    Some(l) => shape.label == Some(l),
+                    Some(l) => shape.label() == Some(l),
                     None => true,
                 };
                 let compiled = label_ok && r.tests.iter().all(|test| test.passes(&shape));

@@ -279,8 +279,13 @@ fn partition(group: &[Bindings], group_by: &[Sym], inner: &ConstructTerm) -> Vec
 /// Apply a construct term to an answer set: one output term per distinct
 /// valuation of the outer variables.
 pub fn construct(ct: &ConstructTerm, answers: &[Bindings]) -> Result<Vec<Term>, TermError> {
-    if answers.is_empty() {
-        return Ok(Vec::new());
+    // A single answer is its own (only) group — the per-answer calls of
+    // DETECT derivation take this path.
+    if answers.len() <= 1 {
+        return answers
+            .iter()
+            .map(|b| ct.instantiate(std::slice::from_ref(b)))
+            .collect();
     }
     let outer = ct.outer_variables();
     let mut parts: BTreeMap<Bindings, Vec<Bindings>> = BTreeMap::new();

@@ -15,7 +15,7 @@ use reweb_term::{ResourceStore, Term, TermError};
 use crate::ast::QueryTerm;
 use crate::bindings::Bindings;
 use crate::expr::Cmp;
-use crate::matcher::{match_anywhere, Match};
+use crate::matcher::{match_anywhere, match_anywhere_into, Match};
 use crate::rules::DeductiveRule;
 
 /// One conjunct of a condition: a pattern over a resource or view.
@@ -264,11 +264,10 @@ impl QueryEngine {
         pattern: &QueryTerm,
         seed: &Bindings,
     ) -> Result<Vec<Bindings>, TermError> {
-        Ok(self
-            .query_with_paths(uri, pattern, seed)?
-            .into_iter()
-            .map(|m| m.bindings)
-            .collect())
+        let root = self.resource_root(uri, None)?;
+        let mut out = Vec::new();
+        match_anywhere_into(pattern, &root, seed, &mut out);
+        Ok(out)
     }
 
     /// Like [`QueryEngine::query`] but keeps the matched node paths —
@@ -305,17 +304,20 @@ impl QueryEngine {
             let root = self.resource_root(&atom.resource, extents)?;
             let mut next = Vec::new();
             for b in &current {
-                let hits = match_anywhere(&atom.pattern, &root, b);
                 if atom.negated {
+                    let mut hits = Vec::new();
+                    match_anywhere_into(&atom.pattern, &root, b, &mut hits);
                     if hits.is_empty() {
                         next.push(b.clone());
                     }
                 } else {
-                    next.extend(hits.into_iter().map(|m| m.bindings));
+                    match_anywhere_into(&atom.pattern, &root, b, &mut next);
                 }
             }
-            next.sort();
-            next.dedup();
+            if next.len() > 1 {
+                next.sort();
+                next.dedup();
+            }
             current = next;
             if current.is_empty() {
                 return Ok(current);

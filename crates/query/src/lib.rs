@@ -47,7 +47,7 @@ pub use compiled::{
 pub use construct::{construct, AggFn, AttrValue, ConstructTerm};
 pub use engine::{Condition, QueryAtom, QueryEngine};
 pub use expr::{BinOp, Cmp, CmpOp, EvalError, Expr, Val};
-pub use matcher::{match_anywhere, match_at, Match};
+pub use matcher::{match_anywhere, match_at, match_each, Match};
 pub use parser::{parse_cmp, parse_condition, parse_construct_term, parse_expr, parse_query_term};
 pub use rules::DeductiveRule;
 

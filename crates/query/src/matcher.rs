@@ -19,9 +19,9 @@
 //! children (injectivity).
 
 use reweb_term::path::Path;
-use reweb_term::Term;
+use reweb_term::{Element, Sym, Term};
 
-use crate::ast::{AttrPattern, LabelPattern, QueryTerm};
+use crate::ast::{AttrPattern, LabelPattern, QueryElem, QueryTerm};
 use crate::bindings::Bindings;
 
 /// A match of a pattern at a specific node of a document.
@@ -34,60 +34,217 @@ pub struct Match {
 }
 
 /// Match `pattern` against the node `data` itself. Returns all answers
-/// (deduplicated), each extending `seed`.
+/// (sorted, deduplicated), each extending `seed`.
 pub fn match_at(pattern: &QueryTerm, data: &Term, seed: &Bindings) -> Vec<Bindings> {
     let mut out = Vec::new();
-    m(pattern, data, seed, &mut out);
-    out.sort();
-    out.dedup();
+    match_each(pattern, data, seed, |b| out.push(b));
     out
+}
+
+/// [`match_at`] handing each answer to `f` (same answers, same order)
+/// instead of returning them: the common zero-or-one-answer match never
+/// allocates a result vector.
+pub fn match_each(pattern: &QueryTerm, data: &Term, seed: &Bindings, mut f: impl FnMut(Bindings)) {
+    let mut first = None;
+    let mut more = Vec::new();
+    let start = Cx { seed, trail: None };
+    walk(pattern, data, start, &mut |cx: Cx<'_, '_>| {
+        if first.is_none() {
+            first = Some(cx.answer());
+        } else {
+            more.push(cx.answer());
+        }
+    });
+    let Some(first) = first else { return };
+    if more.is_empty() {
+        return f(first);
+    }
+    more.push(first);
+    more.sort();
+    more.dedup();
+    more.into_iter().for_each(f);
 }
 
 /// Match `pattern` at every node of `root` (the node itself and all
-/// descendants), returning the matched node's path with each answer.
+/// descendants, in document order), returning the matched node's path
+/// with each answer.
 pub fn match_anywhere(pattern: &QueryTerm, root: &Term, seed: &Bindings) -> Vec<Match> {
-    let mut out = Vec::new();
-    for (path, node) in root.walk() {
-        for bindings in match_at(pattern, node, seed) {
+    fn descend(
+        pattern: &QueryTerm,
+        node: &Term,
+        seed: &Bindings,
+        ixs: &mut Vec<usize>,
+        out: &mut Vec<Match>,
+    ) {
+        // A path is built per answer, never per visited node.
+        match_each(pattern, node, seed, |bindings| {
             out.push(Match {
-                path: path.clone(),
+                path: Path::new(ixs.clone()),
                 bindings,
-            });
+            })
+        });
+        for (i, c) in node.children().iter().enumerate() {
+            ixs.push(i);
+            descend(pattern, c, seed, ixs, out);
+            ixs.pop();
         }
     }
+    let mut out = Vec::new();
+    descend(pattern, root, seed, &mut Vec::new(), &mut out);
     out
 }
 
-fn m(p: &QueryTerm, d: &Term, b: &Bindings, out: &mut Vec<Bindings>) {
+/// The bindings of [`match_anywhere`], appended to `out` — for callers
+/// (conditions) that never look at the paths.
+pub(crate) fn match_anywhere_into(
+    pattern: &QueryTerm,
+    node: &Term,
+    seed: &Bindings,
+    out: &mut Vec<Bindings>,
+) {
+    match_each(pattern, node, seed, |b| out.push(b));
+    for c in node.children() {
+        match_anywhere_into(pattern, c, seed, out);
+    }
+}
+
+// ----- the match kernel -------------------------------------------------------
+//
+// A continuation-passing walk over `(pattern, data)`. Matching a pattern
+// node calls the continuation `k` once per way the node can match, with
+// the bindings made so far; returning from `k` *is* backtracking. New
+// bindings live on a **trail**: a chain of stack frames borrowing from
+// the data, consulted together with the read-only seed. Nothing touches
+// the heap until an answer survives the whole pattern, at which point
+// [`Cx::answer`] materialises seed + trail into one `Bindings`.
+
+/// What a variable is bound to on the trail: a data node, or an attribute
+/// value (which denotes the text leaf holding that string).
+#[derive(Clone, Copy)]
+enum Val<'a> {
+    Node(&'a Term),
+    Attr(&'a str),
+}
+
+impl Val<'_> {
+    fn same(self, other: Val<'_>) -> bool {
+        match (self, other) {
+            (Val::Node(a), Val::Node(b)) => a == b,
+            (Val::Attr(a), Val::Attr(b)) => a == b,
+            (Val::Node(t), Val::Attr(s)) | (Val::Attr(s), Val::Node(t)) => t.as_text() == Some(s),
+        }
+    }
+
+    fn to_term(self) -> Term {
+        match self {
+            Val::Node(t) => t.clone(),
+            Val::Attr(s) => Term::Text(s.into()),
+        }
+    }
+}
+
+/// One trail frame: `var` bound to `val` on top of the bindings in `prev`.
+struct Bound<'t, 'a> {
+    var: Sym,
+    val: Val<'a>,
+    prev: Option<&'t Bound<'t, 'a>>,
+}
+
+/// The bindings in force at one point of the walk: the caller's seed plus
+/// the trail of variables bound since (never a variable the seed binds).
+#[derive(Clone, Copy)]
+struct Cx<'t, 'a> {
+    seed: &'a Bindings,
+    trail: Option<&'t Bound<'t, 'a>>,
+}
+
+/// Trail frames [`Cx::answer`] sorts on the stack; deeper trails spill.
+const INLINE_FRESH: usize = 8;
+
+impl<'t, 'a> Cx<'t, 'a> {
+    /// The trail, most recent binding first.
+    fn frames(self) -> impl Iterator<Item = &'t Bound<'t, 'a>> {
+        std::iter::successors(self.trail, |b| b.prev)
+    }
+
+    fn lookup(self, var: Sym) -> Option<Val<'a>> {
+        match self.frames().find(|b| b.var == var) {
+            Some(b) => Some(b.val),
+            None => self.seed.get_sym(var).map(Val::Node),
+        }
+    }
+
+    /// Materialise seed + trail. An empty trail shares the seed.
+    fn answer(self) -> Bindings {
+        let Some(top) = self.trail else {
+            return self.seed.clone();
+        };
+        // Sort the trail by name in a stack buffer (a vector past
+        // `INLINE_FRESH` variables), then merge it into the seed.
+        let n = self.frames().count();
+        let mut inline = [(top.var, top.val); INLINE_FRESH];
+        let mut spill = Vec::new();
+        let fresh = if n <= INLINE_FRESH {
+            &mut inline[..n]
+        } else {
+            spill.resize(n, (top.var, top.val));
+            &mut spill[..]
+        };
+        for (slot, b) in fresh.iter_mut().zip(self.frames()) {
+            *slot = (b.var, b.val);
+        }
+        fresh.sort_unstable_by_key(|&(var, _)| var);
+        self.seed
+            .extended(fresh.iter().map(|&(var, val)| (var, val.to_term())))
+    }
+}
+
+/// The continuation: called once per way the pattern so far can match.
+type K<'k, 'a> = &'k mut dyn for<'t> FnMut(Cx<'t, 'a>);
+
+/// Bind `var` to `val`: a variable already bound (by the seed or the
+/// trail) behaves like a constant, a fresh one pushes a trail frame that
+/// lives exactly as long as the continuation runs.
+fn bind<'a>(cx: Cx<'_, 'a>, var: Sym, val: Val<'a>, k: K<'_, 'a>) {
+    match cx.lookup(var) {
+        Some(bound) => {
+            if bound.same(val) {
+                k(cx)
+            }
+        }
+        None => {
+            let frame = Bound {
+                var,
+                val,
+                prev: cx.trail,
+            };
+            k(Cx {
+                seed: cx.seed,
+                trail: Some(&frame),
+            })
+        }
+    }
+}
+
+fn walk<'a>(p: &'a QueryTerm, d: &'a Term, cx: Cx<'_, 'a>, k: K<'_, 'a>) {
     match p {
-        QueryTerm::Var(x) => {
-            if let Some(b2) = b.bind_sym(*x, d) {
-                out.push(b2);
-            }
-        }
-        QueryTerm::VarAs(x, inner) => {
-            let mut tmp = Vec::new();
-            m(inner, d, b, &mut tmp);
-            for b2 in tmp {
-                if let Some(b3) = b2.bind_sym(*x, d) {
-                    out.push(b3);
-                }
-            }
-        }
+        QueryTerm::Var(x) => bind(cx, *x, Val::Node(d), k),
+        QueryTerm::VarAs(x, inner) => walk(inner, d, cx, &mut |cx: Cx<'_, 'a>| {
+            bind(cx, *x, Val::Node(d), k)
+        }),
         QueryTerm::Desc(inner) => {
             // At this node or any descendant.
-            m(inner, d, b, out);
+            walk(inner, d, cx, k);
             for c in d.children() {
-                m(p, c, b, out);
+                walk(p, c, cx, k);
             }
         }
-        QueryTerm::Without(_) => {
-            // `without` is only meaningful inside a child list; standalone it
-            // matches nothing (the parser rejects it in term position).
-        }
+        // `without` is only meaningful inside a child list; standalone it
+        // matches nothing (the parser rejects it in term position).
+        QueryTerm::Without(_) => {}
         QueryTerm::Text(s) => {
             if d.as_text() == Some(s.as_str()) {
-                out.push(b.clone());
+                k(cx)
             }
         }
         QueryTerm::Elem(qe) => {
@@ -97,145 +254,135 @@ fn m(p: &QueryTerm, d: &Term, b: &Bindings, out: &mut Vec<Bindings>) {
                     return;
                 }
             }
-            // Attributes: all listed must be present and match.
-            let mut cur = vec![b.clone()];
-            for (k, ap) in &qe.attrs {
-                let Some(v) = e.attrs.get(k) else { return };
-                match ap {
-                    AttrPattern::Exact(want) => {
-                        if want != v {
-                            return;
-                        }
-                    }
-                    AttrPattern::Var(x) => {
-                        let vt = Term::text(v.clone());
-                        cur = cur
-                            .into_iter()
-                            .filter_map(|bb| bb.bind_sym(*x, &vt))
-                            .collect();
-                        if cur.is_empty() {
-                            return;
-                        }
-                    }
-                }
-            }
-            let (positives, withouts): (Vec<&QueryTerm>, Vec<&QueryTerm>) = qe
-                .children
-                .iter()
-                .partition(|c| !matches!(c, QueryTerm::Without(_)));
-            for bb in cur {
-                let mut results = Vec::new();
-                match_children(
-                    &positives,
-                    &e.children,
-                    qe.ordered,
-                    qe.partial,
-                    &bb,
-                    &mut results,
-                );
-                'cand: for b2 in results {
-                    // Subterm negation: no data child may match any
-                    // `without` pattern under these bindings.
-                    for w in &withouts {
-                        let QueryTerm::Without(wp) = w else {
-                            unreachable!()
-                        };
-                        for c in &e.children {
-                            let mut hit = Vec::new();
-                            m(wp, c, &b2, &mut hit);
-                            if !hit.is_empty() {
-                                continue 'cand;
-                            }
-                        }
-                    }
-                    out.push(b2);
-                }
-            }
+            attrs(qe, e, 0, cx, k)
         }
     }
 }
 
-/// Match the positive child patterns against the data children according to
-/// the ordered/partial regime, pushing every consistent extension of `b`.
-fn match_children(
-    pats: &[&QueryTerm],
-    data: &[Term],
-    ordered: bool,
-    partial: bool,
-    b: &Bindings,
-    out: &mut Vec<Bindings>,
-) {
-    if ordered && !partial {
-        // Exact: same length, pairwise in order.
-        if pats.len() != data.len() {
-            return;
-        }
-        fn step(pats: &[&QueryTerm], data: &[Term], b: &Bindings, out: &mut Vec<Bindings>) {
-            match (pats.split_first(), data.split_first()) {
-                (None, None) => out.push(b.clone()),
-                (Some((p, prest)), Some((d, drest))) => {
-                    let mut tmp = Vec::new();
-                    m(p, d, b, &mut tmp);
-                    for b2 in tmp {
-                        step(prest, drest, &b2, out);
-                    }
-                }
-                _ => {}
+/// Attributes `from..`: all listed must be present and match; then the
+/// children.
+fn attrs<'a>(qe: &'a QueryElem, e: &'a Element, from: usize, cx: Cx<'_, 'a>, k: K<'_, 'a>) {
+    let Some((key, ap)) = qe.attrs.get(from) else {
+        return children(qe, e, cx, k);
+    };
+    let Some(v) = e.attrs.get(key) else { return };
+    match ap {
+        AttrPattern::Exact(want) => {
+            if want == v {
+                attrs(qe, e, from + 1, cx, k)
             }
         }
-        step(pats, data, b, out);
-    } else if ordered && partial {
-        // Subsequence: each pattern matches a later data child than the
-        // previous one.
-        fn step(pats: &[&QueryTerm], data: &[Term], b: &Bindings, out: &mut Vec<Bindings>) {
-            let Some((p, prest)) = pats.split_first() else {
-                out.push(b.clone());
-                return;
-            };
-            for (i, d) in data.iter().enumerate() {
-                let mut tmp = Vec::new();
-                m(p, d, b, &mut tmp);
-                for b2 in tmp {
-                    step(prest, &data[i + 1..], &b2, out);
+        AttrPattern::Var(x) => bind(cx, *x, Val::Attr(v), &mut |cx: Cx<'_, 'a>| {
+            attrs(qe, e, from + 1, cx, k)
+        }),
+    }
+}
+
+/// The first positive (non-`without`) pattern of `pats` and what follows
+/// it. `without` entries are skipped in place: no per-call split.
+fn next_positive(pats: &[QueryTerm]) -> Option<(&QueryTerm, &[QueryTerm])> {
+    let i = pats
+        .iter()
+        .position(|p| !matches!(p, QueryTerm::Without(_)))?;
+    Some((&pats[i], &pats[i + 1..]))
+}
+
+/// Match the positive child patterns against the data children under the
+/// ordered/partial regime, then check the `without` patterns.
+fn children<'a>(qe: &'a QueryElem, e: &'a Element, cx: Cx<'_, 'a>, k: K<'_, 'a>) {
+    let (pats, data) = (&qe.children[..], &e.children[..]);
+    let positives = pats
+        .iter()
+        .filter(|p| !matches!(p, QueryTerm::Without(_)))
+        .count();
+    // Positive patterns map to distinct data children; the total regimes
+    // additionally leave no data child over.
+    if positives > data.len() || (!qe.partial && positives != data.len()) {
+        return;
+    }
+    // Subterm negation: no data child may match any `without` pattern
+    // under the bindings of the candidate answer.
+    let mut done = |cx: Cx<'_, 'a>| {
+        let negated = pats.iter().filter_map(|p| match p {
+            QueryTerm::Without(wp) => Some(&**wp),
+            _ => None,
+        });
+        for wp in negated {
+            for c in data {
+                let mut hit = false;
+                walk(wp, c, cx, &mut |_: Cx<'_, 'a>| hit = true);
+                if hit {
+                    return;
                 }
             }
         }
-        step(pats, data, b, out);
+        k(cx)
+    };
+    if qe.ordered {
+        ordered(pats, data, qe.partial, cx, &mut done)
     } else {
-        // Unordered: injective assignment of patterns to data children.
-        // Total additionally requires the assignment to be a bijection.
-        if !partial && pats.len() != data.len() {
-            return;
+        // Injectivity mask, one bit per data child: a word on the stack
+        // for up to 64 children, a vector beyond.
+        let mut word = [0u64];
+        let mut words = Vec::new();
+        let used = if data.len() <= 64 {
+            &mut word[..]
+        } else {
+            words.resize(data.len().div_ceil(64), 0u64);
+            &mut words[..]
+        };
+        unordered(pats, data, used, cx, &mut done)
+    }
+}
+
+/// Ordered regimes. Total (`l[p…]`): pairwise in order — the caller
+/// checked the lengths agree. Partial (`l[[p…]]`): a subsequence, each
+/// pattern matching a later data child than the previous one.
+fn ordered<'a>(
+    pats: &'a [QueryTerm],
+    data: &'a [Term],
+    partial: bool,
+    cx: Cx<'_, 'a>,
+    k: K<'_, 'a>,
+) {
+    let Some((p, rest)) = next_positive(pats) else {
+        return k(cx);
+    };
+    if partial {
+        for (i, d) in data.iter().enumerate() {
+            walk(p, d, cx, &mut |cx: Cx<'_, 'a>| {
+                ordered(rest, &data[i + 1..], true, cx, k)
+            });
         }
-        fn step(
-            pats: &[&QueryTerm],
-            data: &[Term],
-            used: &mut Vec<bool>,
-            b: &Bindings,
-            out: &mut Vec<Bindings>,
-        ) {
-            let Some((p, prest)) = pats.split_first() else {
-                out.push(b.clone());
-                return;
-            };
-            for (i, d) in data.iter().enumerate() {
-                if used[i] {
-                    continue;
-                }
-                let mut tmp = Vec::new();
-                m(p, d, b, &mut tmp);
-                if tmp.is_empty() {
-                    continue;
-                }
-                used[i] = true;
-                for b2 in tmp {
-                    step(prest, data, used, &b2, out);
-                }
-                used[i] = false;
-            }
+    } else if let Some((d, drest)) = data.split_first() {
+        walk(p, d, cx, &mut |cx: Cx<'_, 'a>| {
+            ordered(rest, drest, false, cx, k)
+        });
+    }
+}
+
+/// Unordered regimes: an injective assignment of patterns to data
+/// children (a bijection when total — the caller checked the lengths).
+fn unordered<'a>(
+    pats: &'a [QueryTerm],
+    data: &'a [Term],
+    used: &mut [u64],
+    cx: Cx<'_, 'a>,
+    k: K<'_, 'a>,
+) {
+    let Some((p, rest)) = next_positive(pats) else {
+        return k(cx);
+    };
+    for (i, d) in data.iter().enumerate() {
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        if used[w] & bit != 0 {
+            continue;
         }
-        let mut used = vec![false; data.len()];
-        step(pats, data, &mut used, b, out);
+        used[w] |= bit;
+        walk(p, d, cx, &mut |cx: Cx<'_, 'a>| {
+            unordered(rest, data, used, cx, k)
+        });
+        used[w] &= !bit;
     }
 }
 

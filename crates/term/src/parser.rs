@@ -223,6 +223,16 @@ mod props {
             prop_assert_eq!(reparsed, t);
         }
 
+        /// The counting sink and the printer agree on the wire size.
+        #[test]
+        fn serialized_size_is_printed_length(t in arb_term()) {
+            prop_assert_eq!(t.serialized_size(), t.to_string().len());
+            // Control characters and multi-byte text, which `arb_text`
+            // does not draw.
+            let odd = Term::ordered("_", vec![t, Term::text("\n\t\r\\\" é")]);
+            prop_assert_eq!(odd.serialized_size(), odd.to_string().len());
+        }
+
         /// Canonicalization is idempotent and preserves structural equality.
         #[test]
         fn canonicalize_idempotent(t in arb_term()) {

@@ -20,8 +20,9 @@
 //!   lock only for a never-seen string; resolution (`as_str`) takes a read
 //!   lock and returns `&'static str` because interned strings are leaked,
 //!   never freed. The leak is bounded by the vocabulary (labels, attribute
-//!   and variable names that ever existed), not by traffic — see DESIGN.md
-//!   for the policy.
+//!   and variable names, and the constants of installed patterns), not by
+//!   traffic: event *values* are only ever resolved with [`Sym::lookup`],
+//!   never interned — see DESIGN.md for the policy.
 //!
 //! [`Bindings`]: https://docs.rs/reweb-query
 
@@ -137,67 +138,6 @@ impl Sym {
     pub fn table_len() -> usize {
         table().read().unwrap().strings.len()
     }
-
-    /// Probational interning for attribute *values* (data, not vocabulary).
-    ///
-    /// Enum-like fields — `status="shipped"`, `route="eu-1"` — repeat a
-    /// small set of short strings across millions of events, and the
-    /// compiled matcher's alpha network wants to compare them as `Sym`s.
-    /// But values are unbounded in general, and unconditionally interning
-    /// them would grow the leaked table with every distinct order id. So a
-    /// value earns a symbol only once it is *repeat-seen*:
-    ///
-    /// * already interned (e.g. it appears as a constant in some installed
-    ///   pattern, which interns eagerly) → its `Sym`, immediately;
-    /// * short (≤ [`Sym::MAX_VALUE_LEN`] bytes) and seen before by this
-    ///   thread's bounded probation set → interned now;
-    /// * otherwise → `None`, and the value is remembered on probation.
-    ///
-    /// `None` is always a correct answer for callers: a string without a
-    /// symbol cannot equal any interned pattern constant. The probation
-    /// set is thread-local (no cross-thread contention on the hot path)
-    /// and generational (cleared when full), so the table growth is
-    /// bounded by genuinely recurring values. Which thread first promotes
-    /// a value never affects observable behavior — interning is keyed by
-    /// string content, so `Sym` equality is string equality either way.
-    pub fn intern_value(s: &str) -> Option<Sym> {
-        if let Some(sym) = Sym::lookup(s) {
-            return Some(sym);
-        }
-        if s.len() > Sym::MAX_VALUE_LEN {
-            return None;
-        }
-        PROBATION.with(|p| {
-            let mut seen = p.borrow_mut();
-            if seen.contains(s) {
-                seen.remove(s);
-                Some(Sym::new(s))
-            } else {
-                if seen.len() >= PROBATION_CAP {
-                    // Generational reset: cheap, and a hot value re-earns
-                    // promotion within two sightings of the next generation.
-                    seen.clear();
-                }
-                seen.insert(s.to_owned());
-                None
-            }
-        })
-    }
-
-    /// Longest attribute value eligible for probational interning
-    /// ([`Sym::intern_value`]); longer strings are payload, not enums.
-    pub const MAX_VALUE_LEN: usize = 32;
-}
-
-/// Bound on each thread's probation set (distinct once-seen values held
-/// while awaiting a second sighting).
-const PROBATION_CAP: usize = 1024;
-
-thread_local! {
-    /// Per-thread probation set for [`Sym::intern_value`]: values seen once
-    /// but not yet promoted to the global table.
-    static PROBATION: std::cell::RefCell<std::collections::HashSet<String>> =
-        std::cell::RefCell::new(std::collections::HashSet::new());
 }
 
 impl Ord for Sym {
@@ -339,39 +279,6 @@ mod tests {
         m.insert(Sym::new("b"), 2);
         assert_eq!(m.get(&Sym::new("a")), Some(&1));
         assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn value_interning_is_probational() {
-        // Never seen, not a pattern constant: goes on probation.
-        let v = "probation-value-a41c";
-        assert_eq!(Sym::intern_value(v), None);
-        let before = Sym::table_len();
-        // Second sighting promotes it.
-        let sym = Sym::intern_value(v).expect("promoted on second sight");
-        assert_eq!(sym.as_str(), v);
-        assert_eq!(Sym::table_len(), before + 1);
-        // From now on it resolves immediately.
-        assert_eq!(Sym::intern_value(v), Some(sym));
-    }
-
-    #[test]
-    fn value_interning_shortcuts_known_symbols() {
-        let sym = Sym::new("already-interned-value");
-        assert_eq!(Sym::intern_value("already-interned-value"), Some(sym));
-    }
-
-    #[test]
-    fn long_values_never_intern() {
-        let long = "x".repeat(Sym::MAX_VALUE_LEN + 1);
-        let before = Sym::table_len();
-        assert_eq!(Sym::intern_value(&long), None);
-        assert_eq!(Sym::intern_value(&long), None);
-        assert_eq!(
-            Sym::table_len(),
-            before,
-            "payload strings stay out of the table"
-        );
     }
 
     #[test]

@@ -210,8 +210,19 @@ impl Term {
 
     /// Serialized size in bytes of the compact textual form — the "wire
     /// size" used by the network-traffic metrics in the Web simulator.
+    /// Counted through a sink that keeps no bytes: equals
+    /// `self.to_string().len()` without building the string.
     pub fn serialized_size(&self) -> usize {
-        self.to_string().len()
+        struct Count(usize);
+        impl fmt::Write for Count {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 += s.len();
+                Ok(())
+            }
+        }
+        let mut n = Count(0);
+        write_compact(self, &mut n).expect("counting never fails");
+        n.0
     }
 
     /// Depth-first iterator over all nodes with their child-index paths.
@@ -426,19 +437,23 @@ impl TermBuilder {
 
 // ----- display --------------------------------------------------------------
 
-fn quote(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
+fn quote(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
+    out.write_char('"')?;
+    // Unescaped runs go out whole; every escaped character is one byte.
+    let mut rest = s;
+    while let Some(i) = rest.find(['"', '\\', '\n', '\t', '\r']) {
+        out.write_str(&rest[..i])?;
+        out.write_str(match rest.as_bytes()[i] {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            _ => "\\r",
+        })?;
+        rest = &rest[i + 1..];
     }
-    out.push('"');
+    out.write_str(rest)?;
+    out.write_char('"')
 }
 
 /// An identifier can be printed bare iff the lexer would read it back as one
@@ -462,56 +477,54 @@ fn ident_ok(s: &str) -> bool {
     !prev_sep
 }
 
-fn write_compact(t: &Term, out: &mut String) {
+fn write_compact(t: &Term, out: &mut impl fmt::Write) -> fmt::Result {
     match t {
         Term::Text(s) => quote(s, out),
         Term::Elem(e) => {
             let label = e.label.as_str();
             if ident_ok(label) {
-                out.push_str(label);
+                out.write_str(label)?;
             } else {
                 // A label that isn't a valid identifier is printed as a
                 // quoted string prefixed form — rare, but keeps round-trips.
-                out.push_str("_q");
-                quote(label, out);
+                out.write_str("_q")?;
+                quote(label, out)?;
             }
             if e.attrs.is_empty() && e.children.is_empty() {
                 // Bare label: `br` round-trips as an empty ordered element.
                 if !e.ordered {
-                    out.push_str("{}");
+                    out.write_str("{}")?;
                 }
-                return;
+                return Ok(());
             }
             let (open, close) = if e.ordered { ('[', ']') } else { ('{', '}') };
-            out.push(open);
+            out.write_char(open)?;
             let mut first = true;
             for (k, v) in &e.attrs {
                 if !first {
-                    out.push_str(", ");
+                    out.write_str(", ")?;
                 }
                 first = false;
-                out.push('@');
-                out.push_str(k.as_str());
-                out.push('=');
-                quote(v, out);
+                out.write_char('@')?;
+                out.write_str(k.as_str())?;
+                out.write_char('=')?;
+                quote(v, out)?;
             }
             for c in &e.children {
                 if !first {
-                    out.push_str(", ");
+                    out.write_str(", ")?;
                 }
                 first = false;
-                write_compact(c, out);
+                write_compact(c, out)?;
             }
-            out.push(close);
+            out.write_char(close)
         }
     }
 }
 
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut s = String::new();
-        write_compact(self, &mut s);
-        f.write_str(&s)
+        write_compact(self, f)
     }
 }
 
@@ -524,7 +537,7 @@ impl Term {
             match t {
                 Term::Text(s) => {
                     out.push_str(&pad);
-                    quote(s, out);
+                    quote(s, out).expect("a String sink never fails");
                 }
                 Term::Elem(e) => {
                     out.push_str(&pad);
@@ -533,7 +546,7 @@ impl Term {
                         out.push_str(" @");
                         out.push_str(k.as_str());
                         out.push('=');
-                        quote(v, out);
+                        quote(v, out).expect("a String sink never fails");
                     }
                     if e.children.is_empty() {
                         if !e.ordered {
