@@ -322,7 +322,7 @@ fn main() {
     }
     let run_all = args.is_empty();
 
-    println!("# reweb experiment tables (E1…E18)\n");
+    println!("# reweb experiment tables (E1…E19)\n");
     for (id, run) in experiments::RUNNERS {
         if run_all || args.iter().any(|w| id.eq_ignore_ascii_case(w)) {
             eprintln!("running {id}…");

@@ -1,6 +1,6 @@
 //! Shared workload generators and table plumbing for the experiments
-//! E1…E13 — one per thesis plus the sharded-ingestion scaling table (see
-//! `DESIGN.md` §3 and `EXPERIMENTS.md`).
+//! E1…E19 — one per thesis plus the scaling, durability, ingress,
+//! delivery and observability tables (see `DESIGN.md` §3).
 //!
 //! The paper is a position paper with no tables or figures of its own, so
 //! every experiment here regenerates a table supporting one thesis's

@@ -42,6 +42,7 @@ use reweb_term::{Dur, Sym, Term, Timestamp};
 use reweb_update::{Executor, ProcedureDef};
 
 use crate::shard::InMessage;
+use crate::surface::Engine;
 
 pub use reweb_update::OutMessage;
 
@@ -237,7 +238,7 @@ pub struct ReactiveEngine {
     /// widens, and the durability layer reads it per logged record.
     horizon: Option<Dur>,
     /// Warmup-replay mode: event-query and deduction state advances, but
-    /// no rule fires (see [`ReactiveEngine::set_replay_warmup`]).
+    /// no rule fires (see [`Engine::set_replay_warmup`]).
     replay_warmup: bool,
     /// Counters and error log (see [`EngineMetrics`]).
     pub metrics: EngineMetrics,
@@ -482,17 +483,6 @@ impl ReactiveEngine {
         out
     }
 
-    /// Warmup-replay mode for crash recovery: while set, events still
-    /// flow through AAA admission, deduction, and every rule's
-    /// incremental event-query state — but **no rule fires**: no
-    /// condition is evaluated, no action runs, no store write, output,
-    /// log entry, or metric results. `reweb_persist` uses this to rebuild
-    /// composite-event partial state from a log suffix whose *effects*
-    /// are already covered by a snapshot.
-    pub fn set_replay_warmup(&mut self, on: bool) {
-        self.replay_warmup = on;
-    }
-
     /// Capture the sequence state a recovery must restore before
     /// replaying the next input (see [`ReplayMark`]).
     pub fn replay_mark(&self) -> ReplayMark {
@@ -511,34 +501,10 @@ impl ReactiveEngine {
         self.deduction.set_derived_seq(m.derived_seq);
     }
 
-    /// The engine's replay horizon: a duration `B` such that no input
-    /// older than `now - B` can still influence a future answer of any
-    /// installed rule or DETECT rule (see
-    /// [`reweb_events::EventQuery::replay_horizon`]). `None` = unbounded
-    /// (some installed query retains state forever). Recovery replays
-    /// exactly this much log suffix to rebuild composite-event state.
-    pub fn replay_horizon(&self) -> Option<Dur> {
-        // Cached: folded at install time (per rule, under the TTL the
-        // rule was compiled with; DETECT rules without one), because the
-        // durability layer consults this per logged record and rules are
-        // never uninstalled — the fold only ever widens.
-        self.horizon
-    }
-
     /// Does any installed rule or DETECT rule use an `absence` operator
     /// (i.e. can this engine ever hold a pending deadline)?
     pub fn has_deadline_rules(&self) -> bool {
         self.compiled.iter().any(|c| c.rule.on.has_absence()) || self.deduction.has_absence()
-    }
-
-    /// Fire every absence deadline already due at the *current* clock,
-    /// bypassing the monotone-clock fast path of
-    /// [`ReactiveEngine::advance_time`]. Recovery uses this (under
-    /// warmup mode) to discharge deadlines that a restored clock jumped
-    /// over, so they cannot fire spuriously on the first post-recovery
-    /// input.
-    pub fn flush_due_deadlines(&mut self) -> Vec<OutMessage> {
-        self.advance_fire()
     }
 
     /// Total partial-match state across all rules (Thesis 4 metric).
@@ -682,7 +648,7 @@ impl ReactiveEngine {
     }
 
     /// Shared body of [`ReactiveEngine::advance_time`] and
-    /// [`ReactiveEngine::flush_due_deadlines`]: advance the deduction
+    /// [`Engine::flush_due_deadlines`]: advance the deduction
     /// layer and every *tick-sensitive* rule (see `advance_idxs`) to the
     /// current clock. Remaining rules catch up on their next candidate
     /// push — their windowed gc is output-invisible, so delaying it never
@@ -913,6 +879,62 @@ impl ReactiveEngine {
             }
             return; // first branch that held fires; later branches skipped
         }
+    }
+}
+
+impl Engine for ReactiveEngine {
+    fn descriptor(&self) -> String {
+        "single".into()
+    }
+    fn install_source(&mut self, src: &str) -> crate::Result<()> {
+        self.install_program(src)
+    }
+    fn receive_batch_tagged(
+        &mut self,
+        msgs: &[InMessage],
+    ) -> crate::Result<Vec<(u32, OutMessage)>> {
+        Ok(ReactiveEngine::receive_batch_tagged(self, msgs))
+    }
+    fn advance_clock(&mut self, t: Timestamp) -> crate::Result<Vec<OutMessage>> {
+        Ok(self.advance_time(t))
+    }
+    fn put_doc(&mut self, uri: &str, doc: Term) -> crate::Result<()> {
+        self.qe.store.put(uri.to_string(), doc);
+        Ok(())
+    }
+    fn metrics(&self) -> EngineMetrics {
+        self.metrics.clone()
+    }
+    fn obs(&self) -> &Arc<Obs> {
+        ReactiveEngine::obs(self)
+    }
+    fn set_obs(&mut self, obs: Arc<Obs>) {
+        ReactiveEngine::set_obs(self, obs);
+    }
+    fn engines(&self) -> &[ReactiveEngine] {
+        std::slice::from_ref(self)
+    }
+    fn engines_mut(&mut self) -> &mut [ReactiveEngine] {
+        std::slice::from_mut(self)
+    }
+    fn front_clock(&self) -> Timestamp {
+        self.now
+    }
+    fn restore_front_clock(&mut self, t: Timestamp) {
+        self.now = t;
+    }
+    fn set_replay_warmup(&mut self, on: bool) {
+        self.replay_warmup = on;
+    }
+    fn replay_horizon(&self) -> Option<Dur> {
+        // Cached: folded at install time (per rule, under the TTL the
+        // rule was compiled with; DETECT rules without one), because the
+        // durability layer consults this per logged record and rules are
+        // never uninstalled — the fold only ever widens.
+        self.horizon
+    }
+    fn flush_due_deadlines(&mut self) {
+        self.advance_fire();
     }
 }
 

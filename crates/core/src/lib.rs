@@ -37,6 +37,8 @@
 //!   engines, partitioning rules by event-label affinity and routing each
 //!   event to the one shard that needs it — semantically equivalent to a
 //!   single engine (experiment E13 measures the throughput win).
+//! * [`surface`] — [`Engine`], the one surface every engine shape
+//!   (single, sharded, durable) offers hosts and crash recovery.
 //! * [`aaa`] — Thesis 12: authentication (salted-hash credentials),
 //!   authorization (ACL over event labels, resources, rule installation),
 //!   and accounting — realized as *derived events* fed back into the same
@@ -53,6 +55,7 @@ pub mod meta;
 pub mod parser;
 pub mod rule;
 pub mod shard;
+pub mod surface;
 pub mod trust;
 
 pub use aaa::{AaaConfig, AccountingRecord, Acl, Credentials, MessageMeta, Permission, Principal};
@@ -62,6 +65,7 @@ pub use parser::{parse_action, parse_program, parse_rule};
 pub use reweb_events::JoinMode;
 pub use rule::{Branch, EcaRule, RuleSet};
 pub use shard::{ExecMode, InMessage, ShardedEngine};
+pub use surface::Engine;
 pub use trust::{negotiate, NegotiationOutcome, Party, Policy, Strategy};
 
 pub use reweb_term::TermError;

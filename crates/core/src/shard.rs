@@ -65,6 +65,7 @@ use crate::aaa::MessageMeta;
 use crate::engine::{EngineMetrics, OutMessage, ReactiveEngine};
 use crate::meta::ruleset_from_term;
 use crate::rule::RuleSet;
+use crate::surface::Engine;
 
 pub mod exec;
 
@@ -420,80 +421,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Mutable access to the shards — the durability layer's restore
-    /// hatch (`reweb_persist` rebuilds per-shard stores, replay marks,
-    /// and metrics through it). Mutating shard state directly is *not*
-    /// part of the engine's semantic surface: anything changed here
-    /// bypasses routing, logging, and the equivalence guarantees.
-    pub fn shards_mut(&mut self) -> &mut [ReactiveEngine] {
-        &mut self.shards
-    }
-
-    /// Attach one shared observability handle to every shard (see
-    /// [`ReactiveEngine::set_obs`]). All shards report into the same
-    /// flight recorder and histograms — the atomics *are* the cross-shard
-    /// merge, so a `stats` snapshot needs no per-shard fold.
-    pub fn set_obs(&mut self, obs: std::sync::Arc<reweb_obs::Obs>) {
-        for s in &mut self.shards {
-            s.set_obs(std::sync::Arc::clone(&obs));
-        }
-    }
-
-    /// The observability handle shared by the shards (shard 0's; they
-    /// are all clones of one `Arc` after [`ShardedEngine::set_obs`]).
-    pub fn obs(&self) -> &std::sync::Arc<reweb_obs::Obs> {
-        self.shards[0].obs()
-    }
-
-    /// Forward [`ReactiveEngine::set_replay_warmup`] to every shard.
-    pub fn set_replay_warmup(&mut self, on: bool) {
-        for s in &mut self.shards {
-            s.set_replay_warmup(on);
-        }
-    }
-
-    /// Restore the front-end clock without firing any deadline —
-    /// recovery only (per-shard clocks are restored through
-    /// [`ShardedEngine::shards_mut`] /
-    /// [`ReactiveEngine::restore_replay_mark`]).
-    pub fn restore_clock(&mut self, t: Timestamp) {
-        self.now = self.now.max(t);
-    }
-
-    /// Recompute the per-shard deadline caches and absence flags from
-    /// the shards' actual rule state — recovery calls this after
-    /// restoring shard state behind the front-end's back.
-    pub fn refresh_deadlines(&mut self) {
-        for i in 0..self.shards.len() {
-            self.has_timers[i] = self.shards[i].has_deadline_rules();
-            self.deadlines[i] = self.shards[i].next_deadline();
-        }
-    }
-
-    /// The replay horizon across all shards (see
-    /// [`ReactiveEngine::replay_horizon`]); `None` = some shard holds
-    /// unbounded state.
-    pub fn replay_horizon(&self) -> Option<Dur> {
-        let mut max = Dur::ZERO;
-        for s in &self.shards {
-            max = max.max(s.replay_horizon()?);
-        }
-        Some(max)
-    }
-
-    /// Fire every absence deadline already due at each shard's current
-    /// clock, bypassing the monotone-clock fast path (see
-    /// [`ReactiveEngine::flush_due_deadlines`]); outputs merge in shard
-    /// order.
-    pub fn flush_due_deadlines(&mut self) -> Vec<OutMessage> {
-        let mut out = Vec::new();
-        for i in 0..self.shards.len() {
-            out.extend(self.shards[i].flush_due_deadlines());
-            self.deadlines[i] = self.shards[i].next_deadline();
-        }
-        out
-    }
-
     /// Replicate a document into every shard's store, so conditions read
     /// the same data wherever the reading rule was placed.
     pub fn put_resource(&mut self, uri: impl Into<String>, doc: Term) {
@@ -520,14 +447,6 @@ impl ShardedEngine {
     /// Total partial-match state across all shards (Thesis 4 metric).
     pub fn state_size(&self) -> usize {
         self.shards.iter().map(ReactiveEngine::state_size).sum()
-    }
-
-    /// Earliest pending absence deadline across all shards.
-    pub fn next_deadline(&self) -> Option<Timestamp> {
-        self.shards
-            .iter()
-            .filter_map(ReactiveEngine::next_deadline)
-            .min()
     }
 
     /// The front-end clock (latest message time seen).
@@ -1111,6 +1030,83 @@ impl ShardedEngine {
                     }
                 }
             }
+        }
+    }
+}
+
+impl Engine for ShardedEngine {
+    fn descriptor(&self) -> String {
+        format!("sharded:{}:{:?}", self.shards.len(), self.mode)
+    }
+    fn install_source(&mut self, src: &str) -> crate::Result<()> {
+        self.install_program(src)
+    }
+    fn receive_batch_tagged(
+        &mut self,
+        msgs: &[InMessage],
+    ) -> crate::Result<Vec<(u32, OutMessage)>> {
+        self.try_receive_batch_tagged(msgs)
+    }
+    fn advance_clock(&mut self, t: Timestamp) -> crate::Result<Vec<OutMessage>> {
+        self.try_advance_time(t)
+    }
+    fn put_doc(&mut self, uri: &str, doc: Term) -> crate::Result<()> {
+        self.put_resource(uri, doc);
+        Ok(())
+    }
+    fn metrics(&self) -> EngineMetrics {
+        ShardedEngine::metrics(self)
+    }
+    /// Shard 0's handle: after [`Engine::set_obs`] every shard holds a
+    /// clone of the same `Arc`.
+    fn obs(&self) -> &Arc<reweb_obs::Obs> {
+        self.shards[0].obs()
+    }
+    /// All shards report into the same flight recorder and histograms —
+    /// the atomics *are* the cross-shard merge, so a `stats` snapshot
+    /// needs no per-shard fold.
+    fn set_obs(&mut self, obs: Arc<reweb_obs::Obs>) {
+        for s in &mut self.shards {
+            s.set_obs(Arc::clone(&obs));
+        }
+    }
+    fn engines(&self) -> &[ReactiveEngine] {
+        &self.shards
+    }
+    fn engines_mut(&mut self) -> &mut [ReactiveEngine] {
+        &mut self.shards
+    }
+    fn front_clock(&self) -> Timestamp {
+        self.now
+    }
+    /// Per-shard clocks and stores were restored behind the front-end's
+    /// back, so the per-shard deadline caches and absence flags are
+    /// recomputed from the shards' actual rule state.
+    fn restore_front_clock(&mut self, t: Timestamp) {
+        self.now = self.now.max(t);
+        for i in 0..self.shards.len() {
+            self.has_timers[i] = self.shards[i].has_deadline_rules();
+            self.deadlines[i] = self.shards[i].next_deadline();
+        }
+    }
+    fn set_replay_warmup(&mut self, on: bool) {
+        for s in &mut self.shards {
+            s.set_replay_warmup(on);
+        }
+    }
+    /// The widest shard horizon; `None` = some shard holds unbounded
+    /// state.
+    fn replay_horizon(&self) -> Option<Dur> {
+        let mut max = Dur::ZERO;
+        for s in &self.shards {
+            max = max.max(s.replay_horizon()?);
+        }
+        Some(max)
+    }
+    fn flush_due_deadlines(&mut self) {
+        for i in 0..self.shards.len() {
+            self.shards[i].flush_due_deadlines();
+            self.deadlines[i] = self.shards[i].next_deadline();
         }
     }
 }

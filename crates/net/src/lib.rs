@@ -15,7 +15,7 @@
 //!   and a bounded global queue whose overflow is an explicit `busy`
 //!   reply — backpressure is part of the protocol, not a TCP accident;
 //! - **the driver** ([`server`]): one thread forming batches under size
-//!   and latency bounds and feeding any [`IngressEngine`] —
+//!   and latency bounds and feeding any [`reweb_core::Engine`] —
 //!   [`reweb_core::ReactiveEngine`], [`reweb_core::ShardedEngine`], or
 //!   a [`reweb_persist::DurableEngine`] over either — through the
 //!   *tagged* batch surface, so every reaction routes back to the
@@ -51,5 +51,5 @@ pub use delivery::{
 };
 pub use limit::{BackoffPolicy, RateLimit};
 pub use router::NetConfig;
-pub use server::{IngressEngine, IngressStats, NetServer};
+pub use server::{IngressStats, NetServer};
 pub use wire::{EnvelopeError, ErrorCode, Reply, Request, WIRE_SCHEMA};

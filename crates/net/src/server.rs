@@ -24,8 +24,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use reweb_core::{EngineMetrics, InMessage, OutMessage, ReactiveEngine, ShardedEngine};
-use reweb_persist::{DurableEngine, Recoverable};
+use reweb_core::{Engine, InMessage};
 use reweb_term::frame::{crc32, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use reweb_term::Timestamp;
 
@@ -33,127 +32,6 @@ use crate::delivery::{DeliveryHandle, DeliveryLedger};
 use crate::limit::{Admission, BackoffPolicy, TokenBucket};
 use crate::router::{IngressQueue, Item, LanePush, NetConfig, ReplyClass, ReplyLane};
 use crate::wire::{event_to_message, ErrorCode, Reply, Request};
-
-/// Any engine the ingress tier can drive: one ingestion surface over
-/// [`ReactiveEngine`], [`ShardedEngine`], and both durable wrappers.
-/// The tagged ingestion call is what lets the driver route each
-/// reaction back to the connection whose event produced it.
-pub trait IngressEngine: Send {
-    /// Shape descriptor reported in the `welcome` reply (diagnostics).
-    fn descriptor(&self) -> String;
-    /// Install a rule program (startup configuration; rules can also
-    /// arrive as `install_rules` events, Thesis 11).
-    fn install_source(&mut self, src: &str) -> Result<(), String>;
-    /// Ingest one batch; each output is tagged with the index of the
-    /// batch message that produced it.
-    fn ingest_tagged(&mut self, msgs: &[InMessage]) -> Result<Vec<(u32, OutMessage)>, String>;
-    /// Advance the engine clock, firing due absence deadlines.
-    fn advance_clock(&mut self, at: Timestamp) -> Result<Vec<OutMessage>, String>;
-    /// Aggregated engine metrics (all shards where applicable).
-    fn metrics(&self) -> EngineMetrics;
-    /// The engine's observability handle (shared across shards).
-    fn obs(&self) -> Arc<reweb_obs::Obs>;
-    /// Swap in a shared observability handle (normally via
-    /// [`NetServer::set_obs`], which keeps the server's mirror in sync).
-    fn set_obs(&mut self, obs: Arc<reweb_obs::Obs>);
-}
-
-impl IngressEngine for ReactiveEngine {
-    fn descriptor(&self) -> String {
-        "single".into()
-    }
-    fn install_source(&mut self, src: &str) -> Result<(), String> {
-        self.install_program(src).map_err(|e| e.to_string())
-    }
-    fn ingest_tagged(&mut self, msgs: &[InMessage]) -> Result<Vec<(u32, OutMessage)>, String> {
-        Ok(self.receive_batch_tagged(msgs))
-    }
-    fn advance_clock(&mut self, at: Timestamp) -> Result<Vec<OutMessage>, String> {
-        Ok(self.advance_time(at))
-    }
-    fn metrics(&self) -> EngineMetrics {
-        self.metrics.clone()
-    }
-    fn obs(&self) -> Arc<reweb_obs::Obs> {
-        Arc::clone(ReactiveEngine::obs(self))
-    }
-    fn set_obs(&mut self, obs: Arc<reweb_obs::Obs>) {
-        ReactiveEngine::set_obs(self, obs);
-    }
-}
-
-impl IngressEngine for ShardedEngine {
-    fn descriptor(&self) -> String {
-        Recoverable::descriptor(self)
-    }
-    fn install_source(&mut self, src: &str) -> Result<(), String> {
-        self.install_program(src).map_err(|e| e.to_string())
-    }
-    fn ingest_tagged(&mut self, msgs: &[InMessage]) -> Result<Vec<(u32, OutMessage)>, String> {
-        self.try_receive_batch_tagged(msgs)
-            .map_err(|e| e.to_string())
-    }
-    fn advance_clock(&mut self, at: Timestamp) -> Result<Vec<OutMessage>, String> {
-        self.try_advance_time(at).map_err(|e| e.to_string())
-    }
-    fn metrics(&self) -> EngineMetrics {
-        ShardedEngine::metrics(self)
-    }
-    fn obs(&self) -> Arc<reweb_obs::Obs> {
-        Arc::clone(ShardedEngine::obs(self))
-    }
-    fn set_obs(&mut self, obs: Arc<reweb_obs::Obs>) {
-        ShardedEngine::set_obs(self, obs);
-    }
-}
-
-impl IngressEngine for DurableEngine<ReactiveEngine> {
-    fn descriptor(&self) -> String {
-        format!("durable:{}", Recoverable::descriptor(self.engine()))
-    }
-    fn install_source(&mut self, src: &str) -> Result<(), String> {
-        self.install_program(src).map_err(|e| e.to_string())
-    }
-    fn ingest_tagged(&mut self, msgs: &[InMessage]) -> Result<Vec<(u32, OutMessage)>, String> {
-        self.receive_batch_tagged(msgs).map_err(|e| e.to_string())
-    }
-    fn advance_clock(&mut self, at: Timestamp) -> Result<Vec<OutMessage>, String> {
-        self.advance_time(at).map_err(|e| e.to_string())
-    }
-    fn metrics(&self) -> EngineMetrics {
-        self.engine().metrics.clone()
-    }
-    fn obs(&self) -> Arc<reweb_obs::Obs> {
-        Arc::clone(DurableEngine::obs(self))
-    }
-    fn set_obs(&mut self, obs: Arc<reweb_obs::Obs>) {
-        DurableEngine::set_obs(self, obs);
-    }
-}
-
-impl IngressEngine for DurableEngine<ShardedEngine> {
-    fn descriptor(&self) -> String {
-        format!("durable:{}", Recoverable::descriptor(self.engine()))
-    }
-    fn install_source(&mut self, src: &str) -> Result<(), String> {
-        self.install_program(src).map_err(|e| e.to_string())
-    }
-    fn ingest_tagged(&mut self, msgs: &[InMessage]) -> Result<Vec<(u32, OutMessage)>, String> {
-        self.receive_batch_tagged(msgs).map_err(|e| e.to_string())
-    }
-    fn advance_clock(&mut self, at: Timestamp) -> Result<Vec<OutMessage>, String> {
-        self.advance_time(at).map_err(|e| e.to_string())
-    }
-    fn metrics(&self) -> EngineMetrics {
-        self.engine().metrics()
-    }
-    fn obs(&self) -> Arc<reweb_obs::Obs> {
-        Arc::clone(DurableEngine::obs(self))
-    }
-    fn set_obs(&mut self, obs: Arc<reweb_obs::Obs>) {
-        DurableEngine::set_obs(self, obs);
-    }
-}
 
 /// Monotone ingress counters, updated with relaxed atomics on the hot
 /// paths and snapshotted via [`NetServer::stats`].
@@ -232,7 +110,11 @@ struct ClientHandle {
 /// State shared by every server thread.
 struct Shared {
     cfg: NetConfig,
-    engine: Mutex<Box<dyn IngressEngine>>,
+    engine: Mutex<Box<dyn Engine>>,
+    /// The engine's [`Engine::descriptor`], read once at bind: it never
+    /// changes, and `welcome` must not depend on the engine lock (a
+    /// driver that panicked mid-batch leaves that lock poisoned).
+    descriptor: String,
     queue: IngressQueue,
     clients: Mutex<HashMap<u64, ClientHandle>>,
     counters: Counters,
@@ -300,7 +182,7 @@ impl NetServer {
     /// start serving `engine` under `cfg`.
     pub fn bind(
         addr: impl ToSocketAddrs,
-        engine: impl IngressEngine + 'static,
+        engine: impl Engine + 'static,
         cfg: NetConfig,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
@@ -310,10 +192,11 @@ impl NetServer {
             Some(path) => DeliveryLedger::open(path)?,
             None => DeliveryLedger::in_memory(),
         };
-        let obs = engine.obs();
+        let obs = Arc::clone(engine.obs());
         let shared = Arc::new(Shared {
             queue: IngressQueue::new(cfg.queue_capacity),
             cfg,
+            descriptor: engine.descriptor(),
             engine: Mutex::new(Box::new(engine)),
             clients: Mutex::new(HashMap::new()),
             counters: Counters::default(),
@@ -380,8 +263,8 @@ impl NetServer {
     /// lock per batch, so this sees a consistent state between batches
     /// — use it to install programs at startup or to read metrics in
     /// tests; holding it stalls ingestion.
-    pub fn with_engine<R>(&self, f: impl FnOnce(&mut dyn IngressEngine) -> R) -> R {
-        let mut guard: MutexGuard<'_, Box<dyn IngressEngine>> =
+    pub fn with_engine<R>(&self, f: impl FnOnce(&mut dyn Engine) -> R) -> R {
+        let mut guard: MutexGuard<'_, Box<dyn Engine>> =
             self.shared.engine.lock().expect("engine mutex poisoned");
         f(guard.as_mut())
     }
@@ -770,16 +653,11 @@ fn connection_loop(mut stream: TcpStream, client: u64, shared_arc: &Arc<Shared>)
             .name(format!("reweb-net-write-{client}"))
             .spawn(move || writer_loop(writer, lane, shared2))
     };
-    let engine_desc = shared
-        .engine
-        .lock()
-        .expect("engine mutex poisoned")
-        .descriptor();
     lane.push(
         ReplyClass::Control,
         Reply::Welcome {
             schema: crate::wire::WIRE_SCHEMA.into(),
-            engine: engine_desc,
+            engine: shared.descriptor.clone(),
         }
         .encode(),
     );
@@ -1168,7 +1046,7 @@ fn driver_loop(shared: Arc<Shared>) {
                                 ReplyClass::Control,
                                 Reply::Error {
                                     code: ErrorCode::Engine,
-                                    detail: e,
+                                    detail: e.to_string(),
                                     id: Some(id),
                                     retry_ms: None,
                                 }
@@ -1216,7 +1094,7 @@ fn flush_run(
         .engine
         .lock()
         .expect("engine mutex poisoned")
-        .ingest_tagged(msgs);
+        .receive_batch_tagged(msgs);
     shared.counters.batches.fetch_add(1, Ordering::Relaxed);
     shared
         .counters
@@ -1277,6 +1155,7 @@ fn flush_run(
             // deliveries in the run are deliberately *not* recorded in
             // the ledger — no ack goes out, the sender retries, and a
             // later successful run ingests them.
+            let detail = e.to_string();
             let mut told = std::collections::HashSet::new();
             for &(client, id) in tags.iter() {
                 if told.insert(client) {
@@ -1285,7 +1164,7 @@ fn flush_run(
                         ReplyClass::Control,
                         Reply::Error {
                             code: ErrorCode::Engine,
-                            detail: e.clone(),
+                            detail: detail.clone(),
                             id: Some(id),
                             retry_ms: None,
                         }

@@ -345,3 +345,42 @@ fn unknown_schema_is_refused() {
         other => panic!("expected bad-schema error, got {other:?}"),
     }
 }
+
+/// A driver that panicked mid-batch leaves the engine mutex poisoned;
+/// the handshake must not depend on it. A fresh connection still gets
+/// its `welcome`, because the engine descriptor is read once at bind.
+#[test]
+fn welcome_survives_a_poisoned_engine_lock() {
+    let mut engine = ReactiveEngine::new("http://server/".to_string());
+    engine.rig_panic_on_label("boom");
+    let server = NetServer::bind("127.0.0.1:0", engine, NetConfig::default()).expect("bind");
+
+    let mut c = NetClient::connect(server.local_addr(), "http://c/").expect("connect");
+    c.send_event(
+        parse_term("boom").unwrap(),
+        Some(reweb_term::Timestamp(1_000)),
+    )
+    .expect("send");
+    wait_until("engine mutex poisoned", || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.with_engine(|_| ())))
+            .is_err()
+    });
+
+    // A raw socket with a read timeout: without the cached descriptor
+    // the reader thread dies on the poisoned lock while the writer keeps
+    // the socket open, so the reply would never come.
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let hello = Request::Hello {
+        from: "http://late/".into(),
+        credentials: None,
+        gateway: false,
+    };
+    raw.write_all(&hello.encode()).expect("write hello");
+    let payload = recv_frame(&mut raw).expect("a reply despite the poisoned engine lock");
+    match Reply::decode(&payload).expect("decode") {
+        Reply::Welcome { engine, .. } => assert_eq!(engine, "single"),
+        other => panic!("expected welcome, got {other:?}"),
+    }
+}

@@ -299,7 +299,36 @@ fn sharded_and_durable_engines_serve_identically() {
     .expect("open durable");
     let durable = NetServer::bind("127.0.0.1:0", durable, default_cfg()).expect("bind durable");
     run_differential(&durable, &src, &stream, false);
+
+    let sharded_dir = dir.join("sharded");
+    let durable_sharded = DurableEngine::open(
+        &sharded_dir,
+        DurableOptions {
+            sync: SyncPolicy::Os,
+            snapshot_every: Some(8),
+        },
+        || ShardedEngine::new("http://server/", 3),
+    )
+    .expect("open durable sharded");
+    let durable_sharded = NetServer::bind("127.0.0.1:0", durable_sharded, default_cfg())
+        .expect("bind durable sharded");
+    run_differential(&durable_sharded, &src, &stream, false);
+
+    let descriptors: Vec<String> = [&single, &sharded, &durable, &durable_sharded]
+        .iter()
+        .map(|s| s.with_engine(|e| e.descriptor()))
+        .collect();
+    assert_eq!(
+        descriptors,
+        [
+            "single",
+            "sharded:4:Threads",
+            "durable:single",
+            "durable:sharded:3:Serial"
+        ]
+    );
     drop(durable);
+    drop(durable_sharded);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

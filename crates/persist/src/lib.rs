@@ -28,7 +28,7 @@
 //! logs — but not the incremental evaluator's partial matches (windowed
 //! joins, pending absences). Those are rebuilt by replay, and the
 //! engine's retention bounds make the replay *bounded*: by
-//! [`reweb_core::ReactiveEngine::replay_horizon`] (which folds
+//! [`reweb_core::Engine::replay_horizon`] (which folds
 //! `reweb_events::EventQuery::replay_horizon` over the installed
 //! rules), no event older than `clock − B` can still influence a future
 //! answer, where `B` is that conservative horizon. So the snapshot also
@@ -42,7 +42,7 @@
 //! 2. restores the replay marks and every resource store (state as of
 //!    `S`);
 //! 3. replays `[H, S)` in **warmup mode**
-//!    ([`reweb_core::ReactiveEngine::set_replay_warmup`]): events flow
+//!    ([`reweb_core::Engine::set_replay_warmup`]): events flow
 //!    through admission, deduction, and event-query state, re-stamped
 //!    with their original event ids — but nothing fires, because every
 //!    effect of those records (store writes, outputs, metrics) is
@@ -82,8 +82,11 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use reweb_core::{InMessage, MessageMeta, OutMessage, ReactiveEngine, ReplayMark, ShardedEngine};
+use reweb_core::{
+    Engine, EngineMetrics, InMessage, MessageMeta, OutMessage, ReactiveEngine, ReplayMark,
+};
 use reweb_obs::{Obs, Stage};
 use reweb_term::{Dur, Term, TermError, Timestamp};
 
@@ -189,176 +192,6 @@ pub struct RecoveryStats {
     pub elapsed_ns: u64,
 }
 
-/// The engine shapes a [`DurableEngine`] can wrap. The trait carries the
-/// normal input surface (everything the WAL records) plus the state
-/// export/restore hooks recovery needs; `reweb_core` implements the
-/// hooks, this crate only drives them.
-pub trait Recoverable {
-    /// Shape descriptor validated across restarts (e.g. `single`,
-    /// `sharded:4:Threads`): recovering a log with a differently shaped
-    /// engine would replay into different routing.
-    fn descriptor(&self) -> String;
-    /// Install a rule program (see [`reweb_core::parse_program`]).
-    fn install_source(&mut self, src: &str) -> std::result::Result<(), TermError>;
-    /// Process one ingestion batch.
-    fn ingest_batch(
-        &mut self,
-        msgs: &[InMessage],
-    ) -> std::result::Result<Vec<OutMessage>, TermError>;
-    /// Process one ingestion batch, tagging each output with the index
-    /// of the batch message that produced it (the networked ingress
-    /// tier's reply-routing surface). Stripping the tags must reproduce
-    /// [`Recoverable::ingest_batch`] byte for byte.
-    fn ingest_batch_tagged(
-        &mut self,
-        msgs: &[InMessage],
-    ) -> std::result::Result<Vec<(u32, OutMessage)>, TermError>;
-    /// Advance the virtual clock.
-    fn advance_clock(&mut self, t: Timestamp) -> std::result::Result<Vec<OutMessage>, TermError>;
-    /// Store a document (replicated to every shard where applicable).
-    fn put_doc(&mut self, uri: &str, doc: Term);
-    /// The per-shard engines, in shard order (a single engine is one).
-    fn engines(&self) -> Vec<&ReactiveEngine>;
-    /// Mutable access to the per-shard engines, in shard order.
-    fn engines_mut(&mut self) -> Vec<&mut ReactiveEngine>;
-    /// The front-end clock (latest time seen).
-    fn front_clock(&self) -> Timestamp;
-    /// Restore the front-end clock without firing deadlines.
-    fn restore_front_clock(&mut self, t: Timestamp);
-    /// Toggle warmup-replay mode on every shard.
-    fn set_replay_warmup(&mut self, on: bool);
-    /// The engine's replay horizon (see
-    /// [`reweb_core::ReactiveEngine::replay_horizon`]).
-    fn replay_horizon(&self) -> Option<Dur>;
-    /// Fire deadlines already due at the current clock (recovery).
-    fn flush_due_deadlines(&mut self);
-    /// Called once after recovery finished restoring state behind the
-    /// engine's back (sharded engines refresh their deadline caches).
-    fn after_restore(&mut self) {}
-    /// Attach a shared observability handle to every wrapped engine.
-    fn set_obs(&mut self, obs: std::sync::Arc<Obs>);
-    /// The wrapped engines' observability handle.
-    fn obs(&self) -> std::sync::Arc<Obs>;
-}
-
-impl Recoverable for ReactiveEngine {
-    fn descriptor(&self) -> String {
-        "single".into()
-    }
-    fn install_source(&mut self, src: &str) -> std::result::Result<(), TermError> {
-        self.install_program(src)
-    }
-    fn ingest_batch(
-        &mut self,
-        msgs: &[InMessage],
-    ) -> std::result::Result<Vec<OutMessage>, TermError> {
-        let mut out = Vec::new();
-        for m in msgs {
-            out.extend(self.receive(m.payload.clone(), &m.meta, m.at));
-        }
-        Ok(out)
-    }
-    fn ingest_batch_tagged(
-        &mut self,
-        msgs: &[InMessage],
-    ) -> std::result::Result<Vec<(u32, OutMessage)>, TermError> {
-        Ok(self.receive_batch_tagged(msgs))
-    }
-    fn advance_clock(&mut self, t: Timestamp) -> std::result::Result<Vec<OutMessage>, TermError> {
-        Ok(self.advance_time(t))
-    }
-    fn put_doc(&mut self, uri: &str, doc: Term) {
-        self.qe.store.put(uri.to_string(), doc);
-    }
-    fn engines(&self) -> Vec<&ReactiveEngine> {
-        vec![self]
-    }
-    fn engines_mut(&mut self) -> Vec<&mut ReactiveEngine> {
-        vec![self]
-    }
-    fn front_clock(&self) -> Timestamp {
-        self.now()
-    }
-    fn restore_front_clock(&mut self, t: Timestamp) {
-        self.restore_replay_mark(ReplayMark {
-            clock: t,
-            ..self.replay_mark()
-        });
-    }
-    fn set_replay_warmup(&mut self, on: bool) {
-        ReactiveEngine::set_replay_warmup(self, on);
-    }
-    fn replay_horizon(&self) -> Option<Dur> {
-        ReactiveEngine::replay_horizon(self)
-    }
-    fn flush_due_deadlines(&mut self) {
-        ReactiveEngine::flush_due_deadlines(self);
-    }
-    fn set_obs(&mut self, obs: std::sync::Arc<Obs>) {
-        ReactiveEngine::set_obs(self, obs);
-    }
-    fn obs(&self) -> std::sync::Arc<Obs> {
-        std::sync::Arc::clone(ReactiveEngine::obs(self))
-    }
-}
-
-impl Recoverable for ShardedEngine {
-    fn descriptor(&self) -> String {
-        format!("sharded:{}:{:?}", self.shard_count(), self.exec_mode())
-    }
-    fn install_source(&mut self, src: &str) -> std::result::Result<(), TermError> {
-        self.install_program(src)
-    }
-    fn ingest_batch(
-        &mut self,
-        msgs: &[InMessage],
-    ) -> std::result::Result<Vec<OutMessage>, TermError> {
-        self.try_receive_batch(msgs)
-    }
-    fn ingest_batch_tagged(
-        &mut self,
-        msgs: &[InMessage],
-    ) -> std::result::Result<Vec<(u32, OutMessage)>, TermError> {
-        self.try_receive_batch_tagged(msgs)
-    }
-    fn advance_clock(&mut self, t: Timestamp) -> std::result::Result<Vec<OutMessage>, TermError> {
-        self.try_advance_time(t)
-    }
-    fn put_doc(&mut self, uri: &str, doc: Term) {
-        self.put_resource(uri.to_string(), doc);
-    }
-    fn engines(&self) -> Vec<&ReactiveEngine> {
-        self.shards().iter().collect()
-    }
-    fn engines_mut(&mut self) -> Vec<&mut ReactiveEngine> {
-        self.shards_mut().iter_mut().collect()
-    }
-    fn front_clock(&self) -> Timestamp {
-        self.now()
-    }
-    fn restore_front_clock(&mut self, t: Timestamp) {
-        self.restore_clock(t);
-    }
-    fn set_replay_warmup(&mut self, on: bool) {
-        ShardedEngine::set_replay_warmup(self, on);
-    }
-    fn replay_horizon(&self) -> Option<Dur> {
-        ShardedEngine::replay_horizon(self)
-    }
-    fn flush_due_deadlines(&mut self) {
-        ShardedEngine::flush_due_deadlines(self);
-    }
-    fn after_restore(&mut self) {
-        self.refresh_deadlines();
-    }
-    fn set_obs(&mut self, obs: std::sync::Arc<Obs>) {
-        ShardedEngine::set_obs(self, obs);
-    }
-    fn obs(&self) -> std::sync::Arc<Obs> {
-        std::sync::Arc::clone(ShardedEngine::obs(self))
-    }
-}
-
 /// A replay mark of one log record: the engine sequence state captured
 /// *before* the record was processed, so a future snapshot can name this
 /// record as its warmup start.
@@ -380,7 +213,7 @@ struct Mark {
 /// A crash-recoverable wrapper around a reactive or sharded engine: same
 /// input surface, plus a write-ahead log and snapshots underneath. See
 /// the crate docs for the recovery discipline.
-pub struct DurableEngine<E: Recoverable> {
+pub struct DurableEngine<E: Engine> {
     engine: E,
     wal: wal::Wal,
     snap_path: PathBuf,
@@ -394,15 +227,15 @@ pub struct DurableEngine<E: Recoverable> {
     records_since_snapshot: u64,
     recovery: RecoveryStats,
     /// Mirror of the wrapped engine's observability handle, kept locally
-    /// so the per-record fsync path pays one relaxed load, not an
-    /// `Arc` clone through the `Recoverable` accessor.
-    obs: std::sync::Arc<Obs>,
+    /// so the per-record fsync path pays one relaxed load, not a call
+    /// through the wrapped engine.
+    obs: Arc<Obs>,
 }
 
-impl<E: Recoverable> fmt::Debug for DurableEngine<E> {
+impl<E: Engine> fmt::Debug for DurableEngine<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DurableEngine")
-            .field("engine", &Recoverable::descriptor(&self.engine))
+            .field("engine", &self.engine.descriptor())
             .field("wal_len", &self.wal.len())
             .field("journal_entries", &self.journal.len())
             .finish_non_exhaustive()
@@ -415,7 +248,7 @@ enum Mode {
     Replay,
 }
 
-impl<E: Recoverable> DurableEngine<E> {
+impl<E: Engine> DurableEngine<E> {
     /// Open (or create) a durable engine rooted at `dir`. `build` must
     /// return the engine in its *configured blank* state — same shape,
     /// AAA setup, and TTL the original process used; everything dynamic
@@ -431,7 +264,7 @@ impl<E: Recoverable> DurableEngine<E> {
         let snap_path = dir.join("snapshot.bin");
         let opened = wal::Wal::open(&wal_path)?;
         let engine = build();
-        let desc = Recoverable::descriptor(&engine);
+        let desc = engine.descriptor();
 
         let mut records = opened.records;
         let genesis_offset = match records.first() {
@@ -454,7 +287,7 @@ impl<E: Recoverable> DurableEngine<E> {
                 w.append(&head)?;
                 w.sync()?;
                 let genesis = w.len();
-                let obs = Recoverable::obs(&engine);
+                let obs = Arc::clone(engine.obs());
                 return Ok(DurableEngine {
                     engine,
                     wal: w,
@@ -500,7 +333,7 @@ impl<E: Recoverable> DurableEngine<E> {
         };
 
         let snapshot = Snapshot::read_from(&snap_path)?;
-        let obs = Recoverable::obs(&engine);
+        let obs = Arc::clone(engine.obs());
         let mut me = DurableEngine {
             engine,
             wal: opened.wal,
@@ -525,28 +358,14 @@ impl<E: Recoverable> DurableEngine<E> {
                 }
             }
         }
-        me.engine.after_restore();
         me.records_since_snapshot = stats.replayed_records;
         stats.elapsed_ns = opened_at.elapsed().as_nanos() as u64;
         me.recovery = stats;
         Ok(me)
     }
 
-    /// Attach a shared observability handle to the wrapped engine(s) and
-    /// this durability layer (fsync stalls, recovery span). If this
-    /// handle recovered an existing log, the recovery duration is
-    /// recorded as a `recovery` span at attach time.
-    pub fn set_obs(&mut self, obs: std::sync::Arc<Obs>) {
-        self.engine.set_obs(std::sync::Arc::clone(&obs));
-        self.obs = obs;
-        if self.obs.is_enabled() && self.recovery.recovered {
-            self.obs
-                .span(0, Stage::Recovery, 0, self.recovery.elapsed_ns);
-        }
-    }
-
     /// The attached observability handle.
-    pub fn obs(&self) -> &std::sync::Arc<Obs> {
+    pub fn obs(&self) -> &Arc<Obs> {
         &self.obs
     }
 
@@ -571,7 +390,7 @@ impl<E: Recoverable> DurableEngine<E> {
         stats: &mut RecoveryStats,
     ) -> Result<()> {
         stats.used_snapshot = true;
-        let desc = Recoverable::descriptor(&self.engine);
+        let desc = self.engine.descriptor();
         if snap.engine != desc {
             return Err(PersistError::Corrupt(format!(
                 "snapshot was taken from engine `{}` but `{desc}` is recovering it",
@@ -613,7 +432,7 @@ impl<E: Recoverable> DurableEngine<E> {
                     let _ = self.engine.install_source(src);
                 }
                 JournalEntry::Dynamic(m) => {
-                    let _ = self.engine.ingest_batch(std::slice::from_ref(m));
+                    let _ = self.engine.receive_batch_tagged(std::slice::from_ref(m));
                 }
             }
             stats.journal_entries += 1;
@@ -621,28 +440,24 @@ impl<E: Recoverable> DurableEngine<E> {
         self.journal = snap.journal.clone();
 
         // 3. Sequence state as of the warm offset, stores as of the
-        //    snapshot offset (warmup never touches stores).
+        //    snapshot offset (warmup never touches stores). The front
+        //    clock goes last: restoring it rebuilds front-end caches
+        //    from the shard state restored here.
         for (e, mark) in self
             .engine
             .engines_mut()
-            .into_iter()
+            .iter_mut()
             .zip(snap.warm_marks.iter())
         {
             e.restore_replay_mark(*mark);
         }
-        self.engine.restore_front_clock(snap.warm_clock);
-        for (e, shard) in self
-            .engine
-            .engines_mut()
-            .into_iter()
-            .zip(snap.shards.iter())
-        {
+        for (e, shard) in self.engine.engines_mut().iter_mut().zip(snap.shards.iter()) {
             for (uri, version, doc) in &shard.resources {
                 e.qe.store
                     .put_with_version(uri.clone(), doc.clone(), *version);
             }
         }
-        self.engine.after_restore();
+        self.engine.restore_front_clock(snap.warm_clock);
 
         // 4. Warmup replay [H, S): rebuild composite-event state.
         for (off, rec) in records {
@@ -659,16 +474,10 @@ impl<E: Recoverable> DurableEngine<E> {
         self.engine.set_replay_warmup(false);
 
         // 6. Observability as of S overwrites whatever warmup touched.
-        for (e, shard) in self
-            .engine
-            .engines_mut()
-            .into_iter()
-            .zip(snap.shards.iter())
-        {
+        for (e, shard) in self.engine.engines_mut().iter_mut().zip(snap.shards.iter()) {
             e.metrics = shard.metrics.clone();
             e.action_log = shard.action_log.clone();
         }
-        self.engine.after_restore();
 
         // 7. Full replay of the suffix [S, …): effects on, outputs
         //    discarded (the pre-crash process already returned them).
@@ -682,23 +491,19 @@ impl<E: Recoverable> DurableEngine<E> {
         Ok(())
     }
 
-    /// Append + process one record. In `Live` mode engine errors
-    /// propagate to the caller; in replay modes they are swallowed — the
-    /// original caller already saw them, and installation has no
-    /// rollback, so re-running the same text reproduces the same partial
-    /// state.
-    fn apply(&mut self, offset: u64, rec: &Record, mode: Mode) -> Result<Vec<OutMessage>> {
+    /// Process one (already appended) record. Outputs carry the index
+    /// of the batch message that produced them (0 for records that are
+    /// not batches). In `Live` mode engine errors propagate to the
+    /// caller; in replay modes they are swallowed — the original caller
+    /// already saw them, and installation has no rollback, so re-running
+    /// the same text reproduces the same partial state.
+    fn apply(&mut self, offset: u64, rec: &Record, mode: Mode) -> Result<Vec<(u32, OutMessage)>> {
         self.push_mark(offset, rec);
-        let live = matches!(mode, Mode::Live);
-        match rec {
+        let outcome = match rec {
             Record::Head { .. } => Ok(Vec::new()),
             Record::Install(src) => {
                 self.journal.push(JournalEntry::Static(src.clone()));
-                match self.engine.install_source(src) {
-                    Ok(()) => Ok(Vec::new()),
-                    Err(e) if live => Err(e.into()),
-                    Err(_) => Ok(Vec::new()),
-                }
+                self.engine.install_source(src).map(|()| Vec::new())
             }
             Record::Batch(msgs) => {
                 for m in msgs {
@@ -706,26 +511,22 @@ impl<E: Recoverable> DurableEngine<E> {
                         self.journal.push(JournalEntry::Dynamic(m.clone()));
                     }
                 }
-                match self.engine.ingest_batch(msgs) {
-                    Ok(out) => Ok(out),
-                    Err(e) if live => Err(e.into()),
-                    Err(_) => Ok(Vec::new()),
-                }
+                self.engine.receive_batch_tagged(msgs)
             }
-            Record::Advance(t) => match self.engine.advance_clock(*t) {
-                Ok(out) => Ok(out),
-                Err(e) if live => Err(e.into()),
-                Err(_) => Ok(Vec::new()),
-            },
-            Record::Put { uri, doc } => {
-                // Warmup skips puts: the snapshot's store already holds
-                // the final as-of-S value; re-putting an older one would
-                // clobber later in-window updates.
-                if !matches!(mode, Mode::Warm) {
-                    self.engine.put_doc(uri, doc.clone());
-                }
-                Ok(Vec::new())
-            }
+            Record::Advance(t) => self
+                .engine
+                .advance_clock(*t)
+                .map(|out| out.into_iter().map(|o| (0, o)).collect()),
+            // Warmup skips puts: the snapshot's store already holds the
+            // final as-of-S value; re-putting an older one would clobber
+            // later in-window updates.
+            Record::Put { .. } if matches!(mode, Mode::Warm) => Ok(Vec::new()),
+            Record::Put { uri, doc } => self.engine.put_doc(uri, doc.clone()).map(|()| Vec::new()),
+        };
+        match outcome {
+            Ok(out) => Ok(out),
+            Err(e) if matches!(mode, Mode::Live) => Err(e.into()),
+            Err(_) => Ok(Vec::new()),
         }
     }
 
@@ -763,7 +564,9 @@ impl<E: Recoverable> DurableEngine<E> {
         }
     }
 
-    fn commit(&mut self, rec: Record) -> Result<Vec<OutMessage>> {
+    /// The one input path: log the record, sync it per policy, process
+    /// it, and snapshot on cadence.
+    fn commit(&mut self, rec: Record) -> Result<Vec<(u32, OutMessage)>> {
         let offset = self.wal.append(&rec)?;
         if self.opts.sync == SyncPolicy::Always {
             self.sync_wal()?;
@@ -795,44 +598,17 @@ impl<E: Recoverable> DurableEngine<E> {
             meta.clone(),
             at,
         )]))
+        .map(untag)
     }
 
     /// Log and process one ingestion batch (one log record, one fsync).
     pub fn receive_batch(&mut self, msgs: &[InMessage]) -> Result<Vec<OutMessage>> {
-        self.commit(Record::Batch(msgs.to_vec()))
-    }
-
-    /// [`DurableEngine::receive_batch`], tagging each output with the
-    /// index of the batch message that produced it (see
-    /// [`Recoverable::ingest_batch_tagged`]). Same log record, same
-    /// fsync policy, same snapshot cadence as the untagged path —
-    /// recovery replays the record through the untagged surface, which
-    /// is byte-identical once tags are stripped.
-    pub fn receive_batch_tagged(&mut self, msgs: &[InMessage]) -> Result<Vec<(u32, OutMessage)>> {
-        let rec = Record::Batch(msgs.to_vec());
-        let offset = self.wal.append(&rec)?;
-        if self.opts.sync == SyncPolicy::Always {
-            self.sync_wal()?;
-        }
-        self.push_mark(offset, &rec);
-        for m in msgs {
-            if m.payload.label() == Some("install_rules") {
-                self.journal.push(JournalEntry::Dynamic(m.clone()));
-            }
-        }
-        let out = self.engine.ingest_batch_tagged(msgs)?;
-        self.records_since_snapshot += 1;
-        if let Some(n) = self.opts.snapshot_every {
-            if self.records_since_snapshot >= n {
-                self.snapshot_now()?;
-            }
-        }
-        Ok(out)
+        self.commit(Record::Batch(msgs.to_vec())).map(untag)
     }
 
     /// Log and apply a clock advance.
     pub fn advance_time(&mut self, t: Timestamp) -> Result<Vec<OutMessage>> {
-        self.commit(Record::Advance(t))
+        self.commit(Record::Advance(t)).map(untag)
     }
 
     /// Log and apply a direct resource write.
@@ -910,7 +686,7 @@ impl<E: Recoverable> DurableEngine<E> {
             })
             .collect();
         let snap = Snapshot {
-            engine: Recoverable::descriptor(&self.engine),
+            engine: self.engine.descriptor(),
             log_offset: end,
             warm_offset,
             warm_clock,
@@ -947,5 +723,78 @@ impl<E: Recoverable> DurableEngine<E> {
     /// Flush the log to stable storage regardless of [`SyncPolicy`].
     pub fn sync(&mut self) -> Result<()> {
         self.sync_wal()
+    }
+}
+
+/// Drop the batch-message tags from a record's outputs.
+fn untag(out: Vec<(u32, OutMessage)>) -> Vec<OutMessage> {
+    out.into_iter().map(|(_, o)| o).collect()
+}
+
+/// A durability failure as seen through the [`Engine`] surface, with the
+/// text [`PersistError`]'s `Display` gives it.
+fn engine_error(e: PersistError) -> TermError {
+    TermError::Engine(e.to_string())
+}
+
+/// Every call that changes state is logged first; the recovery hooks
+/// reach through to the wrapped engine.
+impl<E: Engine> Engine for DurableEngine<E> {
+    fn descriptor(&self) -> String {
+        format!("durable:{}", self.engine.descriptor())
+    }
+    fn install_source(&mut self, src: &str) -> std::result::Result<(), TermError> {
+        self.install_program(src).map_err(engine_error)
+    }
+    fn receive_batch_tagged(
+        &mut self,
+        msgs: &[InMessage],
+    ) -> std::result::Result<Vec<(u32, OutMessage)>, TermError> {
+        self.commit(Record::Batch(msgs.to_vec()))
+            .map_err(engine_error)
+    }
+    fn advance_clock(&mut self, t: Timestamp) -> std::result::Result<Vec<OutMessage>, TermError> {
+        self.advance_time(t).map_err(engine_error)
+    }
+    fn put_doc(&mut self, uri: &str, doc: Term) -> std::result::Result<(), TermError> {
+        self.put_resource(uri, doc).map_err(engine_error)
+    }
+    fn metrics(&self) -> EngineMetrics {
+        self.engine.metrics()
+    }
+    fn obs(&self) -> &Arc<Obs> {
+        &self.obs
+    }
+    /// Also covers this durability layer (fsync stalls, recovery span).
+    /// If this handle recovered an existing log, the recovery duration
+    /// is recorded as a `recovery` span at attach time.
+    fn set_obs(&mut self, obs: Arc<Obs>) {
+        self.engine.set_obs(Arc::clone(&obs));
+        self.obs = obs;
+        if self.obs.is_enabled() && self.recovery.recovered {
+            self.obs
+                .span(0, Stage::Recovery, 0, self.recovery.elapsed_ns);
+        }
+    }
+    fn engines(&self) -> &[ReactiveEngine] {
+        self.engine.engines()
+    }
+    fn engines_mut(&mut self) -> &mut [ReactiveEngine] {
+        self.engine.engines_mut()
+    }
+    fn front_clock(&self) -> Timestamp {
+        self.engine.front_clock()
+    }
+    fn restore_front_clock(&mut self, t: Timestamp) {
+        self.engine.restore_front_clock(t);
+    }
+    fn set_replay_warmup(&mut self, on: bool) {
+        self.engine.set_replay_warmup(on);
+    }
+    fn replay_horizon(&self) -> Option<Dur> {
+        self.engine.replay_horizon()
+    }
+    fn flush_due_deadlines(&mut self) {
+        self.engine.flush_due_deadlines();
     }
 }

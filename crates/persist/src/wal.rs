@@ -29,7 +29,7 @@ pub enum Record {
     Head {
         /// Always [`WAL_SCHEMA`] for logs this build writes.
         schema: String,
-        /// [`crate::Recoverable::descriptor`] of the writing engine.
+        /// [`reweb_core::Engine::descriptor`] of the writing engine.
         engine: String,
     },
     /// A rule program installed through the durable API (or reprinted

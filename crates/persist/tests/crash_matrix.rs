@@ -24,8 +24,8 @@
 
 use proptest::prelude::*;
 
-use reweb_core::{InMessage, MessageMeta, ReactiveEngine, ShardedEngine};
-use reweb_persist::{DurableEngine, DurableOptions, Recoverable, SyncPolicy};
+use reweb_core::{Engine, InMessage, MessageMeta, ReactiveEngine, ShardedEngine};
+use reweb_persist::{DurableEngine, DurableOptions, SyncPolicy};
 use reweb_term::{parse_term, Term, Timestamp};
 
 const LABELS: [&str; 6] = ["alpha", "beta", "gamma", "delta", "eps", "zeta"];
@@ -145,7 +145,7 @@ enum Step {
     Advance(Timestamp),
 }
 
-fn run_step<E: Recoverable>(d: &mut DurableEngine<E>, s: &Step) -> Vec<String> {
+fn run_step<E: Engine>(d: &mut DurableEngine<E>, s: &Step) -> Vec<String> {
     match s {
         Step::Install(src) => {
             d.install_program(src).expect("install");
@@ -157,7 +157,7 @@ fn run_step<E: Recoverable>(d: &mut DurableEngine<E>, s: &Step) -> Vec<String> {
 }
 
 /// Drive the full matrix for one engine builder; panics on divergence.
-fn crash_matrix<E: Recoverable>(
+fn crash_matrix<E: Engine>(
     tag: &str,
     steps: &[Step],
     opts: DurableOptions,

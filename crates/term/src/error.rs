@@ -22,6 +22,10 @@ pub enum TermError {
     UnknownResource(String),
     /// An edit could not be applied (index out of range, etc.).
     InvalidEdit(String),
+    /// A failure beneath an engine wrapper (e.g. a durable engine's log
+    /// I/O), carried as its complete message so the reason reads the
+    /// same through every engine surface.
+    Engine(String),
 }
 
 impl TermError {
@@ -45,6 +49,7 @@ impl fmt::Display for TermError {
             TermError::NotAnElement(what) => write!(f, "not an element: {what}"),
             TermError::UnknownResource(uri) => write!(f, "unknown resource: {uri}"),
             TermError::InvalidEdit(msg) => write!(f, "invalid edit: {msg}"),
+            TermError::Engine(msg) => f.write_str(msg),
         }
     }
 }

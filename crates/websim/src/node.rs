@@ -3,7 +3,7 @@
 
 use std::path::PathBuf;
 
-use reweb_core::{ReactiveEngine, ShardedEngine};
+use reweb_core::{Engine, ReactiveEngine, ShardedEngine};
 use reweb_net::wire::Reply;
 use reweb_net::NetClient;
 use reweb_persist::{DurableEngine, DurableOptions};
@@ -82,6 +82,19 @@ impl NodeKind {
     pub fn as_engine_mut(&mut self) -> Option<&mut ReactiveEngine> {
         match self {
             NodeKind::Engine(e) => Some(e),
+            _ => None,
+        }
+    }
+
+    /// The reactive engine behind an [`NodeKind::Engine`],
+    /// [`NodeKind::Sharded`] or live [`NodeKind::Durable`] node, through
+    /// the one [`Engine`] surface (`None` for other kinds and for a
+    /// crashed durable node).
+    pub fn as_dyn_engine_mut(&mut self) -> Option<&mut dyn Engine> {
+        match self {
+            NodeKind::Engine(e) => Some(e.as_mut() as &mut dyn Engine),
+            NodeKind::Sharded(e) => Some(e.as_mut() as &mut dyn Engine),
+            NodeKind::Durable(d) => d.engine.as_deref_mut().map(|e| e as &mut dyn Engine),
             _ => None,
         }
     }

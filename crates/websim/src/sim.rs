@@ -12,9 +12,9 @@ use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reweb_core::{Credentials, MessageMeta, ReactiveEngine, ShardedEngine};
+use reweb_core::{Credentials, MessageMeta, OutMessage, ReactiveEngine, ShardedEngine};
 use reweb_persist::{DurableEngine, DurableOptions};
-use reweb_term::{Dur, IdentityMode, ResourceStore, Term, Timestamp};
+use reweb_term::{Dur, IdentityMode, ResourceStore, Term, TermError, Timestamp};
 
 use crate::envelope::Envelope;
 use crate::node::{DurableNode, NetFront, NodeKind, Poller};
@@ -387,46 +387,38 @@ impl Simulation {
 
     /// The earliest pending rule deadline (absence timers) across all
     /// engine nodes.
-    fn min_engine_deadline(&self) -> Option<Timestamp> {
+    fn min_engine_deadline(&mut self) -> Option<Timestamp> {
+        let down = &self.down;
         self.nodes
-            .iter()
-            .filter(|(uri, _)| !self.down.contains(uri.as_str()))
-            .filter_map(|(_, n)| match n {
-                NodeKind::Engine(e) => e.next_deadline(),
-                NodeKind::Sharded(e) => e.next_deadline(),
-                NodeKind::Durable(d) => d.engine().and_then(|e| e.engine().next_deadline()),
-                _ => None,
-            })
+            .iter_mut()
+            .filter(|(uri, _)| !down.contains(uri.as_str()))
+            .filter_map(|(_, n)| n.as_dyn_engine_mut()?.next_deadline())
             .min()
     }
 
     /// Advance every engine's clock to `at`, delivering what that
-    /// produces. Net-fronted engines advance over the wire, fenced, so
-    /// their firings land at the same virtual time.
+    /// produces.
     fn advance_engines(&mut self, at: Timestamp) {
         let uris: Vec<String> = self.nodes.keys().cloned().collect();
         for uri in uris {
-            if self.down.contains(&uri) {
-                continue;
-            }
-            let outs: Vec<(String, Term)> = match self.nodes.get_mut(&uri) {
-                Some(NodeKind::Engine(e)) => e
-                    .advance_time(at)
-                    .into_iter()
-                    .map(|o| (o.to, o.payload))
-                    .collect(),
-                Some(NodeKind::Sharded(e)) => e
-                    .advance_time(at)
-                    .into_iter()
-                    .map(|o| (o.to, o.payload))
-                    .collect(),
-                Some(NodeKind::Net(f)) => f.advance(at),
-                Some(NodeKind::Durable(d)) => durable_outs(d, |e| e.advance_time(at)),
-                _ => Vec::new(),
-            };
-            for (to, payload) in outs {
-                self.post(&uri, &to, payload, at);
-            }
+            self.advance_node(&uri, at);
+        }
+    }
+
+    /// Advance one node's engine clock to `at` and post what fires.
+    /// Net-fronted engines advance over the wire, fenced, so their
+    /// firings land at the same virtual time.
+    fn advance_node(&mut self, uri: &str, at: Timestamp) {
+        if self.down.contains(uri) {
+            return;
+        }
+        let outs = match self.nodes.get_mut(uri) {
+            Some(NodeKind::Net(f)) => f.advance(at),
+            Some(n) => reposts(n.as_dyn_engine_mut().map(|e| e.advance_clock(at))),
+            None => Vec::new(),
+        };
+        for (to, payload) in outs {
+            self.post(uri, &to, payload, at);
         }
     }
 
@@ -464,30 +456,7 @@ impl Simulation {
         match task {
             Task::Deliver(env) => self.deliver(env),
             Task::Poll { node } => self.poll(node),
-            Task::Wakeup { node } => {
-                if self.down.contains(&node) {
-                    return;
-                }
-                let now = self.now;
-                let outs: Vec<(String, Term)> = match self.nodes.get_mut(&node) {
-                    Some(NodeKind::Engine(e)) => e
-                        .advance_time(now)
-                        .into_iter()
-                        .map(|o| (o.to, o.payload))
-                        .collect(),
-                    Some(NodeKind::Sharded(e)) => e
-                        .advance_time(now)
-                        .into_iter()
-                        .map(|o| (o.to, o.payload))
-                        .collect(),
-                    Some(NodeKind::Net(f)) => f.advance(now),
-                    Some(NodeKind::Durable(d)) => durable_outs(d, |e| e.advance_time(now)),
-                    _ => Vec::new(),
-                };
-                for (to, payload) in outs {
-                    self.post(&node, &to, payload, now);
-                }
-            }
+            Task::Wakeup { node } => self.advance_node(&node, self.now),
             Task::UpdateResource { uri, doc } => self.apply_update(uri, doc),
         }
     }
@@ -520,45 +489,28 @@ impl Simulation {
             .entry(owner.clone())
             .or_default() += 1;
         let now = self.now;
-        let outs: Vec<(String, Term)> = match self.nodes.get_mut(&owner) {
-            Some(NodeKind::Engine(e)) => {
-                let meta = MessageMeta {
-                    from: env.from.clone(),
-                    credentials: env.credentials.clone(),
-                };
-                e.receive(env.body.clone(), &meta, now)
-                    .into_iter()
-                    .map(|o| (o.to, o.payload))
-                    .collect()
-            }
-            Some(NodeKind::Sharded(e)) => {
-                let meta = MessageMeta {
-                    from: env.from.clone(),
-                    credentials: env.credentials.clone(),
-                };
-                e.receive(env.body.clone(), &meta, now)
-                    .into_iter()
-                    .map(|o| (o.to, o.payload))
-                    .collect()
-            }
+        let outs = match self.nodes.get_mut(&owner) {
             // The engine is on the far side of a TCP connection: the
             // delivery crosses the wire with its simulated sender and
             // credentials, and the fenced reply stream comes back before
             // the clock moves.
             Some(NodeKind::Net(f)) => f.forward(&env, now),
-            Some(NodeKind::Durable(d)) => {
-                let meta = MessageMeta {
-                    from: env.from.clone(),
-                    credentials: env.credentials.clone(),
-                };
-                durable_outs(d, |e| e.receive(env.body.clone(), &meta, now))
-            }
             Some(NodeKind::Sink(v)) => {
                 v.push((now, env));
                 Vec::new()
             }
-            // Stores and pollers accept but ignore pushes.
-            Some(_) => Vec::new(),
+            // Stores and pollers have no engine: they accept but ignore
+            // pushes.
+            Some(n) => {
+                let meta = MessageMeta {
+                    from: env.from.clone(),
+                    credentials: env.credentials.clone(),
+                };
+                reposts(
+                    n.as_dyn_engine_mut()
+                        .map(|e| e.receive(env.body.clone(), &meta, now)),
+                )
+            }
             None => unreachable!("owner resolved above"),
         };
         for (to, payload) in outs {
@@ -626,27 +578,22 @@ impl Simulation {
             .get(&owner)
             .and_then(NodeKind::store)
             .and_then(|s| s.get(&uri).ok().cloned());
-        match self.nodes.get_mut(&owner) {
-            // A sharded owner replicates the update to every shard's
-            // store, so every rule reads the same data.
-            Some(NodeKind::Sharded(e)) => e.put_resource(uri.clone(), doc.clone()),
-            // A durable owner logs the update so recovery replays it.
-            Some(NodeKind::Durable(d)) => {
-                let Some(e) = d.engine.as_deref_mut() else {
-                    return;
-                };
-                if e.put_resource(&uri, doc.clone()).is_err() {
-                    return;
-                }
-            }
-            Some(n) => {
-                if let Some(store) = n.store_mut() {
-                    store.put(uri.clone(), doc.clone());
-                } else {
-                    return;
-                }
-            }
-            None => return,
+        // An engine owner stores through its engine: a sharded one
+        // replicates the update to every shard's store, so every rule
+        // reads the same data; a durable one logs it so recovery replays
+        // it.
+        let stored = match self.nodes.get_mut(&owner) {
+            Some(n) => match n.as_dyn_engine_mut() {
+                Some(e) => e.put_doc(&uri, doc.clone()).is_ok(),
+                None => n
+                    .store_mut()
+                    .map(|s| s.put(uri.clone(), doc.clone()))
+                    .is_some(),
+            },
+            None => false,
+        };
+        if !stored {
+            return;
         }
         // Push notifications: the owner tells subscribers what changed.
         let subs = self.push_subs.get(&uri).cloned().unwrap_or_default();
@@ -670,18 +617,12 @@ impl Simulation {
     }
 }
 
-/// Run `f` against a durable node's engine and shape the outputs for
-/// re-posting. Empty when the node is crashed or the log write fails —
-/// the simulated Web drops messages, it does not crash the run.
-fn durable_outs(
-    d: &mut DurableNode,
-    f: impl FnOnce(
-        &mut DurableEngine<ReactiveEngine>,
-    ) -> reweb_persist::Result<Vec<reweb_core::OutMessage>>,
-) -> Vec<(String, Term)> {
-    d.engine
-        .as_deref_mut()
-        .and_then(|e| f(e).ok())
+/// Shape an engine call's outputs for re-posting. Empty when the node
+/// has no engine or the call fails (a durable node's log write, a
+/// poisoned sharded engine) — the simulated Web drops messages, it does
+/// not crash the run.
+fn reposts(outs: Option<Result<Vec<OutMessage>, TermError>>) -> Vec<(String, Term)> {
+    outs.and_then(Result::ok)
         .unwrap_or_default()
         .into_iter()
         .map(|o| (o.to, o.payload))
