@@ -3,11 +3,11 @@
 //! drive. One connection, lockstep or pipelined: send any number of
 //! events, then [`NetClient::sync`] to flush and collect the replies.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use reweb_core::Credentials;
-use reweb_term::frame::{crc32, FRAME_HEADER_LEN, MAX_FRAME_LEN};
+use reweb_term::frame::read_frame;
 use reweb_term::{Term, Timestamp};
 
 use crate::wire::{Reply, Request};
@@ -194,19 +194,7 @@ impl NetClient {
     /// Read one reply as raw payload bytes (byte-level assertions in
     /// tests).
     pub fn recv_raw(&mut self) -> std::io::Result<Vec<u8>> {
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        self.stream.read_exact(&mut header)?;
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if len > MAX_FRAME_LEN {
-            return Err(bad_data(format!("oversized reply frame: {len} bytes")));
-        }
-        let mut payload = vec![0u8; len as usize];
-        self.stream.read_exact(&mut payload)?;
-        if crc32(&payload) != crc {
-            return Err(bad_data("reply frame CRC mismatch"));
-        }
-        Ok(payload)
+        read_frame(&mut self.stream)
     }
 
     /// Polite close: send `bye` and drop the connection.

@@ -39,8 +39,7 @@
 //! every rung of the ladder deterministically.
 
 use std::collections::{HashMap, VecDeque};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,10 +47,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use reweb_persist::log::FrameLog;
 use reweb_persist::outbox::{Outbox, PendingDelivery, Settle};
-use reweb_persist::SyncPolicy;
-use reweb_term::frame::{crc32, scan_frames, write_frame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
-use reweb_term::{parse_term, Term, Timestamp};
+use reweb_persist::wal::{field_child, field_text, field_u64, term_from_bytes};
+use reweb_persist::{PersistError, SyncPolicy};
+use reweb_term::frame::read_frame;
+use reweb_term::{Term, Timestamp};
 
 use crate::limit::BackoffPolicy;
 use crate::wire::{ErrorCode, Reply, Request};
@@ -153,7 +154,7 @@ struct AgentState {
     queues: HashMap<String, VecDeque<Queued>>,
     outbox: Option<Outbox>,
     dead: Vec<DeadLetter>,
-    dead_file: Option<File>,
+    dead_log: Option<FrameLog>,
     stats: DeliveryStats,
 }
 
@@ -170,6 +171,12 @@ struct AgentInner {
     fault_connect: Mutex<Vec<(String, u32)>>,
     fault_drop_ack: Mutex<Vec<(String, u32)>>,
     fault_slow: Mutex<Vec<(String, Duration)>>,
+}
+
+impl AgentInner {
+    fn state(&self) -> std::sync::MutexGuard<'_, AgentState> {
+        self.state.lock().expect("delivery state poisoned")
+    }
 }
 
 /// The delivery agent. Cloning the handle is cheap (shared state);
@@ -214,38 +221,17 @@ fn dead_letter_to_bytes(d: &DeadLetter) -> Vec<u8> {
         .into_bytes()
 }
 
-fn dead_letter_from_bytes(bytes: &[u8]) -> std::io::Result<DeadLetter> {
-    let bad = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
-    let text = std::str::from_utf8(bytes).map_err(|_| bad("dead letter is not UTF-8".into()))?;
-    let t = parse_term(text).map_err(|e| bad(format!("unparsable dead letter: {e}")))?;
+fn dead_letter_from_bytes(bytes: &[u8]) -> reweb_persist::Result<DeadLetter> {
+    let t = term_from_bytes(bytes)?;
     if t.label() != Some("dl") {
-        return Err(bad(format!("expected dl{{…}}, got {t}")));
+        return Err(PersistError::Corrupt(format!("expected dl{{…}}, got {t}")));
     }
-    let field = |name: &str| -> std::io::Result<String> {
-        t.children()
-            .iter()
-            .find(|c| c.label() == Some(name))
-            .map(|c| c.text_content())
-            .ok_or_else(|| bad(format!("dead letter field `{name}` missing")))
-    };
-    let num = |name: &str| -> std::io::Result<u64> {
-        field(name)?
-            .parse()
-            .map_err(|_| bad(format!("dead letter field `{name}` is not a number")))
-    };
-    let payload = t
-        .children()
-        .iter()
-        .find(|c| c.label() == Some("payload"))
-        .and_then(|w| w.children().first())
-        .ok_or_else(|| bad("dead letter payload missing".into()))?
-        .clone();
     Ok(DeadLetter {
-        seq: num("seq")?,
-        to: field("to")?,
-        at: Timestamp(num("at")?),
-        payload,
-        attempts: num("attempts")? as u32,
+        seq: field_u64(&t, "seq")?,
+        to: field_text(&t, "to")?,
+        at: Timestamp(field_u64(&t, "at")?),
+        payload: field_child(&t, "payload")?.clone(),
+        attempts: field_u64(&t, "attempts")? as u32,
     })
 }
 
@@ -278,12 +264,12 @@ fn enqueue_inner(
     {
         let routes = inner.routes.lock().expect("route table poisoned");
         if resolve(&routes, to).is_none() {
-            let mut s = inner.state.lock().expect("delivery state poisoned");
+            let mut s = inner.state();
             s.stats.unrouted += 1;
             return false;
         }
     }
-    let mut s = inner.state.lock().expect("delivery state poisoned");
+    let mut s = inner.state();
     let seq = match (fixed_seq, s.outbox.as_mut()) {
         (Some(seq), Some(ob)) => {
             let p = PendingDelivery {
@@ -336,20 +322,24 @@ impl DeliveryAgent {
     /// log, re-queue every unsettled delivery, and stand ready. Worker
     /// threads spawn lazily, one per destination with traffic.
     pub fn new(cfg: DeliveryConfig) -> std::io::Result<DeliveryAgent> {
-        let io_err = |e: reweb_persist::PersistError| std::io::Error::other(e.to_string());
         let mut pending: Vec<PendingDelivery> = Vec::new();
         let outbox = match &cfg.outbox {
             Some(path) => {
-                let open = Outbox::open(path, SyncPolicy::Always).map_err(io_err)?;
+                let open = Outbox::open(path, SyncPolicy::Always)?;
                 pending = open.pending;
                 Some(open.outbox)
             }
             None => None,
         };
-        let (dead_file, dead) = match &cfg.dead_letter {
+        let (dead_log, dead) = match &cfg.dead_letter {
             Some(path) => {
-                let (f, d) = open_dead_letter(path)?;
-                (Some(f), d)
+                let open = FrameLog::open(path)?;
+                let dead = open
+                    .frames
+                    .iter()
+                    .map(|(_, p)| dead_letter_from_bytes(p))
+                    .collect::<reweb_persist::Result<_>>()?;
+                (Some(open.log), dead)
             }
             None => (None, Vec::new()),
         };
@@ -360,7 +350,7 @@ impl DeliveryAgent {
                 queues: HashMap::new(),
                 outbox,
                 dead,
-                dead_file,
+                dead_log,
                 stats: DeliveryStats::default(),
             }),
             cv: Condvar::new(),
@@ -378,7 +368,7 @@ impl DeliveryAgent {
         // seq order — Outbox::open returns them sorted) once routes
         // exist; queue them now, workers will wait on routes.
         {
-            let mut s = agent.inner.state.lock().expect("delivery state poisoned");
+            let mut s = agent.inner.state();
             for p in pending {
                 s.stats.enqueued += 1;
                 s.queues.entry(p.to.clone()).or_default().push_back(Queued {
@@ -455,7 +445,7 @@ impl DeliveryAgent {
     /// it on every poll.
     pub fn pump(&mut self) {
         let dests: Vec<String> = {
-            let s = self.inner.state.lock().expect("delivery state poisoned");
+            let s = self.inner.state();
             s.queues
                 .iter()
                 .filter(|(_, q)| !q.is_empty())
@@ -469,7 +459,7 @@ impl DeliveryAgent {
 
     /// Deliveries currently queued (not yet acked or dead-lettered).
     pub fn pending(&self) -> usize {
-        let s = self.inner.state.lock().expect("delivery state poisoned");
+        let s = self.inner.state();
         s.queues.values().map(|q| q.len()).sum()
     }
 
@@ -491,65 +481,53 @@ impl DeliveryAgent {
 
     /// Snapshot the agent's counters.
     pub fn stats(&self) -> DeliveryStats {
-        self.inner
-            .state
-            .lock()
-            .expect("delivery state poisoned")
-            .stats
-            .clone()
+        self.inner.state().stats.clone()
     }
 
     /// The dead-letter log, oldest first — the inspection surface.
     pub fn dead_letters(&self) -> Vec<DeadLetter> {
-        self.inner
-            .state
-            .lock()
-            .expect("delivery state poisoned")
-            .dead
-            .clone()
+        self.inner.state().dead.clone()
     }
 
-    /// Re-queue every dead letter under its original key and clear the
-    /// log. Returns how many were re-queued. Call once the destination
-    /// is reachable again; the receiver's ledger absorbs any that had
-    /// in fact arrived before their acks were lost.
+    /// Re-queue every dead letter under its original key, then rewrite
+    /// the log with the letters that are still unroutable. Returns how
+    /// many were re-queued. Call once the destination is reachable
+    /// again; the receiver's ledger absorbs any that had in fact arrived
+    /// before their acks were lost. The requeues reach the outbox before
+    /// the log is rewritten, so a crash in between leaves a letter both
+    /// pending and dead (delivered at least once), never neither.
     pub fn redeliver(&mut self) -> std::io::Result<usize> {
-        let dead: Vec<DeadLetter> = {
-            let mut s = self.inner.state.lock().expect("delivery state poisoned");
-            let dead = std::mem::take(&mut s.dead);
-            if let Some(f) = s.dead_file.as_mut() {
-                f.set_len(0)?;
-            }
-            dead
-        };
-        let n = dead.len();
-        for d in &dead {
+        let dead = std::mem::take(&mut self.inner.state().dead);
+        let mut requeued = 0;
+        let mut still_dead = Vec::new();
+        for d in dead {
             let queued = enqueue_inner(&self.inner, &d.to, d.at, &d.payload, Some(d.seq), 0);
-            let mut s = self.inner.state.lock().expect("delivery state poisoned");
+            let mut s = self.inner.state();
             if queued {
                 // enqueue_inner counted it as a fresh enqueue; account
                 // it as a redelivery instead.
                 s.stats.enqueued -= 1;
                 s.stats.redelivered += 1;
+                requeued += 1;
             } else {
                 // Still unroutable: keep it dead rather than lose it.
                 s.stats.unrouted -= 1;
-                let d = d.clone();
-                if let Some(f) = s.dead_file.as_mut() {
-                    let _ = write_frame(f, &dead_letter_to_bytes(&d));
-                    let _ = f.flush();
-                }
-                s.dead.push(d);
+                still_dead.push(d);
+            }
+        }
+        {
+            let mut s = self.inner.state();
+            // Letters dead-lettered while the requeues ran stay behind
+            // the still-unroutable ones.
+            still_dead.append(&mut s.dead);
+            s.dead = still_dead;
+            let AgentState { dead, dead_log, .. } = &mut *s;
+            if let Some(log) = dead_log.as_mut() {
+                log.replace(dead.iter().map(dead_letter_to_bytes))?;
             }
         }
         self.pump();
-        Ok(n - self
-            .inner
-            .state
-            .lock()
-            .expect("delivery state poisoned")
-            .dead
-            .len())
+        Ok(requeued)
     }
 
     /// Fault injection: fail the next `n` connect attempts to
@@ -603,27 +581,6 @@ impl Drop for DeliveryAgent {
     }
 }
 
-fn open_dead_letter(path: &Path) -> std::io::Result<(File, Vec<DeadLetter>)> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e),
-    }
-    let scan = scan_frames(&bytes);
-    let mut dead = Vec::with_capacity(scan.frames.len());
-    for (_, payload) in &scan.frames {
-        dead.push(dead_letter_from_bytes(payload)?);
-    }
-    let file = OpenOptions::new().create(true).append(true).open(path)?;
-    if (bytes.len() as u64) > scan.valid_len {
-        file.set_len(scan.valid_len)?;
-    }
-    Ok((file, dead))
-}
-
 /// One fault-table lookup-and-consume: decrement the matching entry's
 /// budget, dropping it at zero. Returns whether a fault fired.
 fn consume_fault(table: &Mutex<Vec<(String, u32)>>, to: &str) -> bool {
@@ -664,24 +621,7 @@ enum Attempt {
 /// Read one reply frame from a delivery session (with the session's
 /// read timeout in force).
 fn read_reply(stream: &mut TcpStream) -> std::io::Result<Reply> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    stream.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "oversized reply frame",
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    if crc32(&payload) != crc {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "reply frame CRC mismatch",
-        ));
-    }
+    let payload = read_frame(stream)?;
     Reply::decode(&payload).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.0))
 }
 
@@ -771,7 +711,7 @@ fn worker_loop(inner: Arc<AgentInner>, dest: String) {
     loop {
         // Wait for work (or shutdown).
         let head = {
-            let mut s = inner.state.lock().expect("delivery state poisoned");
+            let mut s = inner.state();
             loop {
                 if inner.shutdown.load(Ordering::Acquire) {
                     return;
@@ -795,7 +735,7 @@ fn worker_loop(inner: Arc<AgentInner>, dest: String) {
         // Budget spent: dead-letter the head, freeing the queue.
         if attempts >= inner.cfg.retry_budget {
             session = None;
-            let mut s = inner.state.lock().expect("delivery state poisoned");
+            let mut s = inner.state();
             if let Some(q) = s.queues.get_mut(&dest) {
                 q.pop_front();
             }
@@ -806,10 +746,10 @@ fn worker_loop(inner: Arc<AgentInner>, dest: String) {
                 payload,
                 attempts,
             };
-            if let Some(f) = s.dead_file.as_mut() {
-                let _ = write_frame(f, &dead_letter_to_bytes(&d));
-                let _ = f.flush();
-                let _ = f.sync_data();
+            if let Some(log) = s.dead_log.as_mut() {
+                if log.append(&dead_letter_to_bytes(&d)).is_ok() {
+                    let _ = log.sync();
+                }
             }
             s.dead.push(d);
             s.stats.dead_lettered += 1;
@@ -863,7 +803,7 @@ fn worker_loop(inner: Arc<AgentInner>, dest: String) {
                         obs.span(trace, reweb_obs::Stage::Delivery, rtt_start, rtt);
                     }
                 }
-                let mut s = inner.state.lock().expect("delivery state poisoned");
+                let mut s = inner.state();
                 if let Some(q) = s.queues.get_mut(&dest) {
                     q.pop_front();
                 }
@@ -887,7 +827,7 @@ fn worker_loop(inner: Arc<AgentInner>, dest: String) {
 /// Charge one failed attempt against the queue head (if it is still the
 /// same delivery).
 fn fail_head(inner: &AgentInner, dest: &str, seq: u64) {
-    let mut s = inner.state.lock().expect("delivery state poisoned");
+    let mut s = inner.state();
     s.stats.failed_attempts += 1;
     if let Some(h) = s.queues.get_mut(dest).and_then(|q| q.front_mut()) {
         if h.seq == seq {
@@ -900,7 +840,7 @@ fn fail_head(inner: &AgentInner, dest: &str, seq: u64) {
 fn backoff_sleep(inner: &AgentInner, attempt: u32, seed: u64) {
     let ms = inner.cfg.backoff.delay_with_jitter_ms(attempt, seed);
     let deadline = Instant::now() + Duration::from_millis(ms);
-    let mut s = inner.state.lock().expect("delivery state poisoned");
+    let mut s = inner.state();
     loop {
         if inner.shutdown.load(Ordering::Acquire) {
             return;
@@ -922,8 +862,9 @@ fn backoff_sleep(inner: &AgentInner, attempt: u32, seed: u64) {
 /// everything else) so a restarted server still recognizes retries of
 /// reactions it ingested before the crash. The in-order entry list
 /// doubles as the inspection surface the equivalence tests compare.
+#[derive(Default)]
 pub struct DeliveryLedger {
-    file: Option<File>,
+    log: Option<FrameLog>,
     seen: std::collections::HashSet<String>,
     entries: Vec<(String, Term)>,
 }
@@ -932,53 +873,24 @@ impl DeliveryLedger {
     /// A purely in-memory ledger (a process restart forgets it — only
     /// safe when the engine behind it is not durable either).
     pub fn in_memory() -> DeliveryLedger {
-        DeliveryLedger {
-            file: None,
-            seen: std::collections::HashSet::new(),
-            entries: Vec::new(),
-        }
+        DeliveryLedger::default()
     }
 
     /// Open (creating if absent) a journaled ledger, healing a torn
     /// tail and seeding the seen-set from the surviving records.
     pub fn open(path: &Path) -> std::io::Result<DeliveryLedger> {
-        let mut bytes = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut bytes)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        let scan = scan_frames(&bytes);
+        let open = FrameLog::open(path)?;
         let mut seen = std::collections::HashSet::new();
-        let mut entries = Vec::new();
-        for (_, payload) in &scan.frames {
-            let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
-            let text = std::str::from_utf8(payload).map_err(|_| bad("ledger entry not UTF-8"))?;
-            let t = parse_term(text).map_err(|_| bad("unparsable ledger entry"))?;
-            let key = t
-                .children()
-                .iter()
-                .find(|c| c.label() == Some("key"))
-                .map(|c| c.text_content())
-                .ok_or_else(|| bad("ledger entry without key"))?;
-            let payload = t
-                .children()
-                .iter()
-                .find(|c| c.label() == Some("payload"))
-                .and_then(|w| w.children().first())
-                .cloned()
-                .ok_or_else(|| bad("ledger entry without payload"))?;
+        let mut entries = Vec::with_capacity(open.frames.len());
+        for (_, payload) in &open.frames {
+            let t = term_from_bytes(payload)?;
+            let key = field_text(&t, "key")?;
+            let payload = field_child(&t, "payload")?.clone();
             seen.insert(key.clone());
             entries.push((key, payload));
         }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        if (bytes.len() as u64) > scan.valid_len {
-            file.set_len(scan.valid_len)?;
-        }
         Ok(DeliveryLedger {
-            file: Some(file),
+            log: Some(open.log),
             seen,
             entries,
         })
@@ -996,7 +908,7 @@ impl DeliveryLedger {
             return;
         }
         self.entries.push((key.to_string(), payload.clone()));
-        if let Some(f) = self.file.as_mut() {
+        if let Some(log) = self.log.as_mut() {
             let bytes = Term::build("d")
                 .unordered()
                 .field("key", key)
@@ -1004,9 +916,9 @@ impl DeliveryLedger {
                 .finish()
                 .to_string()
                 .into_bytes();
-            let _ = write_frame(f, &bytes);
-            let _ = f.flush();
-            let _ = f.sync_data();
+            if log.append(&bytes).is_ok() {
+                let _ = log.sync();
+            }
         }
     }
 
@@ -1019,6 +931,7 @@ impl DeliveryLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reweb_term::parse_term;
 
     #[test]
     fn routes_resolve_by_longest_prefix() {
@@ -1062,6 +975,24 @@ mod tests {
         let l = DeliveryLedger::open(&path).unwrap();
         assert!(l.contains("a#0") && l.contains("a#1") && !l.contains("a#2"));
         assert_eq!(l.entries()[1].1, Term::elem("y"));
+        drop(l);
+
+        // A crash mid-record: the torn tail heals on open, and the next
+        // record lands on a clean boundary instead of behind garbage.
+        let len = std::fs::metadata(&path).unwrap().len();
+        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(len - 3).unwrap();
+        drop(f);
+        let mut l = DeliveryLedger::open(&path).unwrap();
+        assert!(
+            l.contains("a#0") && !l.contains("a#1"),
+            "torn record dropped"
+        );
+        l.record("a#2", &Term::elem("z"));
+        drop(l);
+        let l = DeliveryLedger::open(&path).unwrap();
+        let keys: Vec<&str> = l.entries().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, vec!["a#0", "a#2"]);
         let _ = std::fs::remove_file(&path);
     }
 

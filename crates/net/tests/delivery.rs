@@ -240,6 +240,53 @@ fn outbox_recovers_unsettled_deliveries_across_agent_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `redeliver` is durable: requeues reach the outbox first, then the
+/// dead-letter log is rewritten atomically with the still-unroutable
+/// remainder. Reopening on the same paths loses neither letter.
+#[test]
+fn redeliver_survives_agent_restart() {
+    let dir = tmp("redeliver-restart");
+    let dead_addr = {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap()
+    };
+    {
+        let mut agent = DeliveryAgent::new(fast_cfg("http://a/", &dir, 1)).unwrap();
+        agent.add_route("http://b/", dead_addr);
+        agent.add_route("http://c/", dead_addr);
+        assert!(agent.enqueue("http://b/recv", Timestamp(1), &Term::elem("to_b")));
+        assert!(agent.enqueue("http://c/recv", Timestamp(2), &Term::elem("to_c")));
+        assert!(agent.flush(Duration::from_secs(10)));
+        assert_eq!(agent.dead_letters().len(), 2);
+    }
+    let b = bind_receiver("http://b/", &dir.join("b-ledger.log"));
+    {
+        // Only b is routable now; c's letter must stay dead.
+        let mut agent = DeliveryAgent::new(fast_cfg("http://a/", &dir, 100)).unwrap();
+        assert_eq!(agent.dead_letters().len(), 2);
+        agent.add_route("http://b/", b.local_addr());
+        assert_eq!(agent.redeliver().unwrap(), 1);
+    }
+    let mut agent = DeliveryAgent::new(fast_cfg("http://a/", &dir, 100)).unwrap();
+    let dead = agent.dead_letters();
+    assert_eq!(dead.len(), 1, "{dead:?}");
+    assert_eq!(dead[0].to, "http://c/recv");
+    assert_eq!(dead[0].payload, Term::elem("to_c"));
+    // The routed letter is pending in the outbox, or already delivered.
+    agent.add_route("http://b/", b.local_addr());
+    assert!(agent.flush(Duration::from_secs(10)));
+    wait_until("redelivered letter", || b.delivered().len() == 1);
+    assert_eq!(b.delivered()[0].1, Term::elem("to_b"));
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(".tmp"))
+        .collect();
+    assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
+    agent.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The classic duplicate-generating fault: the connection drops after
 /// the push but before the ack. The retry must be absorbed by the
 /// receiver's key ledger — ingested exactly once, acked as duplicate.

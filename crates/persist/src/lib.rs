@@ -90,6 +90,7 @@ use reweb_core::{
 use reweb_obs::{Obs, Stage};
 use reweb_term::{Dur, Term, TermError, Timestamp};
 
+pub mod log;
 pub mod outbox;
 pub mod snapshot;
 pub mod wal;
@@ -133,6 +134,16 @@ impl From<std::io::Error> for PersistError {
 impl From<TermError> for PersistError {
     fn from(e: TermError) -> Self {
         PersistError::Term(e)
+    }
+}
+
+/// For callers whose error surface is I/O (the delivery agent).
+impl From<PersistError> for std::io::Error {
+    fn from(e: PersistError) -> Self {
+        match e {
+            PersistError::Io(e) => e,
+            e => std::io::Error::other(e.to_string()),
+        }
     }
 }
 
@@ -267,6 +278,8 @@ impl<E: Engine> DurableEngine<E> {
         let desc = engine.descriptor();
 
         let mut records = opened.records;
+        let mut wal = opened.wal;
+        let fresh = records.is_empty();
         let genesis_offset = match records.first() {
             None => {
                 // Fresh log: stamp the header. A snapshot without any log
@@ -279,27 +292,12 @@ impl<E: Engine> DurableEngine<E> {
                             .into(),
                     ));
                 }
-                let mut w = opened.wal;
-                let head = Record::Head {
+                wal.append(&Record::Head {
                     schema: wal::WAL_SCHEMA.to_string(),
                     engine: desc,
-                };
-                w.append(&head)?;
-                w.sync()?;
-                let genesis = w.len();
-                let obs = Arc::clone(engine.obs());
-                return Ok(DurableEngine {
-                    engine,
-                    wal: w,
-                    snap_path,
-                    opts,
-                    genesis_offset: genesis,
-                    journal: Vec::new(),
-                    marks: VecDeque::new(),
-                    records_since_snapshot: 0,
-                    recovery: RecoveryStats::default(),
-                    obs,
-                });
+                })?;
+                wal.sync()?;
+                wal.len()
             }
             Some((_, Record::Head { schema, engine })) => {
                 if schema != wal::WAL_SCHEMA {
@@ -316,7 +314,7 @@ impl<E: Engine> DurableEngine<E> {
                 records.remove(0);
                 match records.first() {
                     Some((off, _)) => *off,
-                    None => opened.wal.len(),
+                    None => wal.len(),
                 }
             }
             Some((_, other)) => {
@@ -326,17 +324,10 @@ impl<E: Engine> DurableEngine<E> {
             }
         };
 
-        let mut stats = RecoveryStats {
-            recovered: true,
-            torn_bytes: opened.torn_bytes,
-            ..RecoveryStats::default()
-        };
-
-        let snapshot = Snapshot::read_from(&snap_path)?;
         let obs = Arc::clone(engine.obs());
         let mut me = DurableEngine {
             engine,
-            wal: opened.wal,
+            wal,
             snap_path,
             opts,
             genesis_offset,
@@ -346,8 +337,15 @@ impl<E: Engine> DurableEngine<E> {
             recovery: RecoveryStats::default(),
             obs,
         };
-
-        match snapshot {
+        if fresh {
+            return Ok(me);
+        }
+        let mut stats = RecoveryStats {
+            recovered: true,
+            torn_bytes: opened.torn_bytes,
+            ..RecoveryStats::default()
+        };
+        match Snapshot::read_from(&me.snap_path)? {
             Some(snap) => {
                 me.recover_with_snapshot(&records, snap, &mut stats)?;
             }

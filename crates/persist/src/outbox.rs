@@ -15,20 +15,16 @@
 //! receiver deduplicates by the delivery key, which embeds the stable
 //! outbox sequence number.
 //!
-//! The on-disk format is the same CRC-framed textual-term log as the WAL
-//! ([`reweb_term::frame`]), with the same torn-tail discipline: a
-//! truncated or CRC-broken final record is the expected residue of a
-//! crash and is healed by truncation, never an error.
+//! On disk it is a [`FrameLog`] of textual-term records, like the WAL: a
+//! torn final record is healed by truncation on open, never an error.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use reweb_term::frame::{scan_frames, write_frame, FRAME_HEADER_LEN};
-use reweb_term::{parse_term, Term, Timestamp};
+use reweb_term::{Term, Timestamp};
 
-use crate::wal::{field_child, field_text, field_u64};
+use crate::log::FrameLog;
+use crate::wal::{field_child, field_text, field_u64, term_from_bytes};
 use crate::{PersistError, Result, SyncPolicy};
 
 /// Magic first record of every outbox journal.
@@ -98,9 +94,7 @@ impl OutboxRecord {
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<OutboxRecord> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| PersistError::Corrupt("outbox record is not UTF-8".into()))?;
-        let t = parse_term(text)?;
+        let t = term_from_bytes(bytes)?;
         match t.label() {
             Some("o_head") => Ok(OutboxRecord::Head {
                 schema: field_text(&t, "schema")?,
@@ -141,9 +135,7 @@ pub struct OutboxOpen {
 /// durable before the agent's first dial attempt, which is what makes
 /// the pending set exact across sender crashes.
 pub struct Outbox {
-    file: File,
-    len: u64,
-    path: PathBuf,
+    log: FrameLog,
     sync: SyncPolicy,
     next_seq: u64,
     /// Unsettled sequence numbers with their payloads — kept in memory
@@ -157,20 +149,11 @@ impl Outbox {
     /// Open (creating if absent) the journal at `path`: heal the torn
     /// tail, replay the records, and return the unsettled remainder.
     pub fn open(path: &Path, sync: SyncPolicy) -> Result<OutboxOpen> {
-        let mut bytes = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut bytes)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-        let scan = scan_frames(&bytes);
-        let torn_bytes = bytes.len() as u64 - scan.valid_len;
+        let open = FrameLog::open(path)?;
         let mut live = BTreeMap::new();
         let mut next_seq = 0u64;
         let mut settled = 0u64;
-        for (i, (_, payload)) in scan.frames.iter().enumerate() {
+        for (i, (_, payload)) in open.frames.iter().enumerate() {
             match OutboxRecord::from_bytes(payload)? {
                 OutboxRecord::Head { schema } => {
                     if i != 0 {
@@ -192,20 +175,14 @@ impl Outbox {
                 }
             }
         }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        if torn_bytes > 0 {
-            file.set_len(scan.valid_len)?;
-        }
         let mut outbox = Outbox {
-            file,
-            len: scan.valid_len,
-            path: path.to_path_buf(),
+            log: open.log,
             sync,
             next_seq,
             live,
             settled,
         };
-        if outbox.len == 0 {
+        if outbox.log.is_empty() {
             outbox.append(&OutboxRecord::Head {
                 schema: OUTBOX_SCHEMA.into(),
             })?;
@@ -214,22 +191,14 @@ impl Outbox {
         Ok(OutboxOpen {
             outbox,
             pending,
-            torn_bytes,
+            torn_bytes: open.torn_bytes,
         })
     }
 
     fn append(&mut self, rec: &OutboxRecord) -> Result<()> {
-        let payload = rec.to_bytes();
-        if let Err(e) = write_frame(&mut self.file, &payload) {
-            // Same discipline as the WAL: never leave garbage at the
-            // tail for a later successful append to land behind.
-            let _ = self.file.set_len(self.len);
-            return Err(e.into());
-        }
-        self.len += (FRAME_HEADER_LEN + payload.len()) as u64;
+        self.log.append(&rec.to_bytes())?;
         if self.sync == SyncPolicy::Always {
-            self.file.flush()?;
-            self.file.sync_data()?;
+            self.log.sync()?;
         }
         Ok(())
     }
@@ -288,35 +257,17 @@ impl Outbox {
         self.settled
     }
 
-    /// Path of the journal file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Rewrite the journal with only the header and the unsettled
     /// remainder (write-to-temp then rename, so a crash mid-compaction
     /// leaves either the old or the new journal, never a mix). Call
     /// when the settled prefix dominates the file.
     pub fn compact(&mut self) -> Result<()> {
-        let tmp = self.path.with_extension("compact");
-        {
-            let mut f = File::create(&tmp)?;
-            write_frame(
-                &mut f,
-                &OutboxRecord::Head {
-                    schema: OUTBOX_SCHEMA.into(),
-                }
-                .to_bytes(),
-            )?;
-            for p in self.live.values() {
-                write_frame(&mut f, &OutboxRecord::Enq(p.clone()).to_bytes())?;
-            }
-            f.flush()?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.len = self.file.metadata()?.len();
+        let head = OutboxRecord::Head {
+            schema: OUTBOX_SCHEMA.into(),
+        };
+        let live = self.live.values().map(|p| OutboxRecord::Enq(p.clone()));
+        self.log
+            .replace(std::iter::once(head).chain(live).map(|r| r.to_bytes()))?;
         self.settled = 0;
         Ok(())
     }
@@ -325,6 +276,8 @@ impl Outbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("reweb-outbox-{}-{tag}", std::process::id()));

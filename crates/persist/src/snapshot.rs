@@ -21,15 +21,16 @@
 //!   is ignored in favor of genesis replay.
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{Read, Write};
 use std::path::Path;
 
 use reweb_core::{EngineMetrics, InMessage, ReplayMark};
-use reweb_term::frame::{scan_frames, write_frame};
-use reweb_term::{parse_term, Term, Timestamp};
+use reweb_term::{Term, Timestamp};
 
-use crate::wal::{field_text, field_u64, msg_from_term, msg_to_term};
+use crate::log::{read_frames, write_frames_atomically};
+use crate::wal::{
+    field, field_child, field_text, field_u64, first_child, msg_from_term, msg_to_term,
+    term_from_bytes,
+};
 use crate::{PersistError, Result};
 
 /// Schema tag of snapshot files this build reads and writes.
@@ -115,8 +116,7 @@ fn metrics_to_term(shard: usize, m: &EngineMetrics) -> Term {
         .finish()
 }
 
-fn metrics_from_term(t: &Term) -> Result<(usize, EngineMetrics)> {
-    let shard = field_u64(t, "shard")? as usize;
+fn metrics_from_term(t: &Term) -> Result<EngineMetrics> {
     let mut m = EngineMetrics {
         events_received: field_u64(t, "received")?,
         events_denied: field_u64(t, "denied")?,
@@ -135,16 +135,16 @@ fn metrics_from_term(t: &Term) -> Result<(usize, EngineMetrics)> {
         fires_by_rule: BTreeMap::new(),
         errors: Vec::new(),
     };
-    if let Some(fires) = t.children().iter().find(|c| c.label() == Some("fires")) {
+    if let Some(fires) = field(t, "fires") {
         for f in fires.children() {
             m.fires_by_rule
                 .insert(field_text(f, "r")?, field_u64(f, "n")?);
         }
     }
-    if let Some(errors) = t.children().iter().find(|c| c.label() == Some("errors")) {
+    if let Some(errors) = field(t, "errors") {
         m.errors = errors.children().iter().map(Term::text_content).collect();
     }
-    Ok((shard, m))
+    Ok(m)
 }
 
 impl Snapshot {
@@ -211,19 +211,16 @@ impl Snapshot {
         frames
     }
 
-    /// Decode a snapshot from raw file bytes. Returns `Ok(None)` for a
-    /// file that is incomplete (torn tail or missing `s_end`) — the
-    /// residue of a crash mid-snapshot, which recovery handles by
-    /// falling back to full log replay. A *complete* file with invalid
-    /// contents is corruption and fails.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Option<Snapshot>> {
-        let scan = scan_frames(bytes);
-        let mut terms = Vec::with_capacity(scan.frames.len());
-        for (_, payload) in &scan.frames {
-            let text = std::str::from_utf8(payload)
-                .map_err(|_| PersistError::Corrupt("snapshot record is not UTF-8".into()))?;
-            terms.push(parse_term(text)?);
-        }
+    /// Decode a snapshot from the valid frames of its file. Returns
+    /// `Ok(None)` for a file that is incomplete (torn tail or missing
+    /// `s_end`) — the residue of a crash mid-snapshot, which recovery
+    /// handles by falling back to full log replay. A *complete* file
+    /// with invalid contents is corruption and fails.
+    pub fn from_frames(frames: &[(u64, Vec<u8>)]) -> Result<Option<Snapshot>> {
+        let terms = frames
+            .iter()
+            .map(|(_, payload)| term_from_bytes(payload))
+            .collect::<Result<Vec<_>>>()?;
         match terms.last() {
             Some(t) if t.label() == Some("s_end") => {}
             _ => return Ok(None), // incomplete write — not an error
@@ -248,64 +245,41 @@ impl Snapshot {
             journal: Vec::new(),
             shards: vec![ShardState::default(); n_shards],
         };
-        let shard_slot = |snap: &mut Snapshot, idx: usize| -> Result<usize> {
-            if idx >= snap.shards.len() {
+        let shard = |t: &Term| -> Result<usize> {
+            let i = field_u64(t, "shard")? as usize;
+            if i >= n_shards {
                 return Err(PersistError::Corrupt(format!(
-                    "snapshot names shard {idx} but declares {} shards",
-                    snap.shards.len()
+                    "snapshot names shard {i} but declares {n_shards} shards"
                 )));
             }
-            Ok(idx)
+            Ok(i)
         };
         for t in &terms[1..terms.len() - 1] {
             match t.label() {
                 Some("s_mark") => {
-                    let i = shard_slot(&mut snap, field_u64(t, "shard")? as usize)?;
-                    snap.warm_marks[i] = ReplayMark {
+                    snap.warm_marks[shard(t)?] = ReplayMark {
                         clock: Timestamp(field_u64(t, "clock")?),
                         event_seq: field_u64(t, "eseq")?,
                         derived_seq: field_u64(t, "dseq")?,
                     };
                 }
-                Some("s_prog") => {
-                    let src = t
-                        .children()
-                        .first()
-                        .map(Term::text_content)
-                        .ok_or_else(|| PersistError::Corrupt("s_prog without source".into()))?;
-                    snap.journal.push(JournalEntry::Static(src));
-                }
-                Some("s_dyn") => {
-                    let m = t
-                        .children()
-                        .first()
-                        .ok_or_else(|| PersistError::Corrupt("s_dyn without message".into()))?;
-                    snap.journal.push(JournalEntry::Dynamic(msg_from_term(m)?));
-                }
+                Some("s_prog") => snap
+                    .journal
+                    .push(JournalEntry::Static(first_child(t)?.text_content())),
+                Some("s_dyn") => snap
+                    .journal
+                    .push(JournalEntry::Dynamic(msg_from_term(first_child(t)?)?)),
                 Some("s_res") => {
-                    let i = shard_slot(&mut snap, field_u64(t, "shard")? as usize)?;
-                    let doc = t
-                        .children()
-                        .iter()
-                        .find(|c| c.label() == Some("doc"))
-                        .and_then(|w| w.children().first())
-                        .ok_or_else(|| PersistError::Corrupt("s_res without doc".into()))?;
-                    snap.shards[i].resources.push((
+                    snap.shards[shard(t)?].resources.push((
                         field_text(t, "uri")?,
                         field_u64(t, "version")?,
-                        doc.clone(),
+                        field_child(t, "doc")?.clone(),
                     ));
                 }
-                Some("s_metrics") => {
-                    let (i, m) = metrics_from_term(t)?;
-                    let i = shard_slot(&mut snap, i)?;
-                    snap.shards[i].metrics = m;
-                }
+                Some("s_metrics") => snap.shards[shard(t)?].metrics = metrics_from_term(t)?,
                 Some("s_alog") => {
-                    let i = shard_slot(&mut snap, field_u64(t, "shard")? as usize)?;
-                    if let Some(entries) =
-                        t.children().iter().find(|c| c.label() == Some("entries"))
-                    {
+                    let i = shard(t)?;
+                    if let Some(entries) = field(t, "entries") {
                         snap.shards[i].action_log = entries.children().to_vec();
                     }
                 }
@@ -319,38 +293,15 @@ impl Snapshot {
         Ok(Some(snap))
     }
 
-    /// Write atomically: serialize to `<path>.tmp`, fsync, rename over
-    /// `path`, then fsync the directory so the rename itself is durable.
+    /// Write atomically ([`write_frames_atomically`]): a crash leaves
+    /// the old snapshot or the new one, never a mix.
     pub fn write_to(&self, path: &Path) -> Result<()> {
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            for frame in self.to_frames() {
-                write_frame(&mut f, &frame)?;
-            }
-            f.flush()?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all(); // best-effort on platforms that allow it
-            }
-        }
-        Ok(())
+        Ok(write_frames_atomically(path, self.to_frames())?)
     }
 
     /// Read a snapshot file; `Ok(None)` when absent or incomplete.
     pub fn read_from(path: &Path) -> Result<Option<Snapshot>> {
-        let mut bytes = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut bytes)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        }
-        Snapshot::from_bytes(&bytes)
+        Snapshot::from_frames(&read_frames(path)?)
     }
 }
 
@@ -358,6 +309,8 @@ impl Snapshot {
 mod tests {
     use super::*;
     use reweb_core::MessageMeta;
+    use reweb_term::frame::{encode_frame, scan_frames};
+    use reweb_term::parse_term;
 
     fn sample() -> Snapshot {
         let mut metrics = EngineMetrics {
@@ -408,11 +361,14 @@ mod tests {
     #[test]
     fn snapshot_round_trips() {
         let snap = sample();
-        let mut bytes = Vec::new();
-        for frame in snap.to_frames() {
-            write_frame(&mut bytes, &frame).unwrap();
-        }
-        let back = Snapshot::from_bytes(&bytes).unwrap().expect("complete");
+        let bytes: Vec<u8> = snap
+            .to_frames()
+            .iter()
+            .flat_map(|f| encode_frame(f))
+            .collect();
+        let back = Snapshot::from_frames(&scan_frames(&bytes).frames)
+            .unwrap()
+            .expect("complete");
         assert_eq!(back.engine, snap.engine);
         assert_eq!(back.log_offset, snap.log_offset);
         assert_eq!(back.warm_offset, snap.warm_offset);
@@ -433,13 +389,15 @@ mod tests {
     #[test]
     fn incomplete_snapshot_is_none_not_error() {
         let snap = sample();
-        let mut bytes = Vec::new();
-        for frame in snap.to_frames() {
-            write_frame(&mut bytes, &frame).unwrap();
-        }
+        let bytes: Vec<u8> = snap
+            .to_frames()
+            .iter()
+            .flat_map(|f| encode_frame(f))
+            .collect();
         // Chop off the s_end terminator (and a bit more).
         let cut = bytes.len() - 9;
-        assert!(Snapshot::from_bytes(&bytes[..cut]).unwrap().is_none());
-        assert!(Snapshot::from_bytes(&[]).unwrap().is_none());
+        let frames = scan_frames(&bytes[..cut]).frames;
+        assert!(Snapshot::from_frames(&frames).unwrap().is_none());
+        assert!(Snapshot::from_frames(&[]).unwrap().is_none());
     }
 }

@@ -8,14 +8,12 @@
 //! re-intern on load — and keeps them debuggable: `strings wal.log` is a
 //! readable event history.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use reweb_core::{InMessage, MessageMeta};
-use reweb_term::frame::{scan_frames, write_frame, TailState};
 use reweb_term::{parse_term, Term, Timestamp};
 
+use crate::log::FrameLog;
 use crate::{PersistError, Result};
 
 /// Magic first record of every WAL, naming the format and the engine
@@ -50,30 +48,47 @@ pub enum Record {
     },
 }
 
-pub(crate) fn field_text(t: &Term, name: &str) -> Result<String> {
-    t.children()
-        .iter()
-        .find(|c| c.label() == Some(name))
-        .map(|c| c.text_content())
-        .ok_or_else(|| PersistError::Corrupt(format!("record field `{name}` missing in {t}")))
+/// Parse one frame payload as a term (every journal's record codec
+/// starts here).
+pub fn term_from_bytes(bytes: &[u8]) -> Result<Term> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|_| PersistError::Corrupt("record is not UTF-8".into()))?;
+    Ok(parse_term(text)?)
 }
 
-pub(crate) fn field_u64(t: &Term, name: &str) -> Result<u64> {
+/// `t`'s child labelled `name`, if any.
+pub fn field<'a>(t: &'a Term, name: &str) -> Option<&'a Term> {
+    t.children().iter().find(|c| c.label() == Some(name))
+}
+
+fn missing(t: &Term, name: &str) -> PersistError {
+    PersistError::Corrupt(format!("record field `{name}` missing in {t}"))
+}
+
+/// The text of `t`'s child labelled `name`.
+pub fn field_text(t: &Term, name: &str) -> Result<String> {
+    field(t, name)
+        .map(|c| c.text_content())
+        .ok_or_else(|| missing(t, name))
+}
+
+/// [`field_text`] parsed as a number.
+pub fn field_u64(t: &Term, name: &str) -> Result<u64> {
     let s = field_text(t, name)?;
     s.parse()
         .map_err(|_| PersistError::Corrupt(format!("record field `{name}` is not a number: {s}")))
 }
 
-pub(crate) fn field_child<'a>(t: &'a Term, name: &str) -> Result<&'a Term> {
-    let wrapper = t
-        .children()
-        .iter()
-        .find(|c| c.label() == Some(name))
-        .ok_or_else(|| PersistError::Corrupt(format!("record field `{name}` missing in {t}")))?;
-    wrapper
-        .children()
+/// The body of a wrapper term: its first child.
+pub fn first_child(t: &Term) -> Result<&Term> {
+    t.children()
         .first()
-        .ok_or_else(|| PersistError::Corrupt(format!("record field `{name}` is empty in {t}")))
+        .ok_or_else(|| PersistError::Corrupt(format!("empty record {t}")))
+}
+
+/// The single child inside `t`'s child labelled `name`.
+pub fn field_child<'a>(t: &'a Term, name: &str) -> Result<&'a Term> {
+    first_child(field(t, name).ok_or_else(|| missing(t, name))?)
 }
 
 /// Serialize one in-message (payload + transport meta + arrival time).
@@ -102,7 +117,7 @@ pub fn msg_from_term(t: &Term) -> Result<InMessage> {
     }
     let at = Timestamp(field_u64(t, "at")?);
     let mut meta = MessageMeta::from_uri(field_text(t, "from")?);
-    if let Some(cred) = t.children().iter().find(|c| c.label() == Some("cred")) {
+    if let Some(cred) = field(t, "cred") {
         meta = meta.with_credentials(field_text(cred, "principal")?, field_text(cred, "secret")?);
     }
     let payload = field_child(t, "payload")?.clone();
@@ -137,22 +152,13 @@ impl Record {
 
     /// Parse a frame payload back into a record.
     pub fn from_bytes(bytes: &[u8]) -> Result<Record> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| PersistError::Corrupt("record is not UTF-8".into()))?;
-        let t = parse_term(text)?;
+        let t = term_from_bytes(bytes)?;
         match t.label() {
             Some("w_head") => Ok(Record::Head {
                 schema: field_text(&t, "schema")?,
                 engine: field_text(&t, "engine")?,
             }),
-            Some("w_install") => {
-                let src = t
-                    .children()
-                    .first()
-                    .map(Term::text_content)
-                    .ok_or_else(|| PersistError::Corrupt("w_install without source".into()))?;
-                Ok(Record::Install(src))
-            }
+            Some("w_install") => Ok(Record::Install(first_child(&t)?.text_content())),
             Some("w_batch") => Ok(Record::Batch(
                 t.children()
                     .iter()
@@ -179,116 +185,63 @@ pub struct WalOpen {
     pub records: Vec<(u64, Record)>,
     /// Bytes discarded from a torn or corrupt tail.
     pub torn_bytes: u64,
-    /// How the scan of the existing file ended.
-    pub tail: TailState,
 }
 
-/// Append handle over the log file.
+/// Append handle over the log file: a [`FrameLog`] of [`Record`]s.
 pub struct Wal {
-    file: File,
-    len: u64,
-    path: PathBuf,
-    /// Set when a failed append could not be rolled back (see
-    /// [`Wal::append`]); every later append is refused.
-    poisoned: bool,
+    log: FrameLog,
 }
 
 impl Wal {
-    /// Open (creating if absent) the log at `path`: scan existing
-    /// frames, parse the records of the valid prefix, and truncate any
-    /// torn tail so appends continue from a clean boundary. A torn tail
-    /// is never an error — it is the expected residue of a crash
-    /// mid-write; a record that *parses* wrong (valid frame, bad
-    /// content) is corruption and fails.
+    /// Open (creating if absent) the log at `path`, heal any torn tail
+    /// ([`FrameLog::open`]), and parse the records of the valid prefix.
+    /// A torn tail is never an error; a record that *parses* wrong
+    /// (valid frame, bad content) is corruption and fails.
     pub fn open(path: &Path) -> Result<WalOpen> {
-        let mut bytes = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut bytes)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-        let scan = scan_frames(&bytes);
-        let torn_bytes = bytes.len() as u64 - scan.valid_len;
-        let mut records = Vec::with_capacity(scan.frames.len());
-        for (off, payload) in &scan.frames {
-            records.push((*off, Record::from_bytes(payload)?));
-        }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        if torn_bytes > 0 {
-            file.set_len(scan.valid_len)?;
-        }
+        let open = FrameLog::open(path)?;
+        let records = open
+            .frames
+            .iter()
+            .map(|(off, payload)| Ok((*off, Record::from_bytes(payload)?)))
+            .collect::<Result<Vec<_>>>()?;
         Ok(WalOpen {
-            wal: Wal {
-                file,
-                len: scan.valid_len,
-                path: path.to_path_buf(),
-                poisoned: false,
-            },
+            wal: Wal { log: open.log },
             records,
-            torn_bytes,
-            tail: scan.tail,
+            torn_bytes: open.torn_bytes,
         })
     }
 
-    /// Append one record; returns its offset (stable record id).
-    ///
-    /// A failed append (partial write — `ENOSPC`, oversized record) must
-    /// not leave garbage at the tail: the file is in append mode, so a
-    /// *later* successful append would land after the garbage, and on
-    /// the next open the frame scan would stop at the garbage and
-    /// silently discard every acknowledged record behind it. The file is
-    /// therefore truncated back to the last good boundary before the
-    /// error is surfaced; if even the truncation fails, further appends
-    /// are refused outright.
+    /// Append one record; returns its offset (stable record id). A
+    /// failed append is rolled back ([`FrameLog::append`]).
     pub fn append(&mut self, rec: &Record) -> Result<u64> {
-        if self.poisoned {
-            return Err(PersistError::Corrupt(format!(
-                "write-ahead log {} is poisoned: a failed append could not be \
-                 rolled back; refusing to append after the damage",
-                self.path.display()
-            )));
-        }
-        let offset = self.len;
-        let payload = rec.to_bytes();
-        if let Err(e) = write_frame(&mut self.file, &payload) {
-            if self.file.set_len(self.len).is_err() {
-                self.poisoned = true;
-            }
-            return Err(e.into());
-        }
-        self.len += (reweb_term::frame::FRAME_HEADER_LEN + payload.len()) as u64;
-        Ok(offset)
+        Ok(self.log.append(&rec.to_bytes())?)
     }
 
     /// Flush the log to stable storage (fsync).
     pub fn sync(&mut self) -> Result<()> {
-        self.file.flush()?;
-        self.file.sync_data()?;
-        Ok(())
+        Ok(self.log.sync()?)
     }
 
     /// Bytes of valid log (also the offset the next record will get).
     pub fn len(&self) -> u64 {
-        self.len
+        self.log.len()
     }
 
     /// True when the log holds no bytes at all.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.log.is_empty()
     }
 
     /// Path of the log file.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reweb_term::parse_term;
+    use std::fs::OpenOptions;
 
     fn msg(src: &str, at: u64, cred: bool) -> InMessage {
         let mut meta = MessageMeta::from_uri("http://peer");

@@ -56,29 +56,36 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Encode one frame (header + payload) into a fresh byte vector.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    encode_frame_into(&mut out, payload);
     out
 }
 
-/// Append one frame to a writer. Payloads over [`MAX_FRAME_LEN`] are
-/// refused with `InvalidInput` *before* any byte is written: a frame
-/// the reader would classify as corrupt must never be written (let
-/// alone fsynced and acknowledged) in the first place.
-pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> std::io::Result<()> {
-    if payload.len() as u64 > MAX_FRAME_LEN as u64 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!(
-                "frame payload of {} bytes exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN})",
-                payload.len()
-            ),
-        ));
+/// Append one encoded frame (header + payload) to `out`. The caller
+/// keeps payloads within [`MAX_FRAME_LEN`]: a frame the reader would
+/// classify as corrupt must never be written.
+pub fn encode_frame_into(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Read one frame from a blocking stream and return its payload. An
+/// oversized length prefix or a CRC mismatch is `InvalidData`.
+pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Vec<u8>> {
+    let bad = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    r.read_exact(&mut header)?;
+    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
+    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    if len > MAX_FRAME_LEN {
+        return Err(bad(format!("oversized frame: {len} bytes")));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    w.write_all(payload)
+    let mut payload = vec![0u8; len as usize];
+    r.read_exact(&mut payload)?;
+    if crc32(&payload) != crc {
+        return Err(bad("frame CRC mismatch".into()));
+    }
+    Ok(payload)
 }
 
 /// Why a frame scan stopped where it did.
@@ -162,9 +169,9 @@ mod tests {
     #[test]
     fn frames_round_trip() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"alpha").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        write_frame(&mut buf, "β-payload".as_bytes()).unwrap();
+        buf.extend(encode_frame(b"alpha"));
+        buf.extend(encode_frame(b""));
+        buf.extend(encode_frame("β-payload".as_bytes()));
         let scan = scan_frames(&buf);
         assert_eq!(scan.tail, TailState::Clean);
         assert_eq!(scan.valid_len, buf.len() as u64);
@@ -180,9 +187,9 @@ mod tests {
     #[test]
     fn every_truncation_point_keeps_the_valid_prefix() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"first").unwrap();
+        buf.extend(encode_frame(b"first"));
         let keep = buf.len();
-        write_frame(&mut buf, b"second-record").unwrap();
+        buf.extend(encode_frame(b"second-record"));
         // Cutting anywhere inside the second frame must preserve exactly
         // the first frame and classify the tail as torn.
         for cut in keep..buf.len() {
@@ -200,7 +207,7 @@ mod tests {
     #[test]
     fn truncated_length_prefix_is_torn_not_fatal() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"ok").unwrap();
+        buf.extend(encode_frame(b"ok"));
         let keep = buf.len();
         buf.extend_from_slice(&[0x07, 0x00]); // 2 of 4 length bytes
         let scan = scan_frames(&buf);
@@ -212,24 +219,15 @@ mod tests {
     #[test]
     fn corrupt_payload_detected() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"ok").unwrap();
+        buf.extend(encode_frame(b"ok"));
         let keep = buf.len();
-        write_frame(&mut buf, b"will-be-flipped").unwrap();
+        buf.extend(encode_frame(b"will-be-flipped"));
         let last = buf.len() - 1;
         buf[last] ^= 0x40;
         let scan = scan_frames(&buf);
         assert_eq!(scan.frames.len(), 1);
         assert_eq!(scan.valid_len, keep as u64);
         assert_eq!(scan.tail, TailState::CorruptPayload);
-    }
-
-    #[test]
-    fn oversized_payload_is_refused_before_writing() {
-        let huge = vec![0u8; MAX_FRAME_LEN as usize + 1];
-        let mut buf = Vec::new();
-        let err = write_frame(&mut buf, &huge).expect_err("must refuse");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-        assert!(buf.is_empty(), "no bytes written for a refused frame");
     }
 
     #[test]

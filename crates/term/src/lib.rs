@@ -47,7 +47,7 @@ pub mod time;
 
 pub use diff::{diff_documents, Change};
 pub use error::TermError;
-pub use frame::{crc32, scan_frames, write_frame, FrameScan, TailState};
+pub use frame::{crc32, scan_frames, FrameScan, TailState};
 pub use identity::{ext_id, fnv1a, IdentityMode};
 pub use parser::parse_term;
 pub use path::{apply_edit, node_at, Path, PathEdit};

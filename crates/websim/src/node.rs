@@ -6,6 +6,7 @@ use std::path::PathBuf;
 use reweb_core::{Engine, ReactiveEngine, ShardedEngine};
 use reweb_net::wire::Reply;
 use reweb_net::NetClient;
+use reweb_persist::log::{read_frames, FrameLog};
 use reweb_persist::{DurableEngine, DurableOptions};
 use reweb_term::{diff_documents, Dur, IdentityMode, ResourceStore, Term, Timestamp};
 
@@ -188,14 +189,11 @@ impl DurableNode {
     /// accounting, and accounting that forgets losses across the very
     /// crash that caused them is useless. Best-effort: the node is
     /// *down*; a journaling failure must not take the simulation with
-    /// it.
+    /// it. Opening heals a torn tail left by an earlier crash, so the
+    /// new record is never written behind garbage.
     pub(crate) fn journal_lost(&self, at: Timestamp) {
         let path = DurableNode::lost_journal_path(&self.dir);
-        let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        else {
+        let Ok(mut log) = FrameLog::open(&path).map(|open| open.log) else {
             return;
         };
         let bytes = Term::build("lost")
@@ -204,8 +202,9 @@ impl DurableNode {
             .finish()
             .to_string()
             .into_bytes();
-        let _ = reweb_term::frame::write_frame(&mut f, &bytes);
-        let _ = f.sync_data();
+        if log.append(&bytes).is_ok() {
+            let _ = log.sync();
+        }
     }
 
     /// The loss journal's path inside a node's log directory.
@@ -217,10 +216,7 @@ impl DurableNode {
     /// while the node logging there was down, across every incarnation.
     /// A torn tail (crash mid-append) drops only the torn record.
     pub fn lost_journal_count(dir: &std::path::Path) -> u64 {
-        let Ok(bytes) = std::fs::read(DurableNode::lost_journal_path(dir)) else {
-            return 0;
-        };
-        reweb_term::frame::scan_frames(&bytes).frames.len() as u64
+        read_frames(&DurableNode::lost_journal_path(dir)).map_or(0, |f| f.len() as u64)
     }
 }
 

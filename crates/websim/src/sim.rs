@@ -965,6 +965,43 @@ mod tests {
     }
 
     #[test]
+    fn loss_journal_heals_a_torn_tail_before_counting_on() {
+        use std::io::Write;
+        let dir = std::env::temp_dir().join(format!("reweb-websim-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut sim = Simulation::new(7);
+        sim.add_durable_engine(
+            "http://shop",
+            &dir,
+            DurableOptions::default(),
+            "RULE r ON ping DO NOOP END",
+        )
+        .unwrap();
+        assert!(sim.kill_node("http://shop"));
+        // A crash mid-append left a torn record behind.
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(DurableNode::lost_journal_path(&dir))
+            .unwrap()
+            .write_all(&[0xde, 0xad, 0xbe])
+            .unwrap();
+        let before = DurableNode::lost_journal_count(&dir);
+        for (i, at) in [(1, 1_000), (2, 2_000)] {
+            sim.post(
+                "http://client",
+                "http://shop",
+                parse_term(&format!("order{{id[\"o{i}\"]}}")).unwrap(),
+                Timestamp(at),
+            );
+        }
+        sim.run_until(Timestamp(3_000));
+        assert_eq!(sim.metrics.lost_while_down, 2);
+        assert_eq!(DurableNode::lost_journal_count(&dir), before + 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn credentials_travel_with_messages() {
         let mut sim = Simulation::new(7);
         let mut engine = ReactiveEngine::new("http://secure");
