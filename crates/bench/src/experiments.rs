@@ -1,9 +1,4 @@
-//! The experiments E1…E19 — one per thesis, plus E13 for the sharded
-//! batch-ingestion layer, E14 for the single-engine match/fire hot
-//! path, E15 for the durability layer — write-ahead log and snapshots —
-//! E16 for the compiled rule matcher, E17 for the indexed beta joins,
-//! E18 for the TCP ingress tier, and E19 for the observability layer's
-//! overhead (DESIGN.md §3).
+//! The experiments E1…E12 — one per thesis (DESIGN.md §3).
 //!
 //! Each function builds its workload, runs the systems under comparison,
 //! and returns a [`Table`] whose *shape* (who wins, how things scale)
@@ -27,7 +22,7 @@ pub type Runner = fn() -> Table;
 /// The experiment table, in run order — the single source the
 /// `experiments` binary uses both to validate its arguments and to
 /// dispatch, so ids and runners cannot drift apart.
-pub const RUNNERS: [(&str, Runner); 20] = [
+pub const RUNNERS: [(&str, Runner); 12] = [
     ("E1", e1_eca_vs_production),
     ("E2", e2_local_vs_central),
     ("E3", e3_push_vs_poll),
@@ -40,14 +35,6 @@ pub const RUNNERS: [(&str, Runner); 20] = [
     ("E10", e10_identity),
     ("E11", e11_trust_negotiation),
     ("E12", e12_aaa_overhead),
-    ("E13", e13_sharded_throughput),
-    ("E14", e14_hot_path),
-    ("E15", e15_durability),
-    ("E16", e16_rules_scaling),
-    ("E17", e17_indexed_joins),
-    ("E18", e18_net_loopback),
-    ("E18b", e18b_delivery_under_fault),
-    ("E19", e19_observability_overhead),
 ];
 
 /// E1 (Thesis 1): ECA rules vs production rules on an event-driven
@@ -1065,1986 +1052,7 @@ pub fn e12_aaa_overhead() -> Table {
     t
 }
 
-/// One measured E13 configuration: the serial and thread-per-shard
-/// executors over the same shard count and workload.
-#[derive(Clone, Debug)]
-pub struct E13Row {
-    /// Shard count of this configuration.
-    pub shards: usize,
-    /// Serial-executor batch throughput, in 1000 events/s.
-    pub serial_kevents_per_s: f64,
-    /// Thread-executor batch throughput, in 1000 events/s.
-    pub parallel_kevents_per_s: f64,
-    /// Reactions produced by the serial run (must match every run).
-    pub reactions_serial: u64,
-    /// Reactions produced by the parallel run (must match every run).
-    pub reactions_parallel: u64,
-    /// Busiest shard's share of routed events (serial run).
-    pub hottest_share: f64,
-}
-
-/// Machine-readable E13 result — the table, the `--bench-json` payload,
-/// and the CI performance floor all read from this one struct.
-#[derive(Clone, Debug)]
-pub struct E13Report {
-    /// Events in the batch.
-    pub events: usize,
-    /// Independent rule-label groups in the workload.
-    pub labels: usize,
-    /// Single-engine (unsharded) throughput, in 1000 events/s — the
-    /// normalizer that makes floor checks machine-speed independent.
-    pub single_kevents_per_s: f64,
-    /// Reactions the single engine produced.
-    pub reactions_single: u64,
-    /// One row per shard count (1, 2, 4, 8).
-    pub rows: Vec<E13Row>,
-}
-
-/// E13 (sharded ingestion): batch throughput of the label-affinity
-/// front-end vs a single engine, serial vs thread-per-shard execution,
-/// 100k-event workload.
-pub fn e13_sharded_throughput() -> Table {
-    e13_table(&e13_report(100_000))
-}
-
-/// Measure the E13 workload at `n_events` (100k for the real table;
-/// smaller in the shape test and anything else that only needs shapes).
-pub fn e13_report(n_events: usize) -> E13Report {
-    use reweb_core::{ExecMode, InMessage, ShardedEngine};
-
-    const LABELS: usize = 128;
-    let program = crate::sharded_rules(LABELS);
-    let meta = MessageMeta::from_uri("http://client");
-    let msgs: Vec<InMessage> = crate::paired_stream(LABELS, n_events, 17)
-        .into_iter()
-        .map(|(at, payload)| InMessage::new(payload, meta.clone(), at))
-        .collect();
-
-    // Every configuration is measured twice and the faster run kept:
-    // scheduler noise only ever *slows* a run down, so best-of-N
-    // estimates true capacity with far less variance than one sample —
-    // which is what keeps the CI performance floor from flapping.
-    const REPEATS: usize = 2;
-
-    // Baseline: one engine, one receive per message.
-    let mut best_base = f64::MIN;
-    let mut single_fired = 0;
-    for _ in 0..REPEATS {
-        let mut single = ReactiveEngine::new("http://svc");
-        single.install_program(&program).expect("program");
-        let (_, base_secs) = timed(|| {
-            for m in &msgs {
-                single.receive(m.payload.clone(), &m.meta, m.at);
-            }
-        });
-        best_base = best_base.max(n_events as f64 / base_secs / 1_000.0);
-        single_fired = single.metrics.rules_fired;
-    }
-
-    let run_mode = |shards: usize, mode: ExecMode| {
-        let mut best = f64::MIN;
-        let mut fired = 0;
-        let mut hottest = 0.0;
-        for _ in 0..REPEATS {
-            let mut e = ShardedEngine::with_mode("http://svc", shards, mode);
-            e.install_program(&program).expect("program");
-            let (_, secs) = timed(|| e.receive_batch(&msgs));
-            assert!(
-                e.poisoned().is_none(),
-                "E13 workload must not fail: {:?}",
-                e.warnings
-            );
-            best = best.max(n_events as f64 / secs / 1_000.0);
-            fired = e.metrics().rules_fired;
-            hottest = e.hottest_share();
-        }
-        (best, fired, hottest)
-    };
-
-    let rows = [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|shards| {
-            let (serial_rate, reactions_serial, hottest) = run_mode(shards, ExecMode::Serial);
-            let (parallel_rate, reactions_parallel, _) = run_mode(shards, ExecMode::Threads);
-            E13Row {
-                shards,
-                serial_kevents_per_s: serial_rate,
-                parallel_kevents_per_s: parallel_rate,
-                reactions_serial,
-                reactions_parallel,
-                hottest_share: hottest,
-            }
-        })
-        .collect();
-
-    E13Report {
-        events: n_events,
-        labels: LABELS,
-        single_kevents_per_s: best_base,
-        reactions_single: single_fired,
-        rows,
-    }
-}
-
-/// Render an [`E13Report`] as the experiment table.
-pub fn e13_table(r: &E13Report) -> Table {
-    let mut t = Table::new(
-        "E13",
-        "scale-out",
-        format!(
-            "sharded batch ingestion: {} events, {} rule-label groups",
-            r.events, r.labels
-        ),
-        vec![
-            "engine",
-            "shards",
-            "reactions",
-            "kevents_per_s",
-            "speedup",
-            "vs_serial",
-            "hottest_share",
-        ],
-    )
-    .with_note(
-        "Claim: partitioning rules by event-label affinity divides the \
-         per-event work (timer advance, dispatch, partial-match state) by \
-         the shard count while producing identical reactions, and because \
-         shards share no state the thread-per-shard executor (`sharded-mt`) \
-         runs them concurrently — its win over `sharded` tracks the \
-         machine's core count (1.0x on a single-core host), while \
-         `vs_serial` isolates executor overhead from the sharding win \
-         itself. Occupancy stays balanced because label groups spread \
-         round-robin.",
-    );
-    t.row(vec![
-        "single".into(),
-        "-".into(),
-        r.reactions_single.to_string(),
-        f(r.single_kevents_per_s),
-        "1.000".into(),
-        "-".into(),
-        "1.000".into(),
-    ]);
-    for row in &r.rows {
-        t.row(vec![
-            "sharded".into(),
-            row.shards.to_string(),
-            row.reactions_serial.to_string(),
-            f(row.serial_kevents_per_s),
-            f(row.serial_kevents_per_s / r.single_kevents_per_s),
-            "1.000".into(),
-            f(row.hottest_share),
-        ]);
-        t.row(vec![
-            "sharded-mt".into(),
-            row.shards.to_string(),
-            row.reactions_parallel.to_string(),
-            f(row.parallel_kevents_per_s),
-            f(row.parallel_kevents_per_s / r.single_kevents_per_s),
-            f(row.parallel_kevents_per_s / row.serial_kevents_per_s),
-            f(row.hottest_share),
-        ]);
-    }
-    t
-}
-
-/// Machine-readable E14 result: the single-engine hot path — dispatch,
-/// match, and fire with no sharding front-end in the way. Where E13's
-/// floor gates *scaling* (normalized by this same rate), E14 gates the
-/// absolute per-event cost of the engine itself, which is what symbol
-/// interning and the allocation-lean `Bindings` attack.
-#[derive(Clone, Debug)]
-pub struct E14Report {
-    /// Events pushed through `ReactiveEngine::receive`.
-    pub events: usize,
-    /// Independent rule-label groups in the workload.
-    pub labels: usize,
-    /// Single-engine throughput, in 1000 events/s (best-of-N).
-    pub kevents_per_s: f64,
-    /// Rule firings the run produced (must be identical every run).
-    pub reactions: u64,
-    /// Distinct interned symbols after the run — the leak bound.
-    pub symbols: usize,
-}
-
-/// E14 (hot path): single-engine dispatch + match + fire over the same
-/// 100k-event, 128-label-group workload E13 shards — so this number is
-/// directly comparable with E13's `single` row and with pre-interning
-/// baselines.
-pub fn e14_hot_path() -> Table {
-    e14_table(&e14_report(100_000))
-}
-
-/// Measure the E14 workload at `n_events` (100k for the real table).
-pub fn e14_report(n_events: usize) -> E14Report {
-    const LABELS: usize = 128;
-    let program = crate::sharded_rules(LABELS);
-    let meta = MessageMeta::from_uri("http://client");
-    let msgs: Vec<(Timestamp, Term)> = crate::paired_stream(LABELS, n_events, 17);
-
-    // Best-of-N for the same reason as E13: noise only slows runs down.
-    const REPEATS: usize = 3;
-    let mut best = f64::MIN;
-    let mut reactions = 0;
-    for _ in 0..REPEATS {
-        let mut engine = ReactiveEngine::new("http://svc");
-        engine.install_program(&program).expect("program");
-        let (_, secs) = timed(|| {
-            for (at, payload) in &msgs {
-                engine.receive(payload.clone(), &meta, *at);
-            }
-        });
-        best = best.max(n_events as f64 / secs / 1_000.0);
-        reactions = engine.metrics.rules_fired;
-    }
-    E14Report {
-        events: n_events,
-        labels: LABELS,
-        kevents_per_s: best,
-        reactions,
-        symbols: reweb_term::Sym::table_len(),
-    }
-}
-
-/// Render an [`E14Report`] as the experiment table.
-pub fn e14_table(r: &E14Report) -> Table {
-    let mut t = Table::new(
-        "E14",
-        "hot path",
-        format!(
-            "single-engine dispatch + match + fire: {} events, {} rule-label groups",
-            r.events, r.labels
-        ),
-        vec!["engine", "reactions", "kevents_per_s", "interned_symbols"],
-    )
-    .with_note(
-        "Claim: with interned symbols the per-event cost is matching work, \
-         not allocation — label dispatch is an integer-keyed hash lookup, \
-         binding extension copies a small (u32, Arc) vector instead of \
-         cloning a `BTreeMap<String, Term>`, and the interned-symbol count \
-         stays bounded by the vocabulary, not the event count. CI gates \
-         this rate absolutely (25% below the conservatively rounded \
-         committed baseline fails).",
-    );
-    t.row(vec![
-        "single".into(),
-        r.reactions.to_string(),
-        f(r.kevents_per_s),
-        r.symbols.to_string(),
-    ]);
-    t
-}
-
-/// One recovery measurement of E15: how long a fresh process took to
-/// rebuild a durable engine from a log of `events` events.
-#[derive(Clone, Debug)]
-pub struct E15Recovery {
-    /// `cold` (genesis replay, no snapshot) or `snap` (snapshot +
-    /// bounded suffix).
-    pub mode: &'static str,
-    /// Events in the log at the kill point.
-    pub events: usize,
-    /// Log size at the kill point, bytes.
-    pub wal_bytes: u64,
-    /// Wall-clock recovery time, milliseconds.
-    pub millis: f64,
-    /// Replay throughput, in 1000 events/s.
-    pub kevents_per_s: f64,
-}
-
-/// Machine-readable E15 result: durable-mode ingestion throughput (the
-/// E14 hot path behind a write-ahead log with per-batch fsync) and cold
-/// recovery time as a function of log length.
-#[derive(Clone, Debug)]
-pub struct E15Report {
-    /// Events ingested by the throughput run.
-    pub events: usize,
-    /// Independent rule-label groups in the workload.
-    pub labels: usize,
-    /// Messages per `receive_batch` call = per log record = per fsync.
-    pub batch: usize,
-    /// Durable ingestion throughput, in 1000 events/s (best-of-N).
-    pub durable_kevents_per_s: f64,
-    /// Rule firings (must match the in-memory E14 run's count).
-    pub reactions: u64,
-    /// Write-ahead-log size after the run, bytes.
-    pub wal_bytes: u64,
-    /// Recovery measurements at increasing log lengths.
-    pub recoveries: Vec<E15Recovery>,
-}
-
-/// E15 (durability): the E14 workload through a
-/// [`reweb_persist::DurableEngine`] — every batch framed, CRC'd,
-/// appended, and fsynced before processing — plus cold-recovery timings.
-pub fn e15_durability() -> Table {
-    e15_table(&e15_report(100_000))
-}
-
-/// Measure the E15 workload at `n_events` (100k for the real table).
-pub fn e15_report(n_events: usize) -> E15Report {
-    use reweb_core::{InMessage, ReactiveEngine};
-    use reweb_persist::{DurableEngine, DurableOptions, SyncPolicy};
-
-    const LABELS: usize = 128;
-    const BATCH: usize = 1024;
-    let program = crate::sharded_rules(LABELS);
-    let meta = MessageMeta::from_uri("http://client");
-    let msgs: Vec<InMessage> = crate::paired_stream(LABELS, n_events, 17)
-        .into_iter()
-        .map(|(at, payload)| InMessage::new(payload, meta.clone(), at))
-        .collect();
-    let base = std::env::temp_dir().join(format!("reweb-e15-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    let opts = DurableOptions {
-        sync: SyncPolicy::Always,
-        snapshot_every: None,
-    };
-    let feed = |dir: &std::path::Path, upto: usize| -> (f64, u64, u64) {
-        let mut d = DurableEngine::open(dir, opts, || ReactiveEngine::new("http://svc"))
-            .expect("open durable node");
-        d.install_program(&program).expect("program");
-        let (_, secs) = crate::timed(|| {
-            for chunk in msgs[..upto].chunks(BATCH) {
-                d.receive_batch(chunk).expect("durable batch");
-            }
-        });
-        (
-            upto as f64 / secs / 1_000.0,
-            d.engine().metrics.rules_fired,
-            d.wal_len(),
-        )
-    };
-
-    // Durable ingestion throughput, best-of-2 (fresh log each run).
-    const REPEATS: usize = 2;
-    let mut best = f64::MIN;
-    let mut reactions = 0;
-    let mut wal_bytes = 0;
-    for rep in 0..REPEATS {
-        let dir = base.join(format!("throughput-{rep}"));
-        let (rate, fired, bytes) = feed(&dir, n_events);
-        best = best.max(rate);
-        reactions = fired;
-        wal_bytes = bytes;
-    }
-
-    // Cold recovery (genesis replay, no snapshot) vs log length, plus a
-    // snapshot-bounded recovery of the full log: snapshot at 90%, crash
-    // at 100%, so recovery = snapshot restore + 10% suffix.
-    let mut recoveries = Vec::new();
-    for frac in [4usize, 2, 1] {
-        let upto = n_events / frac;
-        let dir = base.join(format!("cold-{frac}"));
-        let (_, _, bytes) = feed(&dir, upto);
-        let (d, secs) = crate::timed(|| {
-            DurableEngine::open(&dir, opts, || ReactiveEngine::new("http://svc"))
-                .expect("cold recovery")
-        });
-        assert!(d.recovery().recovered && !d.recovery().used_snapshot);
-        recoveries.push(E15Recovery {
-            mode: "cold",
-            events: upto,
-            wal_bytes: bytes,
-            millis: secs * 1_000.0,
-            kevents_per_s: upto as f64 / secs / 1_000.0,
-        });
-    }
-    {
-        let dir = base.join("snap");
-        let mut d = DurableEngine::open(&dir, opts, || ReactiveEngine::new("http://svc"))
-            .expect("open durable node");
-        d.install_program(&program).expect("program");
-        let cut = n_events * 9 / 10;
-        for chunk in msgs[..cut].chunks(BATCH) {
-            d.receive_batch(chunk).expect("durable batch");
-        }
-        d.snapshot_now().expect("snapshot");
-        for chunk in msgs[cut..].chunks(BATCH) {
-            d.receive_batch(chunk).expect("durable batch");
-        }
-        let bytes = d.wal_len();
-        drop(d);
-        let (d, secs) = crate::timed(|| {
-            DurableEngine::open(&dir, opts, || ReactiveEngine::new("http://svc"))
-                .expect("snapshot recovery")
-        });
-        assert!(d.recovery().used_snapshot);
-        recoveries.push(E15Recovery {
-            mode: "snap",
-            events: n_events,
-            wal_bytes: bytes,
-            millis: secs * 1_000.0,
-            kevents_per_s: n_events as f64 / secs / 1_000.0,
-        });
-    }
-    let _ = std::fs::remove_dir_all(&base);
-
-    E15Report {
-        events: n_events,
-        labels: LABELS,
-        batch: BATCH,
-        durable_kevents_per_s: best,
-        reactions,
-        wal_bytes,
-        recoveries,
-    }
-}
-
-/// Render an [`E15Report`] as the experiment table.
-pub fn e15_table(r: &E15Report) -> Table {
-    let mut t = Table::new(
-        "E15",
-        "durability",
-        format!(
-            "durable engine: {} events, {}-message batches, fsync per batch",
-            r.events, r.batch
-        ),
-        vec!["config", "events", "wal_mb", "recovery_ms", "kevents_per_s"],
-    )
-    .with_note(
-        "Claim: write-ahead logging costs little when batched — one framed \
-         record and one fsync per ingestion batch amortize to microseconds \
-         per event, so the `durable` rate stays within the CI-gated floor \
-         of the in-memory E14 hot path — and recovery is replay-shaped: \
-         cold (genesis) recovery time grows linearly with the log, while a \
-         snapshot bounds it to the suffix after the snapshot offset \
-         (rules + stores restore directly; only composite-event state \
-         within the retention horizon is re-derived). Reactions equal the \
-         in-memory run's count: durability never changes semantics.",
-    );
-    t.row(vec![
-        "durable".into(),
-        r.events.to_string(),
-        format!("{:.1}", r.wal_bytes as f64 / 1_048_576.0),
-        "-".into(),
-        f(r.durable_kevents_per_s),
-    ]);
-    for rec in &r.recoveries {
-        t.row(vec![
-            format!("recovery-{}", rec.mode),
-            rec.events.to_string(),
-            format!("{:.1}", rec.wal_bytes as f64 / 1_048_576.0),
-            format!("{:.0}", rec.millis),
-            f(rec.kevents_per_s),
-        ]);
-    }
-    t
-}
-
-/// One measured E16 configuration: dispatch cost at one installed-rule
-/// count.
-#[derive(Clone, Debug)]
-pub struct E16Row {
-    /// Installed rules.
-    pub rules: usize,
-    /// Time to compile and install all rules (incremental network
-    /// extension included), milliseconds.
-    pub install_ms: f64,
-    /// Throughput, in 1000 events/s (best-of-N).
-    pub kevents_per_s: f64,
-    /// Rule firings (one per event: every event matches exactly one rule).
-    pub reactions: u64,
-    /// Alpha tests + dispatch probes per event — the flat-cost witness:
-    /// tracks event shape, not rule count.
-    pub alpha_tests_per_event: f64,
-    /// Nodes in the candidate index after install.
-    pub network_nodes: usize,
-}
-
-/// Machine-readable E16 result: rule-count scaling of the compiled
-/// discrimination network, with interpreted-dispatch contrast rows.
-#[derive(Clone, Debug)]
-pub struct E16Report {
-    /// Events pushed per configuration.
-    pub events: usize,
-    /// Compiled-network rows, one per rule count (ascending).
-    pub rows: Vec<E16Row>,
-    /// Interpreted-dispatch contrast rows (smaller rule counts and a
-    /// shorter stream — per-candidate interpretation makes the full
-    /// sweep infeasible, which is the point).
-    pub interpreted: Vec<E16Row>,
-    /// Events per interpreted contrast run.
-    pub interpreted_events: usize,
-}
-
-/// E16 (rules scaling): per-event dispatch cost of the shared alpha
-/// network as the rule base grows 10² → 10⁵, vs interpreted dispatch.
-pub fn e16_rules_scaling() -> Table {
-    e16_table(&e16_report(100_000))
-}
-
-/// Measure the E16 workload at `n_events` per configuration (100k for
-/// the real table) over the full 10²→10⁵ sweep.
-pub fn e16_report(n_events: usize) -> E16Report {
-    e16_report_with(n_events, &[100, 1_000, 10_000, 100_000])
-}
-
-/// Build the E16 rule base: rule `i` fires on `order` events whose
-/// `@route` attribute equals `"r{i}"` — every rule shares the label and
-/// child-shape tests, so the network's per-event work is one attribute
-/// probe plus a handful of shared shape tests at *any* rule count.
-fn e16_rule(i: usize) -> reweb_core::EcaRule {
-    let on = parse_event_query(&format!("order{{{{@route=\"r{i}\", n[[var N]]}}}}"))
-        .expect("E16 trigger parses");
-    reweb_core::EcaRule::on_do(format!("r{i}"), on, Action::Noop)
-}
-
-/// Measure E16 at the given rule counts (the shape test uses small ones).
-pub fn e16_report_with(n_events: usize, rule_counts: &[usize]) -> E16Report {
-    use reweb_core::MatchMode;
-
-    let meta = MessageMeta::from_uri("http://client");
-    const REPEATS: usize = 2;
-
-    let run = |n_rules: usize, n_events: usize, mode: MatchMode| -> E16Row {
-        // Pre-parse the stream so the timed region is dispatch + match +
-        // fire only. Every event matches exactly one rule.
-        let msgs: Vec<Term> = (0..n_events)
-            .map(|i| {
-                parse_term(&format!("order{{@route=\"r{}\", n[\"{i}\"]}}", i % n_rules))
-                    .expect("E16 event parses")
-            })
-            .collect();
-        let mut best = f64::MIN;
-        let mut picked: Option<E16Row> = None;
-        for _ in 0..REPEATS {
-            let mut e = ReactiveEngine::new("http://svc");
-            e.set_match_mode(mode);
-            let (_, install_secs) = timed(|| {
-                for i in 0..n_rules {
-                    e.add_rule(e16_rule(i));
-                }
-            });
-            let (_, secs) = timed(|| {
-                for (i, p) in msgs.iter().enumerate() {
-                    e.receive(p.clone(), &meta, Timestamp(i as u64));
-                }
-            });
-            let rate = n_events as f64 / secs / 1_000.0;
-            if rate > best {
-                best = rate;
-                picked = Some(E16Row {
-                    rules: n_rules,
-                    install_ms: install_secs * 1e3,
-                    kevents_per_s: rate,
-                    reactions: e.metrics.rules_fired,
-                    alpha_tests_per_event: e.metrics.alpha_tests_run as f64 / n_events as f64,
-                    network_nodes: e.index_node_count(),
-                });
-            }
-        }
-        picked.expect("at least one repeat ran")
-    };
-
-    let rows = rule_counts
-        .iter()
-        .map(|&n| run(n, n_events, MatchMode::Compiled))
-        .collect();
-    // Interpreted contrast: per-candidate interpretation costs
-    // O(rules) per event, so measure it only at the two smallest counts
-    // over a shorter stream (rates are per-event, so they compare).
-    let interpreted_events = (n_events / 10).max(1);
-    let interpreted = rule_counts
-        .iter()
-        .take(2)
-        .map(|&n| run(n, interpreted_events, MatchMode::Interpreted))
-        .collect();
-
-    E16Report {
-        events: n_events,
-        rows,
-        interpreted,
-        interpreted_events,
-    }
-}
-
-/// Render an [`E16Report`] as the experiment table.
-pub fn e16_table(r: &E16Report) -> Table {
-    let mut t = Table::new(
-        "E16",
-        "rules scaling",
-        format!(
-            "compiled rule matcher: {} events per configuration, rules 10² → 10⁵",
-            r.events
-        ),
-        vec![
-            "dispatch",
-            "rules",
-            "install_ms",
-            "reactions",
-            "kevents_per_s",
-            "alpha_tests_per_event",
-            "network_nodes",
-        ],
-    )
-    .with_note(
-        "Claim: compiling all rules into one shared discrimination network \
-         makes per-event dispatch cost a function of the event's shape, not \
-         the rule count — throughput and alpha tests per event stay flat \
-         from 100 to 100,000 installed rules (CI gates 100k-rule throughput \
-         absolutely and requires it at ≥0.3x the 100-rule rate), while \
-         interpreted dispatch walks every same-label candidate and falls \
-         off linearly. Install extends the network incrementally; no \
-         rebuild, so install time stays linear in rules.",
-    );
-    for row in &r.rows {
-        t.row(vec![
-            "compiled".into(),
-            row.rules.to_string(),
-            f(row.install_ms),
-            row.reactions.to_string(),
-            f(row.kevents_per_s),
-            f(row.alpha_tests_per_event),
-            row.network_nodes.to_string(),
-        ]);
-    }
-    for row in &r.interpreted {
-        t.row(vec![
-            format!("interpreted ({} events)", r.interpreted_events),
-            row.rules.to_string(),
-            f(row.install_ms),
-            row.reactions.to_string(),
-            f(row.kevents_per_s),
-            f(row.alpha_tests_per_event),
-            row.network_nodes.to_string(),
-        ]);
-    }
-    t
-}
-
-/// The `engine` id a rule count gets in [`bench_json`] (`rules-100`,
-/// `rules-1k`, `rules-10k`, `rules-100k`).
-pub fn e16_engine_id(rules: usize) -> String {
-    match rules {
-        1_000 => "rules-1k".into(),
-        10_000 => "rules-10k".into(),
-        100_000 => "rules-100k".into(),
-        n => format!("rules-{n}"),
-    }
-}
-
-/// One measured E17 configuration: a composite-rule (And/Seq) workload
-/// through one join mode.
-#[derive(Clone, Debug)]
-pub struct E17Row {
-    /// Installed composite rules (alternating `and`/`seq` triggers).
-    pub rules: usize,
-    /// Events driven through this configuration.
-    pub events: usize,
-    /// `"indexed"` or `"scan"`.
-    pub mode: &'static str,
-    /// Rule-install wall time.
-    pub install_ms: f64,
-    /// Throughput, in 1000 events/s.
-    pub kevents_per_s: f64,
-    /// Composite answers fired (identical across modes — the
-    /// equivalence `join_equivalence.rs` pins, re-checked here).
-    pub answers: u64,
-    /// Beta-index bucket lookups per event (zero in scan mode).
-    pub probes_per_event: f64,
-    /// Join candidates examined per event — the occupancy contrast:
-    /// flat for indexed, linear in stored answers for scan.
-    pub attempts_per_event: f64,
-    /// Retained partial-match answers at the end of the run.
-    pub state_size: usize,
-}
-
-/// Machine-readable E17 result — the table, the `--bench-json` payload,
-/// and the CI performance floor all read from this one struct.
-#[derive(Clone, Debug)]
-pub struct E17Report {
-    /// Events per rules-axis configuration.
-    pub events: usize,
-    /// Part A: rule-count axis 10² → 10⁴, indexed mode (the product
-    /// configuration; `composite-10k` is the CI floor row).
-    pub rules_axis: Vec<E17Row>,
-    /// Scan contrast at the two smallest rule counts over a shorter
-    /// stream (rates are per-event, so they compare).
-    pub scan_contrast: Vec<E17Row>,
-    /// Events per scan-contrast configuration.
-    pub contrast_events: usize,
-    /// Part B: occupancy axis at a fixed small rule count — wide windows
-    /// and a growing stream, (indexed, scan) measured pairwise on the
-    /// same workload. The last pair carries the ≥2x same-run gate.
-    pub occupancy: Vec<(E17Row, E17Row)>,
-}
-
-/// E17 (indexed joins): many-rule composite workloads through the beta
-/// network — And/Seq at 10² → 10⁴ rules, plus the occupancy axis where
-/// scan joins degrade linearly and indexed joins stay flat.
-pub fn e17_indexed_joins() -> Table {
-    e17_table(&e17_report(100_000))
-}
-
-/// Measure the E17 workload at `n_events` per rules-axis configuration
-/// (100k for the real table).
-pub fn e17_report(n_events: usize) -> E17Report {
-    e17_report_with(
-        n_events,
-        &[100, 1_000, 10_000],
-        &[8_000, 16_000, 32_000, 64_000],
-    )
-}
-
-/// Build E17 rule `i`: a two-way join on `@route`-disjoint composite
-/// triggers — `and` for even `i`, `seq` for odd — sharing `var K` so the
-/// join key analysis has something to index, under a window far wider
-/// than the stream (maximal occupancy: nothing GCs during a run).
-fn e17_rule(i: usize) -> reweb_core::EcaRule {
-    let op = if i % 2 == 0 { "and" } else { "seq" };
-    let on = parse_event_query(&format!(
-        "{op}(pa{{{{@route=\"r{i}\", id[[var K]]}}}}, pb{{{{@route=\"r{i}\", id[[var K]]}}}}) \
-         within 10h"
-    ))
-    .expect("E17 trigger parses");
-    reweb_core::EcaRule::on_do(format!("c{i}"), on, Action::Noop)
-}
-
-/// Measure E17 at the given rule counts and occupancy stream lengths.
-pub fn e17_report_with(n_events: usize, rule_counts: &[usize], occupancy: &[usize]) -> E17Report {
-    use reweb_core::JoinMode;
-
-    let meta = MessageMeta::from_uri("http://client");
-    const REPEATS: usize = 2;
-
-    // Event `2j` is `pa`, event `2j+1` the matching `pb`: pair `j` routes
-    // to rule `j % n_rules` and joins exactly once on `id`. The alpha
-    // network dispatches each event to its one rule; everything measured
-    // past that point is join work.
-    let run = |n_rules: usize, n_events: usize, mode: JoinMode| -> E17Row {
-        let msgs: Vec<Term> = (0..n_events)
-            .map(|j| {
-                let pair = j / 2;
-                let label = if j % 2 == 0 { "pa" } else { "pb" };
-                parse_term(&format!(
-                    "{label}{{@route=\"r{}\", id[\"{pair}\"]}}",
-                    pair % n_rules
-                ))
-                .expect("E17 event parses")
-            })
-            .collect();
-        let mut best = f64::MIN;
-        let mut picked: Option<E17Row> = None;
-        for _ in 0..REPEATS {
-            let mut e = ReactiveEngine::new("http://svc");
-            e.set_join_mode(mode);
-            let (_, install_secs) = timed(|| {
-                for i in 0..n_rules {
-                    e.add_rule(e17_rule(i));
-                }
-            });
-            let (_, secs) = timed(|| {
-                for (i, p) in msgs.iter().enumerate() {
-                    e.receive(p.clone(), &meta, Timestamp(i as u64));
-                }
-            });
-            let rate = n_events as f64 / secs / 1_000.0;
-            if rate > best {
-                best = rate;
-                picked = Some(E17Row {
-                    rules: n_rules,
-                    events: n_events,
-                    mode: match mode {
-                        JoinMode::Indexed => "indexed",
-                        JoinMode::Scan => "scan",
-                    },
-                    install_ms: install_secs * 1e3,
-                    kevents_per_s: rate,
-                    answers: e.metrics.rules_fired,
-                    probes_per_event: e.metrics.index_probes as f64 / n_events as f64,
-                    attempts_per_event: e.metrics.join_attempts as f64 / n_events as f64,
-                    state_size: e.state_size(),
-                });
-            }
-        }
-        picked.expect("at least one repeat ran")
-    };
-
-    let rules_axis: Vec<E17Row> = rule_counts
-        .iter()
-        .map(|&n| run(n, n_events, JoinMode::Indexed))
-        .collect();
-    // Scan contrast: per-delta cost is O(stored siblings), so measure it
-    // only at the two smallest rule counts over a shorter stream.
-    let contrast_events = (n_events / 10).max(2);
-    let scan_contrast: Vec<E17Row> = rule_counts
-        .iter()
-        .take(2)
-        .map(|&n| run(n, contrast_events, JoinMode::Scan))
-        .collect();
-    // Part B: fix the rule count low so per-rule occupancy grows with
-    // the stream, and measure both modes on the same workloads.
-    let occupancy = occupancy
-        .iter()
-        .map(|&n| {
-            let ix = run(64, n, JoinMode::Indexed);
-            let sc = run(64, n, JoinMode::Scan);
-            assert_eq!(
-                ix.answers, sc.answers,
-                "join modes disagreed on E17 answers at {n} events"
-            );
-            (ix, sc)
-        })
-        .collect();
-
-    E17Report {
-        events: n_events,
-        rules_axis,
-        scan_contrast,
-        contrast_events,
-        occupancy,
-    }
-}
-
-/// Render an [`E17Report`] as the experiment table.
-pub fn e17_table(r: &E17Report) -> Table {
-    let mut t = Table::new(
-        "E17",
-        "indexed joins",
-        format!(
-            "beta-network joins: composite and/seq rules, {} events per \
-             rules-axis configuration; occupancy axis at 64 rules",
-            r.events
-        ),
-        vec![
-            "join",
-            "rules",
-            "events",
-            "install_ms",
-            "answers",
-            "kevents_per_s",
-            "probes_per_event",
-            "attempts_per_event",
-            "state_size",
-        ],
-    )
-    .with_note(
-        "Claim: hashing stored partial matches on their shared certain \
-         variables makes per-event join cost a function of the *matching* \
-         candidates, not the store occupancy — probes and attempts per \
-         event stay flat as windows hold more state, while the scan join \
-         examines every stored sibling and degrades linearly (CI gates \
-         composite-10k throughput absolutely and requires indexed at \
-         ≥2x scan on the largest occupancy workload, same run).",
-    );
-    let mut push = |row: &E17Row| {
-        t.row(vec![
-            row.mode.into(),
-            row.rules.to_string(),
-            row.events.to_string(),
-            f(row.install_ms),
-            row.answers.to_string(),
-            f(row.kevents_per_s),
-            f(row.probes_per_event),
-            f(row.attempts_per_event),
-            row.state_size.to_string(),
-        ]);
-    };
-    for row in &r.rules_axis {
-        push(row);
-    }
-    for row in &r.scan_contrast {
-        push(row);
-    }
-    for (ix, sc) in &r.occupancy {
-        push(ix);
-        push(sc);
-    }
-    t
-}
-
-/// The `engine` id a rules-axis row gets in [`bench_json`]
-/// (`composite-100`, `composite-1k`, `composite-10k`).
-pub fn e17_engine_id(rules: usize) -> String {
-    match rules {
-        1_000 => "composite-1k".into(),
-        10_000 => "composite-10k".into(),
-        n => format!("composite-{n}"),
-    }
-}
-
-/// One rung of the E18 loopback offered-load ramp.
-#[derive(Debug, Clone)]
-pub struct E18Row {
-    /// Concurrent TCP clients offering load.
-    pub clients: usize,
-    /// Events offered over the wire (sum across clients).
-    pub offered: usize,
-    /// Events the engine actually ingested (offered minus `busy`
-    /// rejections).
-    pub processed: u64,
-    /// Sustained end-to-end rate: processed events / wall seconds, in
-    /// 1000 events/s.
-    pub kevents_per_s: f64,
-    /// `busy` backpressure replies (global queue full at admission).
-    pub busy_replies: u64,
-    /// Reaction replies dropped on slow readers (should be 0 here: the
-    /// clients flush every [`E18_SYNC_WINDOW`] events).
-    pub replies_dropped: u64,
-    /// Highest ingress queue depth the rung observed.
-    pub queue_highwater: u64,
-    /// Median engine batch-ingest latency, microseconds (from the
-    /// rung's observability histogram; the ramp runs with obs on).
-    pub batch_p50_us: f64,
-    /// 99th-percentile engine batch-ingest latency, microseconds.
-    pub batch_p99_us: f64,
-}
-
-/// Render a log-bucketed nanosecond quantile as microseconds. The
-/// histogram answers bucket ceilings, so this is an upper bound — fine
-/// for a latency column whose job is catching order-of-magnitude moves.
-fn ns_to_us(ns: u64) -> f64 {
-    ns as f64 / 1_000.0
-}
-
-/// The E18 measurements: a TCP loopback offered-load ramp.
-#[derive(Debug, Clone)]
-pub struct E18Report {
-    /// Events offered per rung.
-    pub events: usize,
-    /// One row per client count, in ramp order.
-    pub rows: Vec<E18Row>,
-    /// Best sustained loopback rate across the ramp — the number the
-    /// `net-loopback` floor gates.
-    pub loopback_kevents_per_s: f64,
-}
-
-/// How many events an E18 client sends between `sync` round-trips. A
-/// pipelined-but-bounded reader: deep enough to keep the wire busy,
-/// shallow enough that reply buffers never overflow (reply drops would
-/// make the measured rate depend on drop accounting, not throughput).
-pub const E18_SYNC_WINDOW: usize = 512;
-
-/// E18 (ingress tier): the TCP listener + backpressured router in front
-/// of a single `ReactiveEngine`, measured end-to-end over loopback at a
-/// ramp of concurrent clients.
-pub fn e18_net_loopback() -> Table {
-    e18_table(&e18_report(100_000))
-}
-
-/// Measure the E18 ramp at `n_events` offered per rung (100k for the
-/// real table) over 1/2/4/8 clients.
-pub fn e18_report(n_events: usize) -> E18Report {
-    e18_report_with(n_events, &[1, 2, 4, 8])
-}
-
-/// The E18 rule program: one echo rule over a 16-label event cycle, so
-/// 1 in 16 events produces a reaction and the reply path stays
-/// exercised while ingress — framing, parsing, batching, admission —
-/// dominates the measurement. A join-heavy program here would measure
-/// the engine again (that is E14/E17's job), hiding wire regressions.
-const E18_PROGRAM: &str =
-    r#"RULE echo ON e0{{n[[var N]]}} DO SEND seen{n[var N]} TO "http://sink/0" END"#;
-
-/// Measure the loopback ramp at the given client counts.
-///
-/// Each rung binds a fresh ephemeral-port [`reweb_net::NetServer`]
-/// around a [`ReactiveEngine`] running a one-rule echo program (see
-/// `E18_PROGRAM`), then has every client
-/// blast its share of the `n_events` stream (`e{j%16}{n["j"]}` with
-/// monotone per-client timestamps) as fast as the wire accepts,
-/// flushing with `sync` every [`E18_SYNC_WINDOW`] events. The sustained
-/// rate counts *processed* events over the wall time of the whole rung
-/// — `busy` rejections are offered load the admission control shed, and
-/// the row reports them next to the rate.
-pub fn e18_report_with(n_events: usize, client_counts: &[usize]) -> E18Report {
-    use reweb_net::{NetClient, NetConfig, NetServer};
-
-    let rows: Vec<E18Row> = client_counts
-        .iter()
-        .map(|&clients| {
-            let server = NetServer::bind(
-                "127.0.0.1:0",
-                ReactiveEngine::new("http://svc"),
-                NetConfig::default(),
-            )
-            .expect("E18 server binds on loopback");
-            server.with_engine(|e| e.install_source(E18_PROGRAM).expect("E18 program installs"));
-            // The ramp runs with observability on: the latency columns
-            // come from the same run as the rate, and the <5% enabled
-            // overhead (E19 gates it) is far inside the rate floor.
-            server.obs().enable();
-            let addr = server.local_addr();
-            let per_client = n_events / clients;
-            let offered = per_client * clients;
-            let (_, secs) = timed(|| {
-                std::thread::scope(|s| {
-                    for c in 0..clients {
-                        s.spawn(move || {
-                            let mut client = NetClient::connect(addr, format!("http://load/{c}"))
-                                .expect("E18 client connects");
-                            for j in 0..per_client {
-                                let g = c * per_client + j; // globally unique payload id
-                                let payload = parse_term(&format!("e{}{{n[\"{g}\"]}}", g % 16))
-                                    .expect("E18 event parses");
-                                client
-                                    .send_event(payload, Some(Timestamp(g as u64)))
-                                    .expect("E18 send");
-                                if (j + 1) % E18_SYNC_WINDOW == 0 {
-                                    client.sync().expect("E18 windowed sync");
-                                }
-                            }
-                            client.sync().expect("E18 final sync");
-                            let _ = client.bye();
-                        });
-                    }
-                });
-            });
-            let stats = server.stats();
-            assert_eq!(
-                stats.msgs_enqueued + stats.busy_replies,
-                offered as u64,
-                "E18 accounting: every offered event is admitted or refused"
-            );
-            let batch = server.obs().batch.snapshot();
-            E18Row {
-                clients,
-                offered,
-                processed: stats.msgs_processed,
-                kevents_per_s: stats.msgs_processed as f64 / secs / 1_000.0,
-                busy_replies: stats.busy_replies,
-                replies_dropped: stats.replies_dropped,
-                queue_highwater: stats.queue_highwater,
-                batch_p50_us: ns_to_us(batch.p50()),
-                batch_p99_us: ns_to_us(batch.p99()),
-            }
-        })
-        .collect();
-
-    let best = rows
-        .iter()
-        .map(|r| r.kevents_per_s)
-        .fold(f64::MIN, f64::max);
-    E18Report {
-        events: n_events,
-        rows,
-        loopback_kevents_per_s: best,
-    }
-}
-
-/// Render an [`E18Report`] as the experiment table.
-pub fn e18_table(r: &E18Report) -> Table {
-    let mut t = Table::new(
-        "E18",
-        "ingress tier",
-        format!(
-            "TCP loopback offered-load ramp: {} events per rung, \
-             sync every {} events",
-            r.events, E18_SYNC_WINDOW
-        ),
-        vec![
-            "clients",
-            "offered",
-            "processed",
-            "kevents_per_s",
-            "busy",
-            "replies_dropped",
-            "queue_highwater",
-            "batch_p50_us",
-            "batch_p99_us",
-        ],
-    )
-    .with_note(
-        "Claim: the ingress tier degrades by shedding load at admission \
-         (`busy` replies), never by stalling the engine or dropping \
-         flow-control replies — sustained throughput holds as offered \
-         load climbs, and processed + busy always equals offered (CI \
-         gates the best sustained rate absolutely as `net-loopback`).",
-    );
-    for row in &r.rows {
-        t.row(vec![
-            row.clients.to_string(),
-            row.offered.to_string(),
-            row.processed.to_string(),
-            f(row.kevents_per_s),
-            row.busy_replies.to_string(),
-            row.replies_dropped.to_string(),
-            row.queue_highwater.to_string(),
-            format!("{:.1}", row.batch_p50_us),
-            format!("{:.1}", row.batch_p99_us),
-        ]);
-    }
-    t
-}
-
-/// The E18 delivery-under-fault measurements: the outbound delivery
-/// agent pushing reactions end-to-end while the receiver crashes and
-/// recovers (DESIGN.md §1g).
-#[derive(Debug, Clone)]
-pub struct E18DeliveryReport {
-    /// Reactions offered while the receiver was up.
-    pub live_events: usize,
-    /// Reactions offered while the receiver was down (all of them must
-    /// dead-letter — the budget is exhausted against a dead port).
-    pub faulted_events: usize,
-    /// Reactions delivered and acked in the live phase.
-    pub delivered_live: u64,
-    /// Reactions that exhausted the retry budget while the receiver was
-    /// down. Must equal `faulted_events`: nothing is silently dropped.
-    pub dead_lettered: u64,
-    /// Dead letters re-queued (and then delivered) after recovery.
-    pub redelivered: u64,
-    /// Sustained live push rate in 1000 events/s: journaled outbox
-    /// append + fsync, framed wire push, receiver-side ledger fsync, and
-    /// ack — per reaction. The number the `net-delivery` floor gates.
-    pub kevents_per_s: f64,
-    /// Wall-clock milliseconds from the receiver's restart until its
-    /// ingested ledger accounts for every offered reaction (restart +
-    /// route update + `redeliver` + the full dead-letter drain).
-    pub recovery_ms: f64,
-    /// Median delivery round-trip (outbox append → ack), microseconds,
-    /// over every acked push of the run.
-    pub delivery_p50_us: f64,
-    /// 99th-percentile delivery round-trip, microseconds.
-    pub delivery_p99_us: f64,
-}
-
-/// Measure the delivery agent under a receiver kill/recover cycle.
-///
-/// Three phases: (1) `live_events` reactions push end-to-end while the
-/// receiver is up — the sustained rate; (2) the receiver is killed and
-/// `faulted_events` more are offered, every one retried to budget
-/// exhaustion and dead-lettered; (3) the receiver restarts from its
-/// journaled ledger, `redeliver` re-queues the dead letters under their
-/// original keys, and the clock stops when the receiver's ledger
-/// accounts for every reaction offered — the recovery time.
-pub fn e18_delivery_report(live_events: usize, faulted_events: usize) -> E18DeliveryReport {
-    use reweb_net::{BackoffPolicy, DeliveryAgent, DeliveryConfig, NetConfig, NetServer};
-    use std::time::Duration;
-
-    let dir = std::env::temp_dir().join(format!("reweb-e18-delivery-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("E18 delivery scratch dir");
-    let ledger = dir.join("ledger.log");
-    let bind = |ledger: &std::path::Path| {
-        NetServer::bind(
-            "127.0.0.1:0",
-            ReactiveEngine::new("http://b/"),
-            NetConfig {
-                delivery_journal: Some(ledger.to_path_buf()),
-                ..NetConfig::default()
-            },
-        )
-        .expect("E18 delivery receiver binds")
-    };
-    let receiver = bind(&ledger);
-    let mut agent = DeliveryAgent::new(DeliveryConfig {
-        from: "http://a/".into(),
-        // Tight ladder: the bench measures the machinery, not the waits.
-        backoff: BackoffPolicy {
-            base_ms: 1,
-            max_ms: 2,
-            jitter_ms: 0,
-        },
-        retry_budget: 2,
-        connect_timeout: Duration::from_millis(300),
-        io_timeout: Duration::from_millis(1_000),
-        outbox: Some(dir.join("outbox.log")),
-        dead_letter: Some(dir.join("dead.log")),
-    })
-    .expect("E18 delivery agent");
-    agent.add_route("http://b/", receiver.local_addr());
-    // Round-trip quantiles come from the agent's own observability
-    // handle — same run as the rate, like the E18 batch columns.
-    let obs = reweb_obs::Obs::enabled();
-    agent.handle().set_obs(std::sync::Arc::clone(&obs));
-
-    let payload_at = |i: usize| {
-        (
-            parse_term(&format!("r{}{{n[\"{i}\"]}}", i % 16)).expect("E18 delivery payload"),
-            Timestamp(i as u64),
-        )
-    };
-
-    // Phase 1: receiver up — the sustained end-to-end push rate.
-    let (_, secs) = timed(|| {
-        for i in 0..live_events {
-            let (p, at) = payload_at(i);
-            assert!(agent.enqueue("http://b/push", at, &p), "route exists");
-        }
-        assert!(agent.flush(Duration::from_secs(300)), "E18 live flush");
-    });
-    let delivered_live = agent.stats().delivered;
-    assert_eq!(
-        delivered_live, live_events as u64,
-        "E18 delivery accounting: every live reaction delivered"
-    );
-
-    // Phase 2: kill the receiver; everything offered now must exhaust
-    // its budget and dead-letter — never silently drop.
-    let mut down = receiver;
-    down.shutdown();
-    drop(down);
-    for i in live_events..live_events + faulted_events {
-        let (p, at) = payload_at(i);
-        assert!(agent.enqueue("http://b/push", at, &p), "route exists");
-    }
-    assert!(agent.flush(Duration::from_secs(300)), "E18 faulted flush");
-    let dead_lettered = agent.stats().dead_lettered;
-    assert_eq!(
-        dead_lettered, faulted_events as u64,
-        "E18 delivery accounting: dead letters equal the undeliverable remainder"
-    );
-
-    // Phase 3: restart from the journaled ledger, redeliver, and stop
-    // the clock when the receiver accounts for everything.
-    let want = live_events + faulted_events;
-    let (_, rec_secs) = timed(|| {
-        let receiver = bind(&ledger);
-        agent.add_route("http://b/", receiver.local_addr());
-        agent.redeliver().expect("E18 redeliver");
-        assert!(agent.flush(Duration::from_secs(300)), "E18 recovery flush");
-        for _ in 0..10_000 {
-            if receiver.delivered().len() == want {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(
-            receiver.delivered().len(),
-            want,
-            "E18 at-least-once: the recovered ledger accounts for every reaction"
-        );
-    });
-    let redelivered = agent.stats().redelivered;
-    agent.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-    let rtt = obs.delivery.snapshot();
-    E18DeliveryReport {
-        live_events,
-        faulted_events,
-        delivered_live,
-        dead_lettered,
-        redelivered,
-        kevents_per_s: delivered_live as f64 / secs / 1_000.0,
-        recovery_ms: rec_secs * 1_000.0,
-        delivery_p50_us: ns_to_us(rtt.p50()),
-        delivery_p99_us: ns_to_us(rtt.p99()),
-    }
-}
-
-/// Render an [`E18DeliveryReport`] as the experiment table.
-pub fn e18_delivery_table(r: &E18DeliveryReport) -> Table {
-    let mut t = Table::new(
-        "E18b",
-        "outbound delivery under fault",
-        format!(
-            "{} reactions pushed live, {} offered into a crashed receiver, \
-             then recovery + redelivery",
-            r.live_events, r.faulted_events
-        ),
-        vec![
-            "offered",
-            "delivered_live",
-            "dead_lettered",
-            "redelivered",
-            "kevents_per_s",
-            "recovery_ms",
-            "rtt_p50_us",
-            "rtt_p99_us",
-        ],
-    )
-    .with_note(
-        "Claim: the delivery agent degrades gracefully — reactions to a \
-         dead destination retry on the backoff ladder, dead-letter when \
-         the budget is spent (delivered + dead-lettered always equals \
-         offered; nothing is silently dropped), and `redeliver` after \
-         recovery completes the receiver's ingested ledger exactly \
-         (at-least-once, deduplicated by key on the receiver). CI gates \
-         the live push rate absolutely as `net-delivery`; recovery_ms \
-         is informational.",
-    );
-    t.row(vec![
-        (r.live_events + r.faulted_events).to_string(),
-        r.delivered_live.to_string(),
-        r.dead_lettered.to_string(),
-        r.redelivered.to_string(),
-        f(r.kevents_per_s),
-        format!("{:.1}", r.recovery_ms),
-        format!("{:.1}", r.delivery_p50_us),
-        format!("{:.1}", r.delivery_p99_us),
-    ]);
-    t
-}
-
-/// E18b (delivery agent): the outbound push loop under a receiver
-/// kill/recover cycle, sized for the committed table.
-pub fn e18b_delivery_under_fault() -> Table {
-    e18_delivery_table(&e18_delivery_report(2_000, 200))
-}
-
-/// Machine-readable E19 result: what observability costs, measured on
-/// the E14 hot-path workload (same program, same stream) in three
-/// configurations.
-#[derive(Clone, Debug)]
-pub struct E19Report {
-    /// Events per run.
-    pub events: usize,
-    /// The engine's own default handle, untouched — byte-for-byte the
-    /// E14 loop. The same-run overhead gate divides `off` by this, so
-    /// machine drift between experiments cancels exactly.
-    pub baseline_kevents_per_s: f64,
-    /// Handle installed but disabled — the production default. This is
-    /// the rate the `obs-off` floor and the same-run <5% overhead gate
-    /// protect: the disabled path must stay one relaxed atomic load.
-    pub off_kevents_per_s: f64,
-    /// Tracing + histograms + flight recorder on, default capacity.
-    pub on_kevents_per_s: f64,
-    /// Recorder saturated: a tiny ring every span wraps, so the run
-    /// measures steady-state overwrite, not append into empty slots.
-    pub full_kevents_per_s: f64,
-    /// Spans the enabled (default-capacity) run recorded.
-    pub spans_recorded: u64,
-    /// The gate statistic: max over rounds of the off-rate divided by
-    /// the *same round's* baseline rate (the two passes run back to
-    /// back, ~seconds apart). A genuine probe-site tax slows `off` in
-    /// every round, so the max still catches it; transient noise in a
-    /// single round does not fail the build.
-    pub off_vs_baseline: f64,
-}
-
-/// Measure the E19 overhead quartet at `n_events` (100k for the real
-/// table). One discarded warmup pass, then best-of-5 per configuration
-/// with the rounds interleaved — every round measures baseline, off,
-/// on, and full back to back, so slow machine drift (thermal
-/// throttling, noisy neighbors between the first and last experiment
-/// of a CI run) hits all four equally and the overhead ratios stay
-/// honest.
-pub fn e19_report(n_events: usize) -> E19Report {
-    use std::sync::Arc;
-
-    const LABELS: usize = 128;
-    let program = crate::sharded_rules(LABELS);
-    let meta = MessageMeta::from_uri("http://client");
-    let msgs: Vec<(Timestamp, Term)> = crate::paired_stream(LABELS, n_events, 17);
-
-    // One timed pass; `None` leaves the engine's default disabled
-    // handle in place — exactly the E14 loop.
-    let run_once = |obs: Option<&Arc<reweb_obs::Obs>>| -> f64 {
-        let mut engine = ReactiveEngine::new("http://svc");
-        engine.install_program(&program).expect("program");
-        if let Some(o) = obs {
-            engine.set_obs(Arc::clone(o));
-        }
-        let (_, secs) = timed(|| {
-            for (at, payload) in &msgs {
-                engine.receive(payload.clone(), &meta, *at);
-            }
-        });
-        n_events as f64 / secs / 1_000.0
-    };
-
-    // A discarded warmup pass: the first timed loop of a fresh process
-    // pays lazy page mapping for the stream and cold caches, and it
-    // must not be charged to whichever configuration happens to run
-    // first (the baseline, which the overhead gate divides by).
-    run_once(None);
-
-    const REPEATS: usize = 5;
-    let mut best = [f64::MIN; 4];
-    let mut off_vs_baseline = f64::MIN;
-    let mut spans_recorded = 0;
-    for _ in 0..REPEATS {
-        let off = Arc::new(reweb_obs::Obs::new());
-        let on = reweb_obs::Obs::enabled();
-        let full = {
-            let o = reweb_obs::Obs::with_capacity(64);
-            o.enable();
-            Arc::new(o)
-        };
-        let mut round = [0.0f64; 4];
-        for (slot, obs) in [None, Some(&off), Some(&on), Some(&full)]
-            .into_iter()
-            .enumerate()
-        {
-            round[slot] = run_once(obs);
-            best[slot] = best[slot].max(round[slot]);
-        }
-        // The gate statistic pairs each off pass with the baseline
-        // pass seconds before it, so round-level machine noise hits
-        // both sides; a real disabled-path tax depresses every round.
-        off_vs_baseline = off_vs_baseline.max(round[1] / round[0]);
-        spans_recorded = on.recorder().recorded();
-    }
-    let [baseline, off, on, full] = best;
-    E19Report {
-        events: n_events,
-        baseline_kevents_per_s: baseline,
-        off_kevents_per_s: off,
-        on_kevents_per_s: on,
-        full_kevents_per_s: full,
-        spans_recorded,
-        off_vs_baseline,
-    }
-}
-
-/// Render an [`E19Report`] as the experiment table.
-pub fn e19_table(r: &E19Report) -> Table {
-    let mut t = Table::new(
-        "E19",
-        "observability overhead",
-        format!(
-            "E14 hot-path workload, {} events, obs baseline / off / on / recorder-full",
-            r.events
-        ),
-        vec!["mode", "kevents_per_s", "vs_baseline", "spans"],
-    )
-    .with_note(
-        "Claim: observability is paid for only when it is on. The \
-         disabled path is one relaxed atomic load per probe site — CI \
-         gates it at >=0.95x the uninstrumented baseline, comparing \
-         off and baseline passes from the same interleaved round and \
-         taking the best round (machine drift and transient noise \
-         cancel; a real probe tax depresses every round) — plus the \
-         absolute `obs-off` floor. Even the enabled path (trace-id \
-         allocation, span writes into the lock-free ring, histogram \
-         increments) stays within a small constant, including when \
-         the ring wraps every span.",
-    );
-    let vs = |x: f64| format!("{:.2}x", x / r.baseline_kevents_per_s);
-    t.row(vec![
-        "baseline".into(),
-        f(r.baseline_kevents_per_s),
-        "1.00x".into(),
-        "-".into(),
-    ]);
-    t.row(vec![
-        "off".into(),
-        f(r.off_kevents_per_s),
-        vs(r.off_kevents_per_s),
-        "0".into(),
-    ]);
-    t.row(vec![
-        "on".into(),
-        f(r.on_kevents_per_s),
-        vs(r.on_kevents_per_s),
-        r.spans_recorded.to_string(),
-    ]);
-    t.row(vec![
-        "full".into(),
-        f(r.full_kevents_per_s),
-        vs(r.full_kevents_per_s),
-        "-".into(),
-    ]);
-    t
-}
-
-/// E19 (observability): the overhead quartet, sized for the committed
-/// table.
-pub fn e19_observability_overhead() -> Table {
-    e19_table(&e19_report(100_000))
-}
-
-/// Serialize the E13 + E14 + E15 + E16 + E17 + E18 + E19 reports as the
-/// `--bench-json` payload (schema `reweb-bench/v8` — v7 plus `p50_us`/
-/// `p99_us` latency fields on the `net-ramp` and `net-delivery` rows
-/// and the E19 `obs-baseline`/`obs-off`/`obs-on`/`obs-full` overhead
-/// rows).
-/// Flat rows, one small object per measurement, so the floor check (and
-/// any CI tooling) can read it without a JSON library. The E14
-/// measurement is the `hotpath` row, E15's throughput the `durable` row,
-/// E15's recovery timings the `recovery-*` rows (informational: the
-/// artifact carries them, the floor does not gate them), E16's
-/// compiled sweep the `rules-*` rows (the `rules-100k` row is the
-/// absolute floor; the others feed the flatness ratio), E17's
-/// composite-join sweep the `composite-*` rows (`composite-10k` is the
-/// absolute floor) plus the `join-indexed`/`join-scan` occupancy pairs
-/// (informational: the ≥2x gate recomputes from the same run), and
-/// E18's loopback ramp the `net-loopback` row (absolute floor on the
-/// best sustained rate) plus per-rung `net-ramp` rows (informational;
-/// `shards` carries the client count), and E18b's delivery-under-fault
-/// run the `net-delivery` row (absolute floor on the live push rate;
-/// `dead_lettered`, `redelivered`, `recovery_ms`, and the round-trip
-/// quantiles ride along informationally). E19's overhead quartet lands
-/// as the `obs-off` row (absolute floor; additionally gated same-run
-/// against the interleaved `obs-baseline` row) plus informational
-/// `obs-baseline`/`obs-on`/`obs-full` rows.
-#[allow(clippy::too_many_arguments)] // same rationale as `check_floor`
-pub fn bench_json(
-    r: &E13Report,
-    e14: &E14Report,
-    e15: &E15Report,
-    e16: &E16Report,
-    e17: &E17Report,
-    e18: &E18Report,
-    e18b: &E18DeliveryReport,
-    e19: &E19Report,
-) -> String {
-    let mut rows = vec![format!(
-        "    {{\"engine\": \"single\", \"shards\": 1, \"kevents_per_s\": {:.3}}}",
-        r.single_kevents_per_s
-    )];
-    rows.push(format!(
-        "    {{\"engine\": \"hotpath\", \"shards\": 1, \"kevents_per_s\": {:.3}}}",
-        e14.kevents_per_s
-    ));
-    rows.push(format!(
-        "    {{\"engine\": \"durable\", \"shards\": 1, \"kevents_per_s\": {:.3}}}",
-        e15.durable_kevents_per_s
-    ));
-    for rec in &e15.recoveries {
-        rows.push(format!(
-            "    {{\"engine\": \"recovery-{}\", \"shards\": 1, \"kevents_per_s\": {:.3}, \
-             \"events\": {}, \"millis\": {:.1}}}",
-            rec.mode, rec.kevents_per_s, rec.events, rec.millis
-        ));
-    }
-    for row in &e16.rows {
-        rows.push(format!(
-            "    {{\"engine\": \"{}\", \"shards\": 1, \"kevents_per_s\": {:.3}, \
-             \"rules\": {}, \"alpha_tests_per_event\": {:.2}}}",
-            e16_engine_id(row.rules),
-            row.kevents_per_s,
-            row.rules,
-            row.alpha_tests_per_event
-        ));
-    }
-    for row in &e17.rules_axis {
-        rows.push(format!(
-            "    {{\"engine\": \"{}\", \"shards\": 1, \"kevents_per_s\": {:.3}, \
-             \"rules\": {}, \"probes_per_event\": {:.2}}}",
-            e17_engine_id(row.rules),
-            row.kevents_per_s,
-            row.rules,
-            row.probes_per_event
-        ));
-    }
-    for (ix, sc) in &e17.occupancy {
-        for row in [ix, sc] {
-            rows.push(format!(
-                "    {{\"engine\": \"join-{}\", \"shards\": 1, \"kevents_per_s\": {:.3}, \
-                 \"events\": {}, \"attempts_per_event\": {:.2}}}",
-                row.mode, row.kevents_per_s, row.events, row.attempts_per_event
-            ));
-        }
-    }
-    rows.push(format!(
-        "    {{\"engine\": \"net-loopback\", \"shards\": 1, \"kevents_per_s\": {:.3}}}",
-        e18.loopback_kevents_per_s
-    ));
-    for row in &e18.rows {
-        rows.push(format!(
-            "    {{\"engine\": \"net-ramp\", \"shards\": {}, \"kevents_per_s\": {:.3}, \
-             \"busy\": {}, \"queue_highwater\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
-            row.clients,
-            row.kevents_per_s,
-            row.busy_replies,
-            row.queue_highwater,
-            row.batch_p50_us,
-            row.batch_p99_us
-        ));
-    }
-    rows.push(format!(
-        "    {{\"engine\": \"net-delivery\", \"shards\": 1, \"kevents_per_s\": {:.3}, \
-         \"dead_lettered\": {}, \"redelivered\": {}, \"recovery_ms\": {:.1}, \
-         \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
-        e18b.kevents_per_s,
-        e18b.dead_lettered,
-        e18b.redelivered,
-        e18b.recovery_ms,
-        e18b.delivery_p50_us,
-        e18b.delivery_p99_us
-    ));
-    rows.push(format!(
-        "    {{\"engine\": \"obs-baseline\", \"shards\": 1, \"kevents_per_s\": {:.3}}}",
-        e19.baseline_kevents_per_s
-    ));
-    rows.push(format!(
-        "    {{\"engine\": \"obs-off\", \"shards\": 1, \"kevents_per_s\": {:.3}, \
-         \"vs_baseline\": {:.4}}}",
-        e19.off_kevents_per_s, e19.off_vs_baseline
-    ));
-    rows.push(format!(
-        "    {{\"engine\": \"obs-on\", \"shards\": 1, \"kevents_per_s\": {:.3}, \
-         \"spans\": {}}}",
-        e19.on_kevents_per_s, e19.spans_recorded
-    ));
-    rows.push(format!(
-        "    {{\"engine\": \"obs-full\", \"shards\": 1, \"kevents_per_s\": {:.3}}}",
-        e19.full_kevents_per_s
-    ));
-    for row in &r.rows {
-        rows.push(format!(
-            "    {{\"engine\": \"sharded\", \"shards\": {}, \"kevents_per_s\": {:.3}}}",
-            row.shards, row.serial_kevents_per_s
-        ));
-        rows.push(format!(
-            "    {{\"engine\": \"sharded-mt\", \"shards\": {}, \"kevents_per_s\": {:.3}}}",
-            row.shards, row.parallel_kevents_per_s
-        ));
-    }
-    format!(
-        "{{\n  \"schema\": \"reweb-bench/v8\",\n  \"events\": {},\n  \"labels\": {},\n  \
-         \"reactions\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        r.events,
-        r.labels,
-        r.reactions_single,
-        rows.join(",\n")
-    )
-}
-
-/// Parse the `(engine, shards, kevents_per_s)` rows back out of a
-/// [`bench_json`] payload. A minimal scanner for our own fixed schema —
-/// the build environment has no JSON dependency to lean on. Unknown or
-/// malformed row objects are skipped rather than failing the parse.
-pub fn e13_parse_rows(json: &str) -> Vec<(String, usize, f64)> {
-    fn field<'a>(chunk: &'a str, key: &str) -> Option<&'a str> {
-        let start = chunk.find(key)? + key.len();
-        let rest = chunk[start..].trim_start_matches([' ', ':', '"']);
-        let end = rest.find(['"', ',', '}', '\n']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-    json.split('{')
-        .filter(|chunk| chunk.contains("\"engine\""))
-        .filter_map(|chunk| {
-            let engine = field(chunk, "\"engine\"")?.to_string();
-            let shards: usize = field(chunk, "\"shards\"")?.parse().ok()?;
-            let rate: f64 = field(chunk, "\"kevents_per_s\"")?.parse().ok()?;
-            Some((engine, shards, rate))
-        })
-        .collect()
-}
-
-/// The CI performance floor: compare a fresh [`E13Report`] against a
-/// committed baseline JSON, failing when thread-executor throughput
-/// regresses more than `tolerance` (e.g. 0.25 = 25%).
-///
-/// Raw events/s numbers are useless across machines (a laptop baseline
-/// vs a CI runner differs far more than any real regression), so the
-/// check normalizes: each parallel rate is divided by the **same run's**
-/// single-engine rate, and that speedup is compared to the baseline's
-/// speedup. Machine speed cancels out; only the engine's scaling
-/// behaviour is gated. Returns a human-readable summary table on
-/// success, or a description of every violated floor.
-/// Additionally, when the baseline carries a `hotpath` row (E14), a
-/// `durable` row (E15), or a `net-loopback` row (E18), the current
-/// single-engine hot-path rate, the durable-mode ingestion rate, and
-/// the best sustained loopback ingress rate must not fall more than
-/// `tolerance` below them. These comparisons are *absolute* — there is no faster reference
-/// rate on the same machine to normalize by — so the committed baselines
-/// are rounded far below the measured rates (see `bench/baseline.json`'s
-/// note) and only genuine collapses trip them; for `durable` that is
-/// specifically the fsync-batching regression class (e.g. an accidental
-/// fsync-per-message would cut the rate by an order of magnitude).
-// One argument per gated experiment report: the arity grows with the
-// experiment roster by design, and a params struct would only move the
-// same six names behind a constructor at every call site.
-#[allow(clippy::too_many_arguments)]
-pub fn check_floor(
-    current: &E13Report,
-    current_e14: &E14Report,
-    current_e15: &E15Report,
-    current_e16: &E16Report,
-    current_e17: &E17Report,
-    current_e18: &E18Report,
-    current_e18b: &E18DeliveryReport,
-    current_e19: &E19Report,
-    baseline_json: &str,
-    tolerance: f64,
-) -> Result<String, String> {
-    let baseline = e13_parse_rows(baseline_json);
-    let base_single = baseline
-        .iter()
-        .find(|(e, _, _)| e == "single")
-        .map(|&(_, _, r)| r)
-        .ok_or("baseline JSON has no `single` row")?;
-    if base_single <= 0.0 {
-        return Err("baseline `single` rate is not positive".into());
-    }
-
-    let mut summary = String::from(
-        "| shards | serial ke/s | parallel ke/s | par/serial | speedup vs single | \
-         baseline speedup | floor |\n|---|---|---|---|---|---|---|\n",
-    );
-    let mut failures = Vec::new();
-    let mut compared = 0;
-    for row in &current.rows {
-        let Some(&(_, _, base_mt)) = baseline
-            .iter()
-            .find(|(e, s, _)| e == "sharded-mt" && *s == row.shards)
-        else {
-            continue; // baseline predates this configuration
-        };
-        compared += 1;
-        let base_speedup = base_mt / base_single;
-        let cur_speedup = row.parallel_kevents_per_s / current.single_kevents_per_s;
-        let floor = base_speedup * (1.0 - tolerance);
-        summary.push_str(&format!(
-            "| {} | {:.1} | {:.1} | {:.2}x | {:.2}x | {:.2}x | {:.2}x |\n",
-            row.shards,
-            row.serial_kevents_per_s,
-            row.parallel_kevents_per_s,
-            row.parallel_kevents_per_s / row.serial_kevents_per_s,
-            cur_speedup,
-            base_speedup,
-            floor,
-        ));
-        if cur_speedup < floor {
-            failures.push(format!(
-                "{} shards: parallel speedup {cur_speedup:.2}x vs single fell below \
-                 the floor {floor:.2}x (baseline {base_speedup:.2}x - {:.0}% tolerance)",
-                row.shards,
-                tolerance * 100.0
-            ));
-        }
-    }
-    if compared == 0 {
-        // A baseline whose sharded-mt rows were lost (truncation, a
-        // schema typo — the row scanner skips what it cannot parse)
-        // must not silently disable the gate.
-        return Err(
-            "baseline JSON contains no `sharded-mt` row matching any measured \
-             shard count; the floor compared nothing — regenerate bench/baseline.json"
-                .into(),
-        );
-    }
-    // E14: absolute single-engine hot-path floor (baselines that predate
-    // the hotpath row skip it).
-    if let Some(&(_, _, base_hot)) = baseline.iter().find(|(e, _, _)| e == "hotpath") {
-        let floor = base_hot * (1.0 - tolerance);
-        summary.push_str(&format!(
-            "\nE14 hot path: {:.1} ke/s (committed floor baseline {base_hot:.1}, \
-             gate {floor:.1})\n",
-            current_e14.kevents_per_s
-        ));
-        if current_e14.kevents_per_s < floor {
-            failures.push(format!(
-                "E14 single-engine hot path {:.1} ke/s fell below the floor {floor:.1} \
-                 (baseline {base_hot:.1} - {:.0}% tolerance)",
-                current_e14.kevents_per_s,
-                tolerance * 100.0
-            ));
-        }
-    }
-    // E15: absolute durable-ingestion floor (baselines that predate the
-    // durable row skip it).
-    if let Some(&(_, _, base_durable)) = baseline.iter().find(|(e, _, _)| e == "durable") {
-        let floor = base_durable * (1.0 - tolerance);
-        summary.push_str(&format!(
-            "E15 durable ingestion: {:.1} ke/s (committed floor baseline {base_durable:.1}, \
-             gate {floor:.1})\n",
-            current_e15.durable_kevents_per_s
-        ));
-        if current_e15.durable_kevents_per_s < floor {
-            failures.push(format!(
-                "E15 durable ingestion {:.1} ke/s fell below the floor {floor:.1} \
-                 (baseline {base_durable:.1} - {:.0}% tolerance) — check the fsync \
-                 batching: one fsync per batch, never per message",
-                current_e15.durable_kevents_per_s,
-                tolerance * 100.0
-            ));
-        }
-    }
-    // E16, gate 1: absolute 100k-rule throughput (baselines that predate
-    // the rules sweep skip it; conservatively rounded like E14/E15).
-    if let Some(&(_, _, base_100k)) = baseline.iter().find(|(e, _, _)| e == "rules-100k") {
-        if let Some(cur) = current_e16.rows.iter().find(|r| r.rules == 100_000) {
-            let floor = base_100k * (1.0 - tolerance);
-            summary.push_str(&format!(
-                "E16 100k-rule dispatch: {:.1} ke/s (committed floor baseline \
-                 {base_100k:.1}, gate {floor:.1})\n",
-                cur.kevents_per_s
-            ));
-            if cur.kevents_per_s < floor {
-                failures.push(format!(
-                    "E16 100k-rule dispatch {:.1} ke/s fell below the floor {floor:.1} \
-                     (baseline {base_100k:.1} - {:.0}% tolerance) — the shared network \
-                     must keep per-event cost independent of the rule count",
-                    cur.kevents_per_s,
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-    // E16, gate 2: same-run flatness. 100k-rule throughput must stay at
-    // ≥0.3x the 100-rule throughput — both rates come from the same run,
-    // so machine speed cancels and no baseline is needed. A fixed ratio
-    // (not `tolerance`): it gates the *shape* of the scaling curve,
-    // which is the tentpole claim itself. The slack (0.3x, not 1.0x)
-    // absorbs cache pressure from the 300k-node network and the 100k
-    // distinct attribute values, which cost real memory traffic even
-    // though alpha tests per event stay constant.
-    const FLATNESS_FLOOR: f64 = 0.3;
-    let small = current_e16.rows.iter().find(|r| r.rules == 100);
-    let large = current_e16.rows.iter().find(|r| r.rules == 100_000);
-    if let (Some(small), Some(large)) = (small, large) {
-        let ratio = large.kevents_per_s / small.kevents_per_s;
-        summary.push_str(&format!(
-            "E16 flatness: {:.1} ke/s at 100 rules vs {:.1} ke/s at 100k rules \
-             (ratio {ratio:.2}, floor {FLATNESS_FLOOR:.2})\n",
-            small.kevents_per_s, large.kevents_per_s
-        ));
-        if ratio < FLATNESS_FLOOR {
-            failures.push(format!(
-                "E16 dispatch is not flat in the rule count: 100k rules ran at \
-                 {ratio:.2}x the 100-rule rate (floor {FLATNESS_FLOOR:.2}x)"
-            ));
-        }
-    }
-    // E17, gate 1: absolute 10k-composite-rule throughput (baselines
-    // that predate the beta network skip it; conservatively rounded like
-    // E14/E15/E16).
-    if let Some(&(_, _, base_10k)) = baseline.iter().find(|(e, _, _)| e == "composite-10k") {
-        if let Some(cur) = current_e17.rules_axis.iter().find(|r| r.rules == 10_000) {
-            let floor = base_10k * (1.0 - tolerance);
-            summary.push_str(&format!(
-                "E17 10k-composite dispatch: {:.1} ke/s (committed floor baseline \
-                 {base_10k:.1}, gate {floor:.1})\n",
-                cur.kevents_per_s
-            ));
-            if cur.kevents_per_s < floor {
-                failures.push(format!(
-                    "E17 10k-composite-rule dispatch {:.1} ke/s fell below the floor \
-                     {floor:.1} (baseline {base_10k:.1} - {:.0}% tolerance) — windowed \
-                     join state must be probed by key, not enumerated",
-                    cur.kevents_per_s,
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-    // E17, gate 2: same-run occupancy advantage. On the largest
-    // occupancy workload (wide windows, every partial match retained)
-    // indexed joins must run at ≥2x the scan join — both rates from the
-    // same run, so machine speed cancels and no baseline is needed. A
-    // fixed ratio, like the E16 flatness gate: it pins the *shape* claim
-    // (flat vs linear in occupancy), and the measured gap is many times
-    // wider than 2x, so only a genuine index bypass trips it.
-    const E17_SPEEDUP_FLOOR: f64 = 2.0;
-    if let Some((ix, sc)) = current_e17.occupancy.last() {
-        let speedup = ix.kevents_per_s / sc.kevents_per_s;
-        summary.push_str(&format!(
-            "E17 occupancy ({} events, 64 rules): indexed {:.1} ke/s \
-             ({:.2} attempts/event) vs scan {:.1} ke/s ({:.2} attempts/event), \
-             speedup {speedup:.2}x (floor {E17_SPEEDUP_FLOOR:.2}x)\n",
-            ix.events,
-            ix.kevents_per_s,
-            ix.attempts_per_event,
-            sc.kevents_per_s,
-            sc.attempts_per_event
-        ));
-        if speedup < E17_SPEEDUP_FLOOR {
-            failures.push(format!(
-                "E17 indexed join ran at only {speedup:.2}x the scan join on the \
-                 largest occupancy workload (floor {E17_SPEEDUP_FLOOR:.2}x)"
-            ));
-        }
-    }
-    // E18: absolute loopback ingress floor (baselines that predate the
-    // net tier skip it; conservatively rounded like E14/E15). Gates the
-    // *best* sustained rate across the ramp: a per-event syscall storm,
-    // broken batch formation, or driver-side lock contention collapses
-    // every rung, while scheduler noise on one client count does not.
-    if let Some(&(_, _, base_net)) = baseline.iter().find(|(e, _, _)| e == "net-loopback") {
-        let floor = base_net * (1.0 - tolerance);
-        summary.push_str(&format!(
-            "E18 loopback ingress: {:.1} ke/s best sustained (committed floor \
-             baseline {base_net:.1}, gate {floor:.1})\n",
-            current_e18.loopback_kevents_per_s
-        ));
-        if current_e18.loopback_kevents_per_s < floor {
-            failures.push(format!(
-                "E18 loopback ingress {:.1} ke/s fell below the floor {floor:.1} \
-                 (baseline {base_net:.1} - {:.0}% tolerance) — check batch \
-                 formation and the reply lanes: the driver must run batches, \
-                 not events, and must never block on a slow reader",
-                current_e18.loopback_kevents_per_s,
-                tolerance * 100.0
-            ));
-        }
-    }
-    // E18b: absolute outbound-delivery floor (baselines that predate the
-    // delivery agent skip it; conservatively rounded like E14/E15). The
-    // live push rate is fsync-bound twice per reaction (sender outbox
-    // append, receiver ledger record), so the gate catches the same
-    // regression class as E15: an extra fsync, a lost write batch, or a
-    // per-delivery reconnect collapses it by an order of magnitude.
-    // recovery_ms rides along informationally — wall-clock recovery time
-    // is too host-dependent to gate.
-    if let Some(&(_, _, base_dlv)) = baseline.iter().find(|(e, _, _)| e == "net-delivery") {
-        let floor = base_dlv * (1.0 - tolerance);
-        summary.push_str(&format!(
-            "E18b outbound delivery: {:.1} ke/s live push (committed floor \
-             baseline {base_dlv:.1}, gate {floor:.1}); {} dead-lettered, \
-             {} redelivered, recovery {:.1} ms\n",
-            current_e18b.kevents_per_s,
-            current_e18b.dead_lettered,
-            current_e18b.redelivered,
-            current_e18b.recovery_ms
-        ));
-        if current_e18b.kevents_per_s < floor {
-            failures.push(format!(
-                "E18b outbound delivery {:.1} ke/s fell below the floor {floor:.1} \
-                 (baseline {base_dlv:.1} - {:.0}% tolerance) — check the per-destination \
-                 worker: one persistent connection per destination, outbox appends \
-                 batched ahead of the dial, never a reconnect per reaction",
-                current_e18b.kevents_per_s,
-                tolerance * 100.0
-            ));
-        }
-    }
-    // E19, gate 1: absolute obs-disabled floor (baselines that predate
-    // the observability layer skip it; conservatively rounded like the
-    // other absolute gates).
-    if let Some(&(_, _, base_off)) = baseline.iter().find(|(e, _, _)| e == "obs-off") {
-        let floor = base_off * (1.0 - tolerance);
-        summary.push_str(&format!(
-            "E19 obs-disabled hot path: {:.1} ke/s (committed floor baseline \
-             {base_off:.1}, gate {floor:.1})\n",
-            current_e19.off_kevents_per_s
-        ));
-        if current_e19.off_kevents_per_s < floor {
-            failures.push(format!(
-                "E19 obs-disabled hot path {:.1} ke/s fell below the floor {floor:.1} \
-                 (baseline {base_off:.1} - {:.0}% tolerance)",
-                current_e19.off_kevents_per_s,
-                tolerance * 100.0
-            ));
-        }
-    }
-    // E19, gate 2: same-run disabled-path overhead. The obs-off run is
-    // the E14 workload with the (disabled) handle's probe sites live;
-    // e19_report measures an uninstrumented baseline interleaved with
-    // it and pairs each off pass with the baseline pass of the same
-    // round (seconds apart), taking the best round — machine drift and
-    // transient noise cancel, leaving exactly the probes' cost, which a
-    // real regression imposes on every round. A fixed 5% budget, not
-    // `tolerance`: "zero-cost when disabled" is the tentpole claim —
-    // one relaxed atomic load per site must disappear in the noise.
-    const OBS_OFF_FLOOR: f64 = 0.95;
-    {
-        let ratio = current_e19.off_vs_baseline;
-        summary.push_str(&format!(
-            "E19 disabled-path overhead: {:.1} ke/s obs-off vs {:.1} ke/s interleaved \
-             baseline (best same-round ratio {ratio:.3}, floor {OBS_OFF_FLOOR:.2}); \
-             enabled {:.1} ke/s, recorder-full {:.1} ke/s\n",
-            current_e19.off_kevents_per_s,
-            current_e19.baseline_kevents_per_s,
-            current_e19.on_kevents_per_s,
-            current_e19.full_kevents_per_s
-        ));
-        if ratio < OBS_OFF_FLOOR {
-            failures.push(format!(
-                "E19 disabled observability cost the hot path {:.1}% in every \
-                 measured round (best same-round ratio {ratio:.3} vs the interleaved \
-                 uninstrumented baseline, floor {OBS_OFF_FLOOR:.2}) — the disabled \
-                 path must stay one relaxed atomic load per probe site, with no \
-                 allocation, clock read, or span construction behind it",
-                (1.0 - ratio) * 100.0
-            ));
-        }
-    }
-    if failures.is_empty() {
-        Ok(summary)
-    } else {
-        Err(format!(
-            "{summary}\nPERF FLOOR VIOLATED:\n{}",
-            failures.join("\n")
-        ))
-    }
-}
-
-/// Run all experiments (E1–E19 plus the E18b delivery-under-fault run).
+/// Run all experiments (E1–E12).
 pub fn all() -> Vec<Table> {
     vec![
         e1_eca_vs_production(),
@@ -3059,14 +1067,6 @@ pub fn all() -> Vec<Table> {
         e10_identity(),
         e11_trust_negotiation(),
         e12_aaa_overhead(),
-        e13_sharded_throughput(),
-        e14_hot_path(),
-        e15_durability(),
-        e16_rules_scaling(),
-        e17_indexed_joins(),
-        e18_net_loopback(),
-        e18b_delivery_under_fault(),
-        e19_observability_overhead(),
     ]
 }
 
@@ -3076,53 +1076,6 @@ mod tests {
 
     // Shape assertions: each experiment's table must support its thesis.
     // (Smaller workloads would be nicer, but these run in a few seconds.)
-
-    #[test]
-    fn e18_shapes() {
-        // Small offered load, two rungs: the ramp must account for every
-        // event (enforced inside the report), process the overwhelming
-        // majority of them, and never drop a reply under windowed syncs.
-        let r = e18_report_with(4_000, &[1, 2]);
-        assert_eq!(r.rows.len(), 2);
-        for row in &r.rows {
-            assert_eq!(
-                row.processed + row.busy_replies,
-                row.offered as u64,
-                "shed load is explicit, never silent"
-            );
-            assert_eq!(row.replies_dropped, 0, "windowed syncs keep readers fast");
-            assert!(row.kevents_per_s > 0.0);
-            // The ramp runs with observability on, so the latency
-            // columns are populated and ordered.
-            assert!(
-                row.batch_p50_us > 0.0 && row.batch_p50_us <= row.batch_p99_us,
-                "batch quantiles: p50 {} p99 {}",
-                row.batch_p50_us,
-                row.batch_p99_us
-            );
-        }
-        assert!(r.loopback_kevents_per_s >= r.rows[0].kevents_per_s);
-    }
-
-    #[test]
-    fn e19_shapes() {
-        let r = e19_report(2_000);
-        assert!(r.baseline_kevents_per_s > 0.0);
-        assert!(r.off_kevents_per_s > 0.0);
-        assert!(r.on_kevents_per_s > 0.0);
-        assert!(r.full_kevents_per_s > 0.0);
-        assert!(r.off_vs_baseline > 0.0);
-        // The enabled run traced every event: at least an admission span
-        // per event made it into the recorder total.
-        assert!(
-            r.spans_recorded >= r.events as u64,
-            "enabled run recorded {} spans over {} events",
-            r.spans_recorded,
-            r.events
-        );
-        let t = e19_table(&r);
-        assert_eq!(t.rows.len(), 4);
-    }
 
     #[test]
     fn e4_shapes() {
@@ -3160,998 +1113,6 @@ mod tests {
         // extensional row: zero modifications, 400 delete+insert halves
         assert_eq!(t.rows[1][1], "0");
         assert_eq!(t.rows[1][2], "400");
-    }
-
-    #[test]
-    fn e13_shapes() {
-        let r = e13_report(8_000);
-        // Identical reactions at every shard count and in both executors
-        // (the equivalence the property test pins, re-checked on the
-        // experiment workload).
-        assert_eq!(r.reactions_single, 4_000, "one reaction per evt/ack pair");
-        for row in &r.rows {
-            assert_eq!(row.reactions_serial, 4_000, "serial at {}", row.shards);
-            assert_eq!(row.reactions_parallel, 4_000, "parallel at {}", row.shards);
-        }
-        // Round-robin group assignment keeps occupancy balanced: at 4
-        // shards the hottest shard carries ~1/4 of the traffic.
-        let four = r.rows.iter().find(|row| row.shards == 4).unwrap();
-        assert!(
-            four.hottest_share < 0.3,
-            "hottest shard overloaded: {}",
-            four.hottest_share
-        );
-        // The table renders one single row plus serial+parallel pairs.
-        let t = e13_table(&r);
-        assert_eq!(t.rows.len(), 1 + 2 * r.rows.len());
-    }
-
-    fn e14(rate: f64) -> E14Report {
-        E14Report {
-            events: 1000,
-            labels: 128,
-            kevents_per_s: rate,
-            reactions: 500,
-            symbols: 300,
-        }
-    }
-
-    fn e15(rate: f64) -> E15Report {
-        E15Report {
-            events: 1000,
-            labels: 128,
-            batch: 256,
-            durable_kevents_per_s: rate,
-            reactions: 500,
-            wal_bytes: 123_456,
-            recoveries: vec![E15Recovery {
-                mode: "cold",
-                events: 1000,
-                wal_bytes: 123_456,
-                millis: 12.0,
-                kevents_per_s: 83.0,
-            }],
-        }
-    }
-
-    fn e16_row(rules: usize, rate: f64) -> E16Row {
-        E16Row {
-            rules,
-            install_ms: 5.0,
-            kevents_per_s: rate,
-            reactions: 1000,
-            alpha_tests_per_event: 3.0,
-            network_nodes: rules + 2,
-        }
-    }
-
-    fn e16(rate_100: f64, rate_100k: f64) -> E16Report {
-        E16Report {
-            events: 1000,
-            rows: vec![e16_row(100, rate_100), e16_row(100_000, rate_100k)],
-            interpreted: vec![e16_row(100, rate_100 * 0.8)],
-            interpreted_events: 100,
-        }
-    }
-
-    fn e17_row(rules: usize, events: usize, mode: &'static str, rate: f64) -> E17Row {
-        E17Row {
-            rules,
-            events,
-            mode,
-            install_ms: 5.0,
-            kevents_per_s: rate,
-            answers: (events / 2) as u64,
-            probes_per_event: if mode == "indexed" { 1.0 } else { 0.0 },
-            attempts_per_event: if mode == "indexed" { 1.5 } else { 40.0 },
-            state_size: events,
-        }
-    }
-
-    fn e18(rate: f64) -> E18Report {
-        E18Report {
-            events: 1000,
-            rows: vec![E18Row {
-                clients: 1,
-                offered: 1000,
-                processed: 1000,
-                kevents_per_s: rate,
-                busy_replies: 0,
-                replies_dropped: 0,
-                queue_highwater: 10,
-                batch_p50_us: 2.0,
-                batch_p99_us: 8.0,
-            }],
-            loopback_kevents_per_s: rate,
-        }
-    }
-
-    fn e18b(rate: f64) -> E18DeliveryReport {
-        E18DeliveryReport {
-            live_events: 1000,
-            faulted_events: 100,
-            delivered_live: 1000,
-            dead_lettered: 100,
-            redelivered: 100,
-            kevents_per_s: rate,
-            recovery_ms: 12.0,
-            delivery_p50_us: 900.0,
-            delivery_p99_us: 4000.0,
-        }
-    }
-
-    /// `off` drives both E19 gates: the absolute `obs-off` floor and
-    /// the same-run ratio against the report's own interleaved
-    /// `baseline`; `on`/`full` are informational.
-    fn e19_vs(baseline: f64, off: f64) -> E19Report {
-        E19Report {
-            events: 1000,
-            baseline_kevents_per_s: baseline,
-            off_kevents_per_s: off,
-            on_kevents_per_s: off - 1.0,
-            full_kevents_per_s: off - 2.0,
-            spans_recorded: 1234,
-            off_vs_baseline: off / baseline,
-        }
-    }
-
-    /// An overhead-free E19 report (ratio exactly 1.0).
-    fn e19(off: f64) -> E19Report {
-        e19_vs(off, off)
-    }
-
-    /// `rate_10k` drives the absolute composite floor; `ix`/`sc` the
-    /// same-run occupancy speedup gate.
-    fn e17(rate_10k: f64, ix: f64, sc: f64) -> E17Report {
-        E17Report {
-            events: 1000,
-            rules_axis: vec![
-                e17_row(100, 1000, "indexed", 95.0),
-                e17_row(10_000, 1000, "indexed", rate_10k),
-            ],
-            scan_contrast: vec![e17_row(100, 100, "scan", 30.0)],
-            contrast_events: 100,
-            occupancy: vec![(
-                e17_row(64, 4000, "indexed", ix),
-                e17_row(64, 4000, "scan", sc),
-            )],
-        }
-    }
-
-    #[test]
-    fn bench_json_round_trips_through_the_scanner() {
-        let r = E13Report {
-            events: 1000,
-            labels: 128,
-            single_kevents_per_s: 50.0,
-            reactions_single: 500,
-            rows: vec![E13Row {
-                shards: 8,
-                serial_kevents_per_s: 100.0,
-                parallel_kevents_per_s: 200.0,
-                reactions_serial: 500,
-                reactions_parallel: 500,
-                hottest_share: 0.125,
-            }],
-        };
-        let json = bench_json(
-            &r,
-            &e14(60.0),
-            &e15(42.0),
-            &e16(90.0, 75.0),
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-        );
-        assert!(json.contains("reweb-bench/v8"), "schema bumped for E19");
-        let rows = e13_parse_rows(&json);
-        assert_eq!(
-            rows,
-            vec![
-                ("single".to_string(), 1, 50.0),
-                ("hotpath".to_string(), 1, 60.0),
-                ("durable".to_string(), 1, 42.0),
-                ("recovery-cold".to_string(), 1, 83.0),
-                ("rules-100".to_string(), 1, 90.0),
-                ("rules-100k".to_string(), 1, 75.0),
-                ("composite-100".to_string(), 1, 95.0),
-                ("composite-10k".to_string(), 1, 70.0),
-                ("join-indexed".to_string(), 1, 100.0),
-                ("join-scan".to_string(), 1, 20.0),
-                ("net-loopback".to_string(), 1, 55.0),
-                ("net-ramp".to_string(), 1, 55.0),
-                ("net-delivery".to_string(), 1, 44.0),
-                ("obs-baseline".to_string(), 1, 80.0),
-                ("obs-off".to_string(), 1, 80.0),
-                ("obs-on".to_string(), 1, 79.0),
-                ("obs-full".to_string(), 1, 78.0),
-                ("sharded".to_string(), 8, 100.0),
-                ("sharded-mt".to_string(), 8, 200.0),
-            ]
-        );
-    }
-
-    #[test]
-    fn e13_floor_normalizes_by_single_engine_rate() {
-        let report = |single: f64, mt8: f64| E13Report {
-            events: 1000,
-            labels: 128,
-            single_kevents_per_s: single,
-            reactions_single: 500,
-            rows: vec![E13Row {
-                shards: 8,
-                serial_kevents_per_s: single * 1.5,
-                parallel_kevents_per_s: mt8,
-                reactions_serial: 500,
-                reactions_parallel: 500,
-                hottest_share: 0.125,
-            }],
-        };
-        // 2.0x speedup baseline
-        let baseline = bench_json(
-            &report(50.0, 100.0),
-            &e14(80.0),
-            &e15(40.0),
-            &e16(90.0, 75.0),
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-        );
-        // A 4x faster machine with the same 2.0x scaling passes…
-        assert!(check_floor(
-            &report(200.0, 400.0),
-            &e14(80.0),
-            &e15(40.0),
-            &e16(90.0, 75.0),
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25
-        )
-        .is_ok());
-        // …moderate noise above the floor (1.6x > 1.5x) passes…
-        assert!(check_floor(
-            &report(200.0, 320.0),
-            &e14(80.0),
-            &e15(40.0),
-            &e16(90.0, 75.0),
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25
-        )
-        .is_ok());
-        // …but a real scaling collapse (1.2x < 1.5x) fails, regardless
-        // of machine speed.
-        let err = check_floor(
-            &report(200.0, 240.0),
-            &e14(80.0),
-            &e15(40.0),
-            &e16(90.0, 75.0),
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25,
-        )
-        .expect_err("collapsed scaling must trip the floor");
-        assert!(err.contains("PERF FLOOR VIOLATED"), "{err}");
-        // A baseline with a `single` row but no usable `sharded-mt` rows
-        // must fail loudly, not pass vacuously.
-        let gutted = baseline.replace("sharded-mt", "sharded-xx");
-        let err = check_floor(
-            &report(200.0, 400.0),
-            &e14(80.0),
-            &e15(40.0),
-            &e16(90.0, 75.0),
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &gutted,
-            0.25,
-        )
-        .expect_err("a gutted baseline must not disable the gate");
-        assert!(err.contains("compared nothing"), "{err}");
-    }
-
-    #[test]
-    fn e14_floor_is_absolute() {
-        let report = E13Report {
-            events: 1000,
-            labels: 128,
-            single_kevents_per_s: 100.0,
-            reactions_single: 500,
-            rows: vec![E13Row {
-                shards: 8,
-                serial_kevents_per_s: 150.0,
-                parallel_kevents_per_s: 200.0,
-                reactions_serial: 500,
-                reactions_parallel: 500,
-                hottest_share: 0.125,
-            }],
-        };
-        let baseline = bench_json(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &e16(90.0, 75.0),
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-        );
-        let ok16 = e16(90.0, 75.0);
-        // At the baseline rate: fine. 25% below 80 = 60 is the gate.
-        assert!(check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25
-        )
-        .is_ok());
-        assert!(check_floor(
-            &report,
-            &e14(61.0),
-            &e15(40.0),
-            &ok16,
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25
-        )
-        .is_ok());
-        let err = check_floor(
-            &report,
-            &e14(59.0),
-            &e15(40.0),
-            &ok16,
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25,
-        )
-        .expect_err("hot-path collapse must trip the floor");
-        assert!(err.contains("E14"), "{err}");
-        // A pre-E14 baseline (no hotpath row) skips the absolute gate.
-        let old = baseline
-            .lines()
-            .filter(|l| !l.contains("hotpath"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(check_floor(
-            &report,
-            &e14(1.0),
-            &e15(40.0),
-            &ok16,
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &old,
-            0.25
-        )
-        .is_ok());
-    }
-
-    #[test]
-    fn e16_floor_gates_absolute_rate_and_flatness() {
-        let report = E13Report {
-            events: 1000,
-            labels: 128,
-            single_kevents_per_s: 100.0,
-            reactions_single: 500,
-            rows: vec![E13Row {
-                shards: 8,
-                serial_kevents_per_s: 150.0,
-                parallel_kevents_per_s: 200.0,
-                reactions_serial: 500,
-                reactions_parallel: 500,
-                hottest_share: 0.125,
-            }],
-        };
-        let baseline = bench_json(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &e16(90.0, 60.0),
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-        );
-        // At and above the committed 100k-rule floor: fine (gate = 45).
-        assert!(check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &e16(90.0, 60.0),
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25
-        )
-        .is_ok());
-        assert!(check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &e16(90.0, 46.0),
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25
-        )
-        .is_ok());
-        // Below the absolute gate: fails, naming E16.
-        let err = check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &e16(80.0, 44.0),
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25,
-        )
-        .expect_err("100k-rule collapse must trip the floor");
-        assert!(err.contains("E16 100k-rule"), "{err}");
-        // Healthy rate but a collapsed shape (100k at 0.28x the 100-rule
-        // rate) trips the same-run flatness gate even when the absolute
-        // floor passes.
-        let err = check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &e16(200.0, 56.0),
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25,
-        )
-        .expect_err("non-flat scaling must trip the flatness floor");
-        assert!(err.contains("not flat"), "{err}");
-        // A pre-E16 baseline skips the absolute gate; flatness still
-        // applies (it needs no baseline).
-        let old = baseline
-            .lines()
-            .filter(|l| !l.contains("rules-"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &e16(90.0, 1.0),
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &old,
-            0.25
-        )
-        .is_err());
-        assert!(check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &e16(90.0, 60.0),
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &old,
-            0.25
-        )
-        .is_ok());
-    }
-
-    #[test]
-    fn e17_floor_gates_absolute_rate_and_speedup() {
-        let report = E13Report {
-            events: 1000,
-            labels: 128,
-            single_kevents_per_s: 100.0,
-            reactions_single: 500,
-            rows: vec![E13Row {
-                shards: 8,
-                serial_kevents_per_s: 150.0,
-                parallel_kevents_per_s: 200.0,
-                reactions_serial: 500,
-                reactions_parallel: 500,
-                hottest_share: 0.125,
-            }],
-        };
-        let ok16 = e16(90.0, 75.0);
-        let baseline = bench_json(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &e17(70.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-        );
-        // At and above the committed composite floor: fine (gate = 52.5).
-        assert!(check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &e17(53.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25
-        )
-        .is_ok());
-        // Below the absolute gate: fails, naming E17.
-        let err = check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &e17(50.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25,
-        )
-        .expect_err("10k-composite collapse must trip the floor");
-        assert!(err.contains("E17 10k-composite"), "{err}");
-        // Healthy absolute rate but indexed no faster than scan trips
-        // the same-run speedup gate.
-        let err = check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &e17(70.0, 30.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25,
-        )
-        .expect_err("a bypassed index must trip the speedup floor");
-        assert!(err.contains("E17 indexed join"), "{err}");
-        // A pre-E17 baseline skips the absolute gate; the speedup gate
-        // still applies (it needs no baseline).
-        let old = baseline
-            .lines()
-            .filter(|l| !l.contains("composite-"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &e17(1.0, 100.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &old,
-            0.25
-        )
-        .is_ok());
-        assert!(check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &e17(70.0, 30.0, 20.0),
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &old,
-            0.25
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn e18_floor_is_absolute() {
-        let report = E13Report {
-            events: 1000,
-            labels: 128,
-            single_kevents_per_s: 100.0,
-            reactions_single: 500,
-            rows: vec![E13Row {
-                shards: 8,
-                serial_kevents_per_s: 150.0,
-                parallel_kevents_per_s: 200.0,
-                reactions_serial: 500,
-                reactions_parallel: 500,
-                hottest_share: 0.125,
-            }],
-        };
-        let ok16 = e16(90.0, 75.0);
-        let ok17 = e17(70.0, 100.0, 20.0);
-        let baseline = bench_json(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &ok17,
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-        );
-        // At and above the committed loopback floor: fine (gate = 41.25).
-        assert!(check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &ok17,
-            &e18(42.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25
-        )
-        .is_ok());
-        // Below the absolute gate: fails, naming E18.
-        let err = check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &ok17,
-            &e18(40.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25,
-        )
-        .expect_err("an ingress-tier collapse must trip the floor");
-        assert!(err.contains("E18"), "{err}");
-        // A pre-E18 baseline (no net rows) skips the absolute gate.
-        let old = baseline
-            .lines()
-            .filter(|l| !l.contains("net-"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &ok17,
-            &e18(1.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &old,
-            0.25
-        )
-        .is_ok());
-    }
-
-    #[test]
-    fn e18b_floor_is_absolute() {
-        let report = E13Report {
-            events: 1000,
-            labels: 128,
-            single_kevents_per_s: 100.0,
-            reactions_single: 500,
-            rows: vec![E13Row {
-                shards: 8,
-                serial_kevents_per_s: 150.0,
-                parallel_kevents_per_s: 200.0,
-                reactions_serial: 500,
-                reactions_parallel: 500,
-                hottest_share: 0.125,
-            }],
-        };
-        let ok16 = e16(90.0, 75.0);
-        let ok17 = e17(70.0, 100.0, 20.0);
-        let baseline = bench_json(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &ok17,
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-        );
-        // At and above the committed delivery floor: fine (gate = 33).
-        assert!(check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &ok17,
-            &e18(55.0),
-            &e18b(34.0),
-            &e19(80.0),
-            &baseline,
-            0.25
-        )
-        .is_ok());
-        // Below the absolute gate: fails, naming E18b.
-        let err = check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &ok17,
-            &e18(55.0),
-            &e18b(32.0),
-            &e19(80.0),
-            &baseline,
-            0.25,
-        )
-        .expect_err("a delivery-agent collapse must trip the floor");
-        assert!(err.contains("E18b"), "{err}");
-        // A pre-E18b baseline (no net-delivery row) skips the gate.
-        let old = baseline
-            .lines()
-            .filter(|l| !l.contains("net-delivery"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &ok17,
-            &e18(55.0),
-            &e18b(1.0),
-            &e19(80.0),
-            &old,
-            0.25
-        )
-        .is_ok());
-    }
-
-    #[test]
-    fn e19_floor_gates_absolute_rate_and_same_run_overhead() {
-        let report = E13Report {
-            events: 1000,
-            labels: 128,
-            single_kevents_per_s: 100.0,
-            reactions_single: 500,
-            rows: vec![E13Row {
-                shards: 8,
-                serial_kevents_per_s: 150.0,
-                parallel_kevents_per_s: 200.0,
-                reactions_serial: 500,
-                reactions_parallel: 500,
-                hottest_share: 0.125,
-            }],
-        };
-        let ok16 = e16(90.0, 75.0);
-        let ok17 = e17(70.0, 100.0, 20.0);
-        let baseline = bench_json(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &ok17,
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-        );
-        // At the baseline off-rate, zero same-run overhead: fine.
-        assert!(check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &ok17,
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(80.0),
-            &baseline,
-            0.25
-        )
-        .is_ok());
-        // 4% disabled-path overhead (76.8 vs an interleaved baseline of
-        // 80) passes the 5% budget and the absolute floor (gate = 60).
-        assert!(check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &ok17,
-            &e18(55.0),
-            &e18b(44.0),
-            &e19_vs(80.0, 76.8),
-            &baseline,
-            0.25
-        )
-        .is_ok());
-        // 10% same-run overhead trips the fixed gate even though the
-        // absolute floor (72 > 60) would pass.
-        let err = check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &ok17,
-            &e18(55.0),
-            &e18b(44.0),
-            &e19_vs(80.0, 72.0),
-            &baseline,
-            0.25,
-        )
-        .expect_err("a probe-site tax on the disabled path must trip the gate");
-        assert!(err.contains("disabled observability"), "{err}");
-        // A collapse below the absolute floor fails even at a clean
-        // same-run ratio of 1.0 (e.g. the whole machine, baseline
-        // included, got slower — exactly what the absolute row is for).
-        let err = check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &ok17,
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(50.0),
-            &baseline,
-            0.25,
-        )
-        .expect_err("an obs-off collapse must trip the absolute floor");
-        assert!(err.contains("E19 obs-disabled"), "{err}");
-        // A pre-E19 baseline (no obs rows) skips the absolute gate —
-        // 59.0 would trip it against the committed 80.0 (gate 60) but
-        // passes here at ratio 1.0. The same-run overhead gate still
-        // applies (it needs no baseline): 10% overhead fails even
-        // against the old baseline.
-        let old = baseline
-            .lines()
-            .filter(|l| !l.contains("obs-"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(check_floor(
-            &report,
-            &e14(61.0),
-            &e15(40.0),
-            &ok16,
-            &ok17,
-            &e18(55.0),
-            &e18b(44.0),
-            &e19(59.0),
-            &old,
-            0.25
-        )
-        .is_ok());
-        assert!(check_floor(
-            &report,
-            &e14(80.0),
-            &e15(40.0),
-            &ok16,
-            &ok17,
-            &e18(55.0),
-            &e18b(44.0),
-            &e19_vs(80.0, 72.0),
-            &old,
-            0.25
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn e18b_delivery_shapes() {
-        // Small sizes: the shape is the accounting, not the rate. Every
-        // live reaction delivers; every faulted one dead-letters (never a
-        // silent drop); redelivery accounts for the full remainder.
-        let r = e18_delivery_report(60, 6);
-        assert_eq!(r.delivered_live, 60);
-        assert_eq!(r.dead_lettered, 6);
-        assert_eq!(r.redelivered, 6);
-        assert!(r.kevents_per_s > 0.0);
-        assert!(r.recovery_ms > 0.0);
-    }
-
-    #[test]
-    fn e17_shapes() {
-        let r = e17_report_with(2_000, &[50, 200], &[500, 2_000]);
-        for row in &r.rules_axis {
-            // Every pa/pb pair joins exactly once, and the indexed path
-            // actually probed (the counters flow through EngineMetrics).
-            assert_eq!(
-                row.answers as usize,
-                row.events / 2,
-                "at {} rules",
-                row.rules
-            );
-            assert!(row.probes_per_event > 0.0, "at {} rules", row.rules);
-        }
-        for row in &r.scan_contrast {
-            assert_eq!(row.probes_per_event, 0.0, "scan mode must not probe");
-        }
-        // The occupancy contrast: with wide windows the scan join's work
-        // per event grows with the stream, the indexed join's does not.
-        let (ix_small, _) = &r.occupancy[0];
-        let (ix_large, sc_large) = &r.occupancy[1];
-        let (_, sc_small) = &r.occupancy[0];
-        assert!(
-            ix_large.attempts_per_event <= ix_small.attempts_per_event * 1.5 + 1.0,
-            "indexed attempts grew with occupancy: {} -> {}",
-            ix_small.attempts_per_event,
-            ix_large.attempts_per_event
-        );
-        assert!(
-            sc_large.attempts_per_event >= sc_small.attempts_per_event * 2.0,
-            "scan attempts should grow with occupancy: {} -> {}",
-            sc_small.attempts_per_event,
-            sc_large.attempts_per_event
-        );
-        let t = e17_table(&r);
-        assert_eq!(
-            t.rows.len(),
-            r.rules_axis.len() + r.scan_contrast.len() + 2 * r.occupancy.len()
-        );
-    }
-
-    #[test]
-    fn e16_shapes() {
-        let r = e16_report_with(2_000, &[50, 500]);
-        assert_eq!(r.rows.len(), 2);
-        for row in &r.rows {
-            // Every event matches exactly one rule, in both directions.
-            assert_eq!(row.reactions, 2_000, "at {} rules", row.rules);
-            // The flat-cost witness: alpha work per event is a handful of
-            // shape probes, independent of the rule count.
-            assert!(
-                row.alpha_tests_per_event < 10.0,
-                "alpha tests blew up at {} rules: {}",
-                row.rules,
-                row.alpha_tests_per_event
-            );
-            // The network grew with the vocabulary (one value node per
-            // distinct @route constant), i.e. it was actually exercised.
-            assert!(row.network_nodes >= row.rules, "at {} rules", row.rules);
-        }
-        for row in &r.interpreted {
-            assert_eq!(row.reactions as usize, r.interpreted_events);
-        }
-        let t = e16_table(&r);
-        assert_eq!(t.rows.len(), r.rows.len() + r.interpreted.len());
-    }
-
-    #[test]
-    fn e14_shapes() {
-        let r = e14_report(4_000);
-        assert_eq!(r.reactions, 2_000, "one reaction per evt/ack pair");
-        assert!(r.kevents_per_s > 0.0);
-        // Interning is bounded by vocabulary, not stream length: the
-        // whole workspace test run stays comfortably under this cap.
-        assert!(r.symbols < 50_000, "symbol table leaked: {}", r.symbols);
-        let t = e14_table(&r);
-        assert_eq!(t.rows.len(), 1);
     }
 
     #[test]

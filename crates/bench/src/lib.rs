@@ -1,12 +1,10 @@
 //! Shared workload generators and table plumbing for the experiments
-//! E1…E19 — one per thesis plus the scaling, durability, ingress,
-//! delivery and observability tables (see `DESIGN.md` §3).
+//! E1…E12, one per thesis (see `DESIGN.md` §3).
 //!
 //! The paper is a position paper with no tables or figures of its own, so
 //! every experiment here regenerates a table supporting one thesis's
 //! quantifiable claim. The `experiments` binary prints them all; the
-//! Criterion benches in `benches/` reuse the same generators for the
-//! timing-shaped claims.
+//! `benchmark/` workspace reuses the paired generators below.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -156,9 +154,9 @@ pub fn mixed_stream(len: usize, pair_every: usize, seed: u64) -> Vec<(Timestamp,
 }
 
 /// A rule program with `n_labels` independent composite rules, one per
-/// evt/ack label pair — the partitionable workload for E13 and the
-/// `sharded_throughput` bench. Every rule is a windowed join, so the
-/// per-event timer-advance cost is proportional to how many rules one
+/// evt/ack label pair — the partitionable program the `durable-ingest`
+/// and `durable-recover` benchmark workloads run. Every rule is a windowed
+/// join, so the per-event timer-advance cost is proportional to how many rules one
 /// engine hosts; label affinity splits them evenly across shards.
 pub fn sharded_rules(n_labels: usize) -> String {
     let mut src = String::new();

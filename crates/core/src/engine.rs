@@ -50,7 +50,7 @@ use crate::aaa::{Aaa, AaaConfig, MessageMeta, Permission};
 use crate::meta::ruleset_from_term;
 use crate::rule::{EcaRule, RuleSet};
 
-/// Counters and error log of one engine (experiments E1, E9, E12, E13).
+/// Counters and error log of one engine (experiments E1, E9, E12).
 #[derive(Clone, Debug, Default)]
 pub struct EngineMetrics {
     /// Messages received (via [`ReactiveEngine::receive`] or
@@ -74,8 +74,9 @@ pub struct EngineMetrics {
     /// Rules compiled into this engine.
     pub rules_installed: u64,
     /// Alpha tests and dispatch probes evaluated by the candidate index
-    /// (E16): with the compiled network this tracks event shape and
-    /// vocabulary, not installed-rule count.
+    /// (`compiled_equivalence` pins it flat in the rule count): with the
+    /// compiled network this tracks event shape and vocabulary, not
+    /// installed-rule count.
     pub alpha_tests_run: u64,
     /// Candidate rules the index actually handed to dispatch, after
     /// dedup. `rules_considered / events_received` is the observable
@@ -83,7 +84,7 @@ pub struct EngineMetrics {
     pub rules_considered: u64,
     /// Join candidates examined across all rules' event queries
     /// ([`reweb_events::incremental::EngineStats::join_attempts`] summed
-    /// over every push and clock advance) — the E17 work currency.
+    /// over every push and clock advance) — the beta join's work currency.
     pub join_attempts: u64,
     /// Beta-index bucket probes across all rules' event queries (zero
     /// under [`reweb_events::JoinMode::Scan`]).
@@ -409,7 +410,7 @@ impl ReactiveEngine {
     /// stored registrations of every installed rule. Dispatch outputs are
     /// byte-identical in both modes — pinned by the `compiled_equivalence`
     /// property test; [`MatchMode::Interpreted`] exists as that pin's
-    /// baseline and for the E16 scaling comparison.
+    /// baseline.
     pub fn set_match_mode(&mut self, mode: MatchMode) {
         self.match_mode = mode;
         let mut index: Box<dyn CandidateIndex> = match mode {
@@ -451,8 +452,7 @@ impl ReactiveEngine {
 
     /// Nodes in the candidate index — under [`MatchMode::Compiled`] the
     /// size of the shared discrimination network, whose growth is
-    /// sublinear in rules whenever rules share tests (the E16 sharing
-    /// metric).
+    /// sublinear in rules whenever rules share tests.
     pub fn index_node_count(&self) -> usize {
         self.index.node_count()
     }

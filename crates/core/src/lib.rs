@@ -36,7 +36,7 @@
 //! * [`shard`] — batch ingestion front-end: a [`ShardedEngine`] owning N
 //!   engines, partitioning rules by event-label affinity and routing each
 //!   event to the one shard that needs it — semantically equivalent to a
-//!   single engine (experiment E13 measures the throughput win).
+//!   single engine (`sharded_equivalence` pins it).
 //! * [`surface`] — [`Engine`], the one surface every engine shape
 //!   (single, sharded, durable) offers hosts and crash recovery.
 //! * [`aaa`] — Thesis 12: authentication (salted-hash credentials),

@@ -10,9 +10,10 @@
 //! events it would see in an unsharded engine, and each shard's per-event
 //! work (timer advance, dispatch, partial-match bookkeeping) covers only
 //! its own rules — the first architecture step toward multi-backend
-//! scale-out (experiment E13 measures the win). Shards share no state,
-//! so batches can also execute with **one worker thread per shard**: see
-//! [`ExecMode`] and the [`exec`] module. Both modes produce identical
+//! scale-out (the benchmark reports the threaded rate as
+//! `core.shard_mt_vs_single`). Shards share no state, so batches can
+//! also execute with **one worker thread per shard**: see [`ExecMode`]
+//! and the [`exec`] module. Both modes produce identical
 //! output sequences; [`ShardedEngine::new_parallel`] is a drop-in
 //! constructor swap.
 //!
@@ -314,7 +315,7 @@ pub struct ShardedEngine {
     /// Whether a shard hosts any absence rule at all; shards without one
     /// can never have a deadline, so the cache refresh is skipped.
     has_timers: Vec<bool>,
-    /// Events routed per shard (the E13 occupancy metric).
+    /// Events routed per shard (the occupancy metric).
     routed: Vec<u64>,
     /// Routing-layer warnings (dynamic installs that could not be placed
     /// soundly); engine-level errors stay in each shard's metrics.

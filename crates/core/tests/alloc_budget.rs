@@ -82,12 +82,22 @@ fn stock() -> Term {
         .finish()
 }
 
-/// Steady-state allocations per input event of `program` over the stream
-/// `event(j)`, fed in `BATCH`-message `receive_batch_tagged` calls.
-fn allocs_per_event(program: &str, event: impl Fn(usize) -> Term) -> f64 {
+/// A fresh engine with the stock resource and `program` installed.
+fn engine_with(program: &str) -> ReactiveEngine {
     let mut engine = ReactiveEngine::new("http://svc");
     engine.qe.store.put(RESOURCE, stock());
     engine.install_program(program).expect("program installs");
+    engine
+}
+
+/// Steady-state allocations per input event of `program` over the stream
+/// `event(j)`, fed in `BATCH`-message `receive_batch_tagged` calls.
+fn allocs_per_event(program: &str, event: impl Fn(usize) -> Term) -> f64 {
+    steady_allocs_per_event(&mut engine_with(program), event)
+}
+
+/// [`allocs_per_event`] through a caller-supplied `engine`.
+fn steady_allocs_per_event(engine: &mut ReactiveEngine, event: impl Fn(usize) -> Term) -> f64 {
     let meta = MessageMeta::from_uri("http://client");
     let msgs: Vec<InMessage> = (0..WARMUP + MEASURED)
         .map(|j| InMessage::new(event(j), meta.clone(), Timestamp(20 * j as u64 + 1)))
@@ -176,14 +186,33 @@ fn match_mix_shaped_program() {
          RULE stale ON absence(pa{{@route=\"c0\", id[[var K]]}}, pb{{@route=\"c0\", id[[var K]]}}, 10s) \
          DO SEND stale{k[var K]} TO \"http://sink/s\" END\n",
     );
-    let got = allocs_per_event(&program, |j| match j % 5 {
+    let event = |j: usize| match j % 5 {
         // Every `pa` is closed by its `pb` two events later on even
         // routes; odd routes never close and expire with the window.
         1 => pair("pa", (j / 5) % 8, j),
         3 if (j / 5) % 2 == 0 => pair("pb", (j / 5) % 8, j - 2),
         3 => pair("pb", (j / 5) % 8, j),
         _ => order(j, (j * 7) % 40),
-    });
+    };
+    let mut engine = engine_with(&program);
+    let got = steady_allocs_per_event(&mut engine, event);
     // 6.97 (was 51).
     assert_budget("match-mix-shaped program", got, 10.0);
+
+    // Observability off (the default handle) records nothing; switched
+    // on, the same stream records at least one span per event.
+    assert_eq!(
+        engine.obs().recorder().recorded(),
+        0,
+        "the disabled observability path recorded spans"
+    );
+    let mut traced = engine_with(&program);
+    traced.obs().enable();
+    steady_allocs_per_event(&mut traced, event);
+    let spans = traced.obs().recorder().recorded();
+    assert!(
+        spans >= (WARMUP + MEASURED) as u64,
+        "enabled observability recorded {spans} spans over {} events",
+        WARMUP + MEASURED
+    );
 }

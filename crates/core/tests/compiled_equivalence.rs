@@ -267,6 +267,51 @@ fn dynamic_install_extends_the_network_mid_stream() {
     assert!(early > late && late > 0, "early={early} late={late}");
 }
 
+/// Flat dispatch cost, as counts: rule `i` fires on `order` events whose
+/// `@route` is `"r{i}"`, so every rule shares the label and child-shape
+/// tests and the network's per-event work is one attribute probe plus
+/// those shared tests at *any* rule count. Alpha tests per event must be
+/// identical at 100 and 10 000 rules, and each event must hand dispatch
+/// exactly the one rule it fires. A matcher that tests every installed
+/// rule instead of walking the network fails both.
+#[test]
+fn alpha_tests_per_event_do_not_grow_with_rule_count() {
+    const EVENTS: usize = 2_000;
+    let meta = MessageMeta::from_uri("http://client");
+    let run = |rules: usize| {
+        let program: String = (0..rules)
+            .map(|i| format!("RULE r{i} ON order{{{{@route=\"r{i}\", n[[var N]]}}}} DO NOOP END\n"))
+            .collect();
+        let mut e = ReactiveEngine::new("http://svc");
+        e.install_program(&program).expect("program installs");
+        for k in 0..EVENTS {
+            let p = parse_term(&format!("order{{@route=\"r{}\", n[\"{k}\"]}}", k % rules)).unwrap();
+            e.receive(p, &meta, Timestamp(k as u64));
+        }
+        let m = &e.metrics;
+        assert_eq!(
+            m.rules_considered, EVENTS as u64,
+            "{rules} rules: one candidate per event"
+        );
+        assert_eq!(
+            m.rules_fired, EVENTS as u64,
+            "{rules} rules: one firing per event"
+        );
+        assert!(
+            e.index_node_count() >= rules,
+            "{rules} rules share a network of only {} nodes",
+            e.index_node_count()
+        );
+        m.alpha_tests_run as f64 / EVENTS as f64
+    };
+    let (small, large) = (run(100), run(10_000));
+    assert!(small > 0.0, "no alpha tests counted");
+    assert_eq!(
+        small, large,
+        "alpha tests per event grew with the rule count"
+    );
+}
+
 /// Switching modes mid-stream rebuilds the index from stored
 /// registrations without disturbing partial-match state.
 #[test]

@@ -65,7 +65,8 @@ pub enum JoinMode {
     Indexed,
     /// The historical scan join: each delta is joined by enumerating the
     /// full sibling stores. Kept as the equivalence oracle (indexed
-    /// output is pinned byte-identical to it) and for the E17 contrast.
+    /// output is pinned byte-identical to it) and for the occupancy
+    /// contrast in `volatility`.
     Scan,
 }
 

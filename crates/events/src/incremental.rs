@@ -65,13 +65,14 @@ pub struct EngineStats {
     pub events_processed: u64,
     /// Answers the root operator emitted.
     pub answers_emitted: u64,
-    /// Join candidates examined — the unit of "work" E6 and E17 compare.
+    /// Join candidates examined — the unit of "work" E6 and the
+    /// `volatility` occupancy wall compare.
     /// Under [`JoinMode::Scan`] this counts every stored sibling answer
     /// enumerated; under [`JoinMode::Indexed`] only the candidates
     /// surviving the key and range cuts.
     pub join_attempts: u64,
     /// Bucket lookups performed by indexed joins (zero in scan mode) —
-    /// the E17 probes-per-event currency.
+    /// the probes-per-event currency.
     pub index_probes: u64,
 }
 
@@ -125,8 +126,8 @@ impl IncrementalEngine {
     /// derived data, so the switch is lossless in both directions and
     /// legal mid-stream). Answer sequences are byte-identical in both
     /// modes — pinned by the `join_equivalence` differential proptest;
-    /// [`JoinMode::Scan`] exists as that pin's oracle and for the E17
-    /// occupancy-scaling contrast.
+    /// [`JoinMode::Scan`] exists as that pin's oracle and for the
+    /// occupancy-scaling contrast in `volatility`.
     pub fn set_join_mode(&mut self, mode: JoinMode) {
         if self.join_mode != mode {
             self.join_mode = mode;

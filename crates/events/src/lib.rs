@@ -27,7 +27,7 @@
 //!   on a beta network of join-key indexes ([`beta`]) by default — stored
 //!   answers hashed by projected key bindings, windows and sequence order
 //!   pruned by range lookup — with the scan join kept as a
-//!   runtime-switchable oracle ([`JoinMode`], experiment E17). The strawman
+//!   runtime-switchable oracle ([`JoinMode`]). The strawman
 //!   the thesis argues against — query-driven re-evaluation over the full
 //!   history — is implemented too ([`NaiveEngine`]) as the baseline for
 //!   experiment E6, and property tests pin all of them to the same

@@ -10,8 +10,10 @@
 //! `state_size` after every event, and compare the per-event
 //! `index_probes` and `join_attempts` of the first quarter of the run to
 //! the last quarter. Bounded state + a flat probe rate are exactly the
-//! E17 claim; the naive engine's history over the same stream grows
-//! linearly, which is the contrast pinned here.
+//! indexed-join claim; the naive engine's history over the same stream
+//! grows linearly, which is the contrast pinned here. A second stream
+//! with a window that never expires is the occupancy axis: the store
+//! grows, indexed join work stays flat, and the scan join's does not.
 
 use reweb_events::{parse_event_query, Event, EventId, IncrementalEngine, JoinMode, NaiveEngine};
 use reweb_term::{Term, Timestamp};
@@ -31,9 +33,21 @@ fn payload(k: usize) -> Term {
     )
 }
 
-/// Drive the steady-state stream; returns (max state_size, probes and
-/// attempts split into first-quarter and last-quarter buckets).
-fn run(query: &str, mode: JoinMode) -> (usize, [u64; 2], [u64; 2]) {
+/// One `a`/`b` pair per key: event `2j` is `a`, event `2j + 1` the `b`
+/// that closes it, both keyed `j`. No key repeats, so every join has
+/// exactly one true partner however many pairs the store holds.
+fn pair_payload(k: usize) -> Term {
+    let label = if k % 2 == 0 { "a" } else { "b" };
+    Term::unordered(
+        label,
+        vec![Term::ordered("v", vec![Term::int((k / 2) as i64)])],
+    )
+}
+
+/// Drive the steady-state stream `payload(k)`; returns (max state_size,
+/// probes and attempts split into first-quarter and last-quarter
+/// buckets).
+fn run(query: &str, mode: JoinMode, payload: fn(usize) -> Term) -> (usize, [u64; 2], [u64; 2]) {
     let q = parse_event_query(query).unwrap();
     let mut eng = IncrementalEngine::new(&q).with_join_mode(mode);
     let mut max_state = 0usize;
@@ -67,7 +81,7 @@ fn windowed_composite_state_and_probe_rate_stay_bounded() {
         "seq(a{{v[[var X]]}}, b{{v[[var X]]}}, c{{v[[var X]]}}) within 20s",
         "and(seq(a{{v[[var X]]}}, b{{v[[var X]]}}) within 10s, c{{v[[var X]]}}) within 30s",
     ] {
-        let (max_state, probes, attempts) = run(query, JoinMode::Indexed);
+        let (max_state, probes, attempts) = run(query, JoinMode::Indexed, payload);
 
         // Bounded state: the 30s-or-less windows hold at most ~30 events'
         // worth of partial matches at this rate; 200 is a generous roof
@@ -96,6 +110,36 @@ fn windowed_composite_state_and_probe_rate_stay_bounded() {
             attempts[1]
         );
     }
+}
+
+/// The occupancy axis: a two-way `and` whose window outlives the whole
+/// [`pair_payload`] stream keeps every partial match, so the store only
+/// grows. Indexed joins examine the matching bucket only, and their
+/// tail-quarter work stays at the head quarter's; the scan join examines
+/// every stored sibling, and its tail quarter does at least twice the
+/// head's work without a single index probe.
+#[test]
+fn indexed_join_work_is_flat_in_occupancy_and_scan_is_not() {
+    let query = "and(a{{v[[var X]]}}, b{{v[[var X]]}}) within 10h";
+
+    let (_, probes, attempts) = run(query, JoinMode::Indexed, pair_payload);
+    assert!(attempts[0] > 0, "no join attempts recorded under Indexed");
+    assert!(
+        attempts[1] <= attempts[0] + attempts[0] / 2,
+        "indexed join attempts grew with occupancy: head {} vs tail {}",
+        attempts[0],
+        attempts[1]
+    );
+    assert!(probes[0] > 0, "no index probes recorded under Indexed");
+
+    let (_, probes, attempts) = run(query, JoinMode::Scan, pair_payload);
+    assert_eq!(probes, [0, 0], "the scan join never probes an index");
+    assert!(
+        attempts[1] >= 2 * attempts[0],
+        "scan join attempts did not grow with occupancy: head {} vs tail {}",
+        attempts[0],
+        attempts[1]
+    );
 }
 
 /// The contrast the bound is measured against: the naive engine's history

@@ -316,6 +316,34 @@ fn drop_before_ack_retry_is_deduplicated_by_the_receiver() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One persistent connection per destination, never a reconnect per
+/// reaction: N fault-free reactions, fired one at a time by node A's
+/// rule, all reach B over the single connection the agent dialled first.
+#[test]
+fn fault_free_reactions_share_one_connection() {
+    const N: usize = 20;
+    let dir = tmp("oneconn");
+    let b = bind_receiver("http://b/", &dir.join("ledger.log"));
+    let mut agent = DeliveryAgent::new(fast_cfg("http://a/", &dir, 2)).unwrap();
+    agent.add_route("http://b/", b.local_addr());
+    let a = bind_sender_a(&agent.handle());
+    let mut client = NetClient::connect(a.local_addr(), "http://client/").unwrap();
+    post_orders(&mut client, 0..N);
+    assert!(agent.flush(Duration::from_secs(10)), "flush");
+    wait_until("all deliveries", || b.delivered().len() == N);
+    assert_eq!(agent.stats().delivered, N as u64);
+    assert!(agent.dead_letters().is_empty());
+    assert_eq!(
+        b.stats().connections_accepted,
+        1,
+        "the agent reconnected to its one destination"
+    );
+    agent.shutdown();
+    drop(a);
+    drop(b);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A peer that is alive but slow exercises the io timeout path without
 /// losing anything: deliveries retry until the latency clears the bar.
 #[test]

@@ -214,6 +214,21 @@ fn run_differential(
         .collect();
     assert_eq!(got_s, expect_s, "loopback TCP diverged from in-process");
     assert_eq!(got, expect, "payload bytes diverged beyond UTF-8");
+    if !inject_faults {
+        // Every offered event is accounted for: admitted to the queue or
+        // refused with an explicit `busy`, never shed silently. With no
+        // disconnecting client, no reply is dropped either.
+        let s = stats();
+        assert_eq!(
+            s.replies_dropped, 0,
+            "a fault-free run dropped replies: {s:?}"
+        );
+        assert_eq!(
+            s.msgs_enqueued + s.busy_replies,
+            processed,
+            "offered events unaccounted for: {s:?}"
+        );
+    }
     let _ = a.bye();
 }
 

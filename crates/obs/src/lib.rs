@@ -18,7 +18,8 @@
 //! Everything hangs off one [`Obs`] handle, compiled in unconditionally
 //! but **runtime-toggled**: while disabled, instrumented code performs a
 //! single relaxed atomic load and nothing else — no ids, no clock reads,
-//! no recording (the E19 experiment gates this path at <5% overhead).
+//! no recording (`alloc_budget` pins that this path allocates and
+//! records nothing).
 
 #![warn(missing_docs)]
 

@@ -71,10 +71,10 @@
 //!
 //! [`SyncPolicy::Always`] (default) fsyncs after every appended record:
 //! one fsync per `receive_batch` call, which is what makes batching the
-//! throughput lever — E15 measures a ~1000-message batch amortizing its
-//! single fsync to negligible per-event cost. [`SyncPolicy::Os`] leaves
-//! flushing to the OS page cache: recovery is still *consistent* (the
-//! framed log heals at the last durable boundary) but the tail may be
+//! throughput lever — the `durable-ingest` benchmark workload measures
+//! 64-message batches amortizing their single fsync. [`SyncPolicy::Os`]
+//! leaves flushing to the OS page cache: recovery is still *consistent*
+//! (the framed log heals at the last durable boundary) but the tail may be
 //! lost with the machine, not just the process.
 
 #![warn(missing_docs)]
@@ -155,7 +155,8 @@ pub type Result<T> = std::result::Result<T, PersistError>;
 pub enum SyncPolicy {
     /// fsync after every appended record (one fsync per
     /// `receive`/`receive_batch`/`install`/`advance` call). Batch your
-    /// ingestion to amortize it — that is the E15 durability story.
+    /// ingestion to amortize it (`recovery_edges` pins one fsync per
+    /// batch).
     #[default]
     Always,
     /// Never fsync; the OS flushes when it pleases. Consistent but not

@@ -4,7 +4,7 @@
 use std::fs::OpenOptions;
 use std::path::PathBuf;
 
-use reweb_core::{MessageMeta, ReactiveEngine};
+use reweb_core::{InMessage, MessageMeta, ReactiveEngine};
 use reweb_persist::{DurableEngine, DurableOptions, PersistError, SyncPolicy};
 use reweb_term::{parse_term, Timestamp};
 
@@ -246,6 +246,38 @@ fn engine_shape_mismatch_is_refused() {
     let err = DurableEngine::open(&dir, opts(), || ShardedEngine::new("http://node", 2))
         .expect_err("shape mismatch");
     assert!(matches!(err, PersistError::Corrupt(_)));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One fsync per batch, never per message: under `SyncPolicy::Always`
+/// each `receive_batch` call is one log record and one fsync, whatever
+/// its length. The installed program is the only other record written
+/// after observability is switched on.
+#[test]
+fn one_fsync_per_batch_never_per_message() {
+    const BATCHES: u64 = 8;
+    const BATCH: u64 = 64;
+    let dir = fresh_dir("fsync-per-batch");
+    let always = DurableOptions {
+        sync: SyncPolicy::Always,
+        snapshot_every: None,
+    };
+    let mut d = DurableEngine::open(&dir, always, build).unwrap();
+    d.obs().enable();
+    d.install_program(PROGRAM).unwrap();
+    let meta = MessageMeta::from_uri("http://peer");
+    for b in 0..BATCHES {
+        let batch: Vec<InMessage> = (b * BATCH..(b + 1) * BATCH)
+            .map(|k| {
+                let p = parse_term(&format!("ping{{n[\"{k}\"]}}")).unwrap();
+                InMessage::new(p, meta.clone(), Timestamp(1_000 * (k + 1)))
+            })
+            .collect();
+        d.receive_batch(&batch).unwrap();
+    }
+    assert_eq!(d.engine().metrics.rules_fired, BATCHES * BATCH);
+    // The install record costs exactly one fsync of its own.
+    assert_eq!(d.obs().fsync.snapshot().count(), BATCHES + 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 

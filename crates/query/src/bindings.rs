@@ -3,7 +3,7 @@
 //! An answer to a query is a substitution of terms for variables. Sets of
 //! answers flow between the three parts of an ECA rule: the event part
 //! produces bindings, the condition part extends or filters them, and the
-//! action part consumes them (Thesis 7's parameterization criterion).
+//! action part consumes them (Thesis 7's parameterization requirement).
 //!
 //! Representation: an `Arc<[(Sym, Term)]>` sorted by variable name (string
 //! order, via [`Sym`]'s `Ord`). Cloning is one reference-count bump;

@@ -12,7 +12,7 @@
 //!   unordered `{…}` child matching.
 //! * [`matcher`] — *simulation* matching: a query term matches a data term
 //!   if the data simulates the pattern; answers are sets of
-//!   [`Bindings`] (the "notion of answers" criterion of Thesis 7).
+//!   [`Bindings`] (the "notion of answers" Thesis 7 asks for).
 //! * [`ConstructTerm`] — build new data from bindings, with grouping
 //!   (`all … group by …`) and aggregation (`count/sum/avg/min/max`).
 //! * [`expr`] — arithmetic and comparisons over bindings, shared with event
