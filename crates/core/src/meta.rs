@@ -56,10 +56,8 @@ pub fn rule_to_term(r: &EcaRule) -> Term {
 }
 
 fn field_text(t: &Term, name: &str) -> Result<String, TermError> {
-    t.children()
-        .iter()
-        .find(|c| c.label() == Some(name))
-        .map(|c| c.text_content())
+    t.field(name)
+        .map(Term::text_content)
         .ok_or_else(|| TermError::InvalidEdit(format!("missing `{name}` in {}", t)))
 }
 

@@ -4,10 +4,11 @@
 //! events, then [`NetClient::sync`] to flush and collect the replies.
 
 use std::io::Write;
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 use reweb_core::Credentials;
-use reweb_term::frame::read_frame;
+use reweb_term::frame::{read_frame, MAX_FRAME_LEN};
 use reweb_term::{Term, Timestamp};
 
 use crate::wire::{Reply, Request};
@@ -42,9 +43,35 @@ impl NetClient {
     ) -> std::io::Result<NetClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
+        NetClient::hello(stream, from.into(), credentials, gateway)
+    }
+
+    /// Open a delivery session: a connect bounded by `connect_timeout`,
+    /// `io_timeout` on every later read and write, then the sender's
+    /// `hello`.
+    pub(crate) fn dial(
+        addr: SocketAddr,
+        from: &str,
+        connect_timeout: Duration,
+        io_timeout: Duration,
+    ) -> std::io::Result<NetClient> {
+        let stream = TcpStream::connect_timeout(&addr, connect_timeout)?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(io_timeout))?;
+        stream.set_write_timeout(Some(io_timeout))?;
+        NetClient::hello(stream, from.to_string(), None, false)
+    }
+
+    /// Run the `hello` handshake on a fresh stream and await `welcome`.
+    fn hello(
+        stream: TcpStream,
+        from: String,
+        credentials: Option<Credentials>,
+        gateway: bool,
+    ) -> std::io::Result<NetClient> {
         let mut c = NetClient { stream, next_id: 1 };
         c.send(&Request::Hello {
-            from: from.into(),
+            from,
             credentials,
             gateway,
         })?;
@@ -194,7 +221,7 @@ impl NetClient {
     /// Read one reply as raw payload bytes (byte-level assertions in
     /// tests).
     pub fn recv_raw(&mut self) -> std::io::Result<Vec<u8>> {
-        read_frame(&mut self.stream)
+        Ok(read_frame(&mut self.stream, MAX_FRAME_LEN as usize)?)
     }
 
     /// Polite close: send `bye` and drop the connection.

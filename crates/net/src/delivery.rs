@@ -39,8 +39,7 @@
 //! every rung of the ladder deterministically.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -51,9 +50,9 @@ use reweb_persist::log::FrameLog;
 use reweb_persist::outbox::{Outbox, PendingDelivery, Settle};
 use reweb_persist::wal::{field_child, field_text, field_u64, term_from_bytes};
 use reweb_persist::{PersistError, SyncPolicy};
-use reweb_term::frame::read_frame;
 use reweb_term::{Term, Timestamp};
 
+use crate::client::NetClient;
 use crate::limit::BackoffPolicy;
 use crate::wire::{ErrorCode, Reply, Request};
 
@@ -164,6 +163,10 @@ struct AgentInner {
     state: Mutex<AgentState>,
     cv: Condvar,
     shutdown: AtomicBool,
+    /// One worker thread per destination that ever had a queued
+    /// delivery; spawned by [`enqueue_inner`], joined by
+    /// [`DeliveryAgent::shutdown`].
+    workers: Mutex<HashMap<String, JoinHandle<()>>>,
     /// Observability handle (disabled by default;
     /// [`crate::NetServer::attach_delivery`] swaps in the server's).
     obs: Mutex<Arc<reweb_obs::Obs>>,
@@ -180,11 +183,11 @@ impl AgentInner {
 }
 
 /// The delivery agent. Cloning the handle is cheap (shared state);
-/// worker threads — one per active destination — are owned by the
-/// handle that created them and joined by [`DeliveryAgent::shutdown`].
+/// worker threads — one per destination, spawned when it first gets a
+/// queued delivery, whoever queued it — are joined by
+/// [`DeliveryAgent::shutdown`].
 pub struct DeliveryAgent {
     inner: Arc<AgentInner>,
-    workers: Vec<(String, JoinHandle<()>)>,
 }
 
 /// A cheap cloneable feed handle: just enough surface for the server's
@@ -235,22 +238,34 @@ fn dead_letter_from_bytes(bytes: &[u8]) -> reweb_persist::Result<DeadLetter> {
     })
 }
 
-/// Longest-prefix route resolution (the websim `owner_of` rule).
-fn resolve(routes: &[(String, SocketAddr)], to: &str) -> Option<SocketAddr> {
-    routes
-        .iter()
-        .filter(|(p, _)| to.starts_with(p.as_str()))
-        .max_by_key(|(p, _)| p.len())
-        .map(|(_, a)| *a)
-}
-
-fn prefix_entry<T: Copy>(table: &[(String, T)], to: &str) -> Option<usize> {
+/// Longest-prefix lookup (the websim `owner_of` rule) over the route and
+/// fault tables: the index and value of the entry whose prefix is the
+/// longest one `to` starts with (the later entry on a tie).
+fn longest_prefix<'a, T>(table: &'a [(String, T)], to: &str) -> Option<(usize, &'a T)> {
     table
         .iter()
         .enumerate()
         .filter(|(_, (p, _))| to.starts_with(p.as_str()))
         .max_by_key(|(_, (p, _))| p.len())
-        .map(|(i, _)| i)
+        .map(|(i, (_, v))| (i, v))
+}
+
+/// Spawn `dest`'s worker unless it already has one or the agent is
+/// shutting down (checked under the registry lock, which
+/// [`DeliveryAgent::shutdown`] takes after raising the flag).
+fn spawn_worker(inner: &Arc<AgentInner>, dest: &str) {
+    let mut workers = inner.workers.lock().expect("worker registry poisoned");
+    if inner.shutdown.load(Ordering::Acquire) || workers.contains_key(dest) {
+        return;
+    }
+    let name = format!("reweb-delivery-{}", workers.len());
+    let (worker_inner, worker_dest) = (Arc::clone(inner), dest.to_string());
+    if let Ok(h) = std::thread::Builder::new()
+        .name(name)
+        .spawn(move || worker_loop(worker_inner, worker_dest))
+    {
+        workers.insert(dest.to_string(), h);
+    }
 }
 
 fn enqueue_inner(
@@ -263,7 +278,7 @@ fn enqueue_inner(
 ) -> bool {
     {
         let routes = inner.routes.lock().expect("route table poisoned");
-        if resolve(&routes, to).is_none() {
+        if longest_prefix(&routes[..], to).is_none() {
             let mut s = inner.state();
             s.stats.unrouted += 1;
             return false;
@@ -306,6 +321,7 @@ fn enqueue_inner(
         });
     drop(s);
     inner.cv.notify_all();
+    spawn_worker(inner, to);
     if trace != 0 {
         let obs = Arc::clone(&inner.obs.lock().expect("obs handle poisoned"));
         if obs.is_enabled() {
@@ -320,7 +336,7 @@ fn enqueue_inner(
 impl DeliveryAgent {
     /// Create an agent: open (and recover) the outbox and dead-letter
     /// log, re-queue every unsettled delivery, and stand ready. Worker
-    /// threads spawn lazily, one per destination with traffic.
+    /// threads spawn on demand, one per destination with traffic.
     pub fn new(cfg: DeliveryConfig) -> std::io::Result<DeliveryAgent> {
         let mut pending: Vec<PendingDelivery> = Vec::new();
         let outbox = match &cfg.outbox {
@@ -355,20 +371,17 @@ impl DeliveryAgent {
             }),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            workers: Mutex::new(HashMap::new()),
             obs: Mutex::new(Arc::new(reweb_obs::Obs::new())),
             fault_connect: Mutex::new(Vec::new()),
             fault_drop_ack: Mutex::new(Vec::new()),
             fault_slow: Mutex::new(Vec::new()),
         });
-        let mut agent = DeliveryAgent {
-            inner,
-            workers: Vec::new(),
-        };
         // Recovered deliveries re-enter their destination queues (in
         // seq order — Outbox::open returns them sorted) once routes
         // exist; queue them now, workers will wait on routes.
-        {
-            let mut s = agent.inner.state();
+        let dests: Vec<String> = {
+            let mut s = inner.state();
             for p in pending {
                 s.stats.enqueued += 1;
                 s.queues.entry(p.to.clone()).or_default().push_back(Queued {
@@ -382,13 +395,12 @@ impl DeliveryAgent {
                     trace: 0,
                 });
             }
-            let dests: Vec<String> = s.queues.keys().cloned().collect();
-            drop(s);
-            for d in dests {
-                agent.ensure_worker(&d);
-            }
+            s.queues.keys().cloned().collect()
+        };
+        for d in dests {
+            spawn_worker(&inner, &d);
         }
-        Ok(agent)
+        Ok(DeliveryAgent { inner })
     }
 
     /// Register a route: destinations whose URI starts with `prefix`
@@ -413,48 +425,7 @@ impl DeliveryAgent {
     /// matches `to` (counted in [`DeliveryStats::unrouted`]) — such
     /// reactions are the submitter's to handle, not the agent's.
     pub fn enqueue(&mut self, to: &str, at: Timestamp, payload: &Term) -> bool {
-        let queued = enqueue_inner(&self.inner, to, at, payload, None, 0);
-        if queued {
-            self.ensure_worker(to);
-        }
-        queued
-    }
-
-    /// Spawn the destination's worker thread if it does not exist yet.
-    /// Called on the enqueue path; `DeliveryHandle` feeds (the server
-    /// driver) rely on [`DeliveryAgent::pump`] being called from the
-    /// owning thread to pick up new destinations.
-    fn ensure_worker(&mut self, to: &str) {
-        if self.workers.iter().any(|(d, _)| d == to) {
-            return;
-        }
-        let dest = to.to_string();
-        let inner = Arc::clone(&self.inner);
-        let name = format!("reweb-delivery-{}", self.workers.len());
-        if let Ok(h) = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || worker_loop(inner, dest))
-        {
-            self.workers.push((to.to_string(), h));
-        }
-    }
-
-    /// Spawn workers for destinations that gained traffic through a
-    /// [`DeliveryHandle`] (the server driver cannot spawn them itself).
-    /// Cheap; call whenever convenient — [`DeliveryAgent::flush`] calls
-    /// it on every poll.
-    pub fn pump(&mut self) {
-        let dests: Vec<String> = {
-            let s = self.inner.state();
-            s.queues
-                .iter()
-                .filter(|(_, q)| !q.is_empty())
-                .map(|(d, _)| d.clone())
-                .collect()
-        };
-        for d in dests {
-            self.ensure_worker(&d);
-        }
+        enqueue_inner(&self.inner, to, at, payload, None, 0)
     }
 
     /// Deliveries currently queued (not yet acked or dead-lettered).
@@ -468,7 +439,6 @@ impl DeliveryAgent {
     pub fn flush(&mut self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            self.pump();
             if self.pending() == 0 {
                 return true;
             }
@@ -526,7 +496,6 @@ impl DeliveryAgent {
                 log.replace(dead.iter().map(dead_letter_to_bytes))?;
             }
         }
-        self.pump();
         Ok(requeued)
     }
 
@@ -569,7 +538,9 @@ impl DeliveryAgent {
     pub fn shutdown(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         self.inner.cv.notify_all();
-        for (_, h) in self.workers.drain(..) {
+        let workers =
+            std::mem::take(&mut *self.inner.workers.lock().expect("worker registry poisoned"));
+        for h in workers.into_values() {
             let _ = h.join();
         }
     }
@@ -585,28 +556,22 @@ impl Drop for DeliveryAgent {
 /// budget, dropping it at zero. Returns whether a fault fired.
 fn consume_fault(table: &Mutex<Vec<(String, u32)>>, to: &str) -> bool {
     let mut t = table.lock().expect("fault table poisoned");
-    if let Some(i) = prefix_entry(
-        &t.iter().map(|(p, n)| (p.clone(), *n)).collect::<Vec<_>>(),
-        to,
-    ) {
-        if t[i].1 > 0 {
-            t[i].1 -= 1;
-            if t[i].1 == 0 {
+    match longest_prefix(&t[..], to) {
+        Some((i, &n)) if n > 0 => {
+            if n == 1 {
                 t.remove(i);
+            } else {
+                t[i].1 -= 1;
             }
-            return true;
+            true
         }
+        _ => false,
     }
-    false
 }
 
 fn slow_delay(table: &Mutex<Vec<(String, Duration)>>, to: &str) -> Option<Duration> {
     let t = table.lock().expect("fault table poisoned");
-    prefix_entry(
-        &t.iter().map(|(p, d)| (p.clone(), *d)).collect::<Vec<_>>(),
-        to,
-    )
-    .map(|i| t[i].1)
+    longest_prefix(&t[..], to).map(|(_, d)| *d)
 }
 
 /// One dial-and-push attempt against an open question: how did it end?
@@ -618,40 +583,11 @@ enum Attempt {
     Failed,
 }
 
-/// Read one reply frame from a delivery session (with the session's
-/// read timeout in force).
-fn read_reply(stream: &mut TcpStream) -> std::io::Result<Reply> {
-    let payload = read_frame(stream)?;
-    Reply::decode(&payload).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.0))
-}
-
-/// Dial `addr` and run the `hello` handshake as a delivery session.
-fn dial(inner: &AgentInner, addr: SocketAddr) -> std::io::Result<TcpStream> {
-    let mut stream = TcpStream::connect_timeout(&addr, inner.cfg.connect_timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(inner.cfg.io_timeout))?;
-    stream.set_write_timeout(Some(inner.cfg.io_timeout))?;
-    stream.write_all(
-        &Request::Hello {
-            from: inner.cfg.from.clone(),
-            credentials: None,
-            gateway: false,
-        }
-        .encode(),
-    )?;
-    match read_reply(&mut stream)? {
-        Reply::Welcome { .. } => Ok(stream),
-        other => Err(std::io::Error::new(
-            std::io::ErrorKind::ConnectionRefused,
-            format!("handshake refused: {other:?}"),
-        )),
-    }
-}
-
-/// Push the queue head over an open session and await its fate.
+/// Push the queue head over an open session and await its fate. Every
+/// `Failed` makes the caller drop (and so close) the session.
 fn push_one(
     inner: &AgentInner,
-    stream: &mut TcpStream,
+    session: &mut NetClient,
     to: &str,
     seq: u64,
     at: Timestamp,
@@ -667,39 +603,34 @@ fn push_one(
         at: Some(at),
         payload: payload.clone(),
     };
-    if stream.write_all(&req.encode()).is_err() {
+    if session.send(&req).is_err() {
         return Attempt::Failed;
     }
     if consume_fault(&inner.fault_drop_ack, to) {
-        let _ = stream.shutdown(std::net::Shutdown::Both);
+        // The connection closes before the ack is read.
         return Attempt::Failed;
     }
     loop {
-        match read_reply(stream) {
+        let hint = match session.recv() {
             Ok(Reply::Accepted { id, duplicate }) if id == seq => return Attempt::Acked(duplicate),
+            // The peer is alive but pushing back: honor its hint, then
+            // count a failed attempt (the ladder redials).
+            Ok(Reply::Busy { retry_ms, .. } | Reply::Throttled { retry_ms, .. }) => Some(retry_ms),
+            Ok(Reply::Error {
+                code: ErrorCode::ShuttingDown | ErrorCode::Busy,
+                retry_ms,
+                ..
+            }) => retry_ms,
+            Ok(Reply::Error { .. }) | Err(_) => None,
             // Reactions provoked by our own delivery (the receiver's
             // rules fired) are reported back on this session; they are
-            // not ours to consume — skip them.
-            Ok(Reply::Reaction { .. }) => {}
-            Ok(Reply::Busy { retry_ms, .. }) | Ok(Reply::Throttled { retry_ms, .. }) => {
-                // The peer is alive but pushing back: honor its hint,
-                // then count a failed attempt (the ladder redials).
-                std::thread::sleep(Duration::from_millis(
-                    retry_ms.min(inner.cfg.backoff.max_ms),
-                ));
-                return Attempt::Failed;
-            }
-            Ok(Reply::Error { code, retry_ms, .. }) => {
-                if code == ErrorCode::ShuttingDown || code == ErrorCode::Busy {
-                    if let Some(ms) = retry_ms {
-                        std::thread::sleep(Duration::from_millis(ms.min(inner.cfg.backoff.max_ms)));
-                    }
-                }
-                return Attempt::Failed;
-            }
-            Ok(_) => {}
-            Err(_) => return Attempt::Failed,
+            // not ours to consume — skip them, as any other reply.
+            Ok(_) => continue,
+        };
+        if let Some(ms) = hint {
+            std::thread::sleep(Duration::from_millis(ms.min(inner.cfg.backoff.max_ms)));
         }
+        return Attempt::Failed;
     }
 }
 
@@ -707,7 +638,7 @@ fn push_one(
 /// shutdown. Sleeps on the backoff ladder between failed attempts;
 /// dead-letters the head when its budget is spent.
 fn worker_loop(inner: Arc<AgentInner>, dest: String) {
-    let mut session: Option<TcpStream> = None;
+    let mut session: Option<NetClient> = None;
     loop {
         // Wait for work (or shutdown).
         let head = {
@@ -736,9 +667,6 @@ fn worker_loop(inner: Arc<AgentInner>, dest: String) {
         if attempts >= inner.cfg.retry_budget {
             session = None;
             let mut s = inner.state();
-            if let Some(q) = s.queues.get_mut(&dest) {
-                q.pop_front();
-            }
             let d = DeadLetter {
                 seq,
                 to: dest.clone(),
@@ -753,44 +681,32 @@ fn worker_loop(inner: Arc<AgentInner>, dest: String) {
             }
             s.dead.push(d);
             s.stats.dead_lettered += 1;
-            if let Some(ob) = s.outbox.as_mut() {
-                let _ = ob.settle(seq, Settle::DeadLettered);
-            }
+            settle_head(&mut s, &dest, seq, Settle::DeadLettered);
             continue;
         }
 
-        // Make sure we hold an open session (dial if not).
+        // Hold an open session (dial if not); a failed dial is a failed
+        // attempt like any other.
         if session.is_none() {
             let addr = {
                 let routes = inner.routes.lock().expect("route table poisoned");
-                resolve(&routes, &dest)
+                longest_prefix(&routes[..], &dest).map(|(_, a)| *a)
             };
-            let dialed = match addr {
+            session = match addr {
                 Some(addr) if !consume_fault(&inner.fault_connect, &dest) => {
-                    dial(&inner, addr).ok()
+                    let cfg = &inner.cfg;
+                    NetClient::dial(addr, &cfg.from, cfg.connect_timeout, cfg.io_timeout).ok()
                 }
                 _ => None,
             };
-            match dialed {
-                Some(st) => session = Some(st),
-                None => {
-                    fail_head(&inner, &dest, seq);
-                    backoff_sleep(&inner, attempts, seq);
-                    continue;
-                }
-            }
         }
 
         let obs = Arc::clone(&inner.obs.lock().expect("obs handle poisoned"));
         let rtt_start = if obs.is_enabled() { obs.now_ns() } else { 0 };
-        let outcome = push_one(
-            &inner,
-            session.as_mut().expect("session just ensured"),
-            &dest,
-            seq,
-            at,
-            &payload,
-        );
+        let outcome = match session.as_mut() {
+            Some(s) => push_one(&inner, s, &dest, seq, at, &payload),
+            None => Attempt::Failed,
+        };
         match outcome {
             Attempt::Acked(duplicate) => {
                 if obs.is_enabled() {
@@ -804,16 +720,11 @@ fn worker_loop(inner: Arc<AgentInner>, dest: String) {
                     }
                 }
                 let mut s = inner.state();
-                if let Some(q) = s.queues.get_mut(&dest) {
-                    q.pop_front();
-                }
                 s.stats.delivered += 1;
                 if duplicate {
                     s.stats.duplicate_acks += 1;
                 }
-                if let Some(ob) = s.outbox.as_mut() {
-                    let _ = ob.settle(seq, Settle::Acked);
-                }
+                settle_head(&mut s, &dest, seq, Settle::Acked);
             }
             Attempt::Failed => {
                 session = None;
@@ -821,6 +732,17 @@ fn worker_loop(inner: Arc<AgentInner>, dest: String) {
                 backoff_sleep(&inner, attempts, seq);
             }
         }
+    }
+}
+
+/// Take the queue head `seq` off `dest`'s queue and settle it in the
+/// outbox journal (acked or dead-lettered).
+fn settle_head(s: &mut AgentState, dest: &str, seq: u64, how: Settle) {
+    if let Some(q) = s.queues.get_mut(dest) {
+        q.pop_front();
+    }
+    if let Some(ob) = s.outbox.as_mut() {
+        let _ = ob.settle(seq, how);
     }
 }
 
@@ -941,6 +863,9 @@ mod tests {
             ("http://b/".to_string(), addr1),
             ("http://b/special/".to_string(), addr2),
         ];
+        let resolve = |routes: &[(String, SocketAddr)], to| {
+            longest_prefix(routes, to).map(|(_, a): (usize, &SocketAddr)| *a)
+        };
         assert_eq!(resolve(&routes, "http://b/x"), Some(addr1));
         assert_eq!(resolve(&routes, "http://b/special/x"), Some(addr2));
         assert_eq!(resolve(&routes, "http://c/x"), None);

@@ -20,14 +20,17 @@ use reweb_term::Timestamp;
 
 use crate::limit::RateLimit;
 
+/// How long the driver waits for a batch to fill before running a
+/// partial one (the latency bound of batch formation). Fixed: every
+/// deployment and test ran with this one value.
+pub const BATCH_FILL_WAIT: Duration = Duration::from_millis(1);
+
 /// Tuning knobs of a [`crate::NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Largest batch handed to the engine in one call.
+    /// Largest batch handed to the engine in one call (batches that do
+    /// not fill run after [`BATCH_FILL_WAIT`]).
     pub max_batch: usize,
-    /// How long the driver waits for a batch to fill before running a
-    /// partial one (the latency bound of batch formation).
-    pub batch_latency: Duration,
     /// Global ingress queue capacity; events beyond it get `busy`
     /// replies.
     pub queue_capacity: usize,
@@ -63,7 +66,6 @@ impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
             max_batch: 256,
-            batch_latency: Duration::from_millis(1),
             queue_capacity: 4096,
             max_body: 1 << 20,
             rate_limit: None,

@@ -24,13 +24,15 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use reweb_core::{Engine, InMessage};
-use reweb_term::frame::{crc32, FRAME_HEADER_LEN, MAX_FRAME_LEN};
+use reweb_core::{Engine, InMessage, OutMessage};
+use reweb_term::frame::{read_frame, FrameError};
 use reweb_term::Timestamp;
 
 use crate::delivery::{DeliveryHandle, DeliveryLedger};
 use crate::limit::{Admission, BackoffPolicy, TokenBucket};
-use crate::router::{IngressQueue, Item, LanePush, NetConfig, ReplyClass, ReplyLane};
+use crate::router::{
+    IngressQueue, Item, LanePush, NetConfig, ReplyClass, ReplyLane, BATCH_FILL_WAIT,
+};
 use crate::wire::{event_to_message, ErrorCode, Reply, Request};
 
 /// Monotone ingress counters, updated with relaxed atomics on the hot
@@ -135,18 +137,18 @@ struct Shared {
 }
 
 impl Shared {
-    /// Route one encoded reply frame to a connection's writer lane.
-    /// Never blocks: a full data buffer (slow reader), a closed lane, or
-    /// a vanished connection (mid-batch disconnect) counts a dropped
-    /// reply and moves on. Reactions are [`ReplyClass::Data`]; protocol
-    /// replies are [`ReplyClass::Control`] and only drop when the
-    /// connection itself is gone.
     /// The current observability handle (cheap: mutex + Arc clone, no
     /// engine lock).
     fn obs(&self) -> Arc<reweb_obs::Obs> {
         Arc::clone(&self.obs.lock().expect("obs handle poisoned"))
     }
 
+    /// Route one encoded reply frame to a connection's writer lane.
+    /// Never blocks: a full data buffer (slow reader), a closed lane, or
+    /// a vanished connection (mid-batch disconnect) counts a dropped
+    /// reply and moves on. Reactions are [`ReplyClass::Data`]; protocol
+    /// replies are [`ReplyClass::Control`] and only drop when the
+    /// connection itself is gone.
     fn send_to(&self, client: u64, class: ReplyClass, frame: Vec<u8>) {
         let clients = self.clients.lock().expect("client registry poisoned");
         match clients.get(&client) {
@@ -442,117 +444,61 @@ fn accept_loop(
     }
 }
 
-/// How one read attempt ended.
-enum ReadOutcome {
-    /// The buffer was filled.
-    Full,
-    /// Clean EOF before the first byte.
-    Eof,
-    /// EOF mid-buffer: a truncated frame.
-    Truncated,
-    /// The server is shutting down.
-    Shutdown,
-    /// A socket error.
-    Failed,
+/// A connection's socket as the frame reader sees it: each read blocks
+/// for at most the socket's read timeout (the poll interval), and a
+/// timeout ends the read only once the server is shutting down.
+struct Polled<'a> {
+    stream: &'a mut TcpStream,
+    shutdown: &'a AtomicBool,
 }
 
-/// Fill `buf` from `stream`, polling the shutdown flag between reads.
-/// The stream must have a read timeout set (the poll interval).
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], shared: &Shared) -> ReadOutcome {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Truncated
-                };
+impl Read for Polled<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e)
+                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                        && !self.shutdown.load(Ordering::Acquire) => {}
+                r => return r,
             }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return ReadOutcome::Shutdown;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Failed,
         }
     }
-    ReadOutcome::Full
 }
 
-/// What reading one frame produced.
-enum FrameRead {
-    /// A CRC-verified payload.
-    Payload(Vec<u8>),
-    /// Close the connection, optionally after a best-effort error
-    /// reply.
-    Close(Option<(ErrorCode, String)>),
-}
-
-/// Read and verify one frame. Oversized headers are rejected *before*
-/// the body is read or buffered (the body-limit pattern).
-fn read_frame(stream: &mut TcpStream, shared: &Shared) -> FrameRead {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    match read_full(stream, &mut header, shared) {
-        ReadOutcome::Full => {}
-        ReadOutcome::Eof | ReadOutcome::Shutdown | ReadOutcome::Failed => {
-            return FrameRead::Close(None)
+/// Read one request frame, bounded by `max_body` before the body is
+/// read or buffered (the body-limit pattern). A framing fault is counted
+/// here and comes back as the error reply that closes the connection;
+/// `Err(None)` closes silently (clean EOF, shutdown, socket error).
+fn next_frame(
+    stream: &mut TcpStream,
+    shared: &Shared,
+) -> Result<Vec<u8>, Option<(ErrorCode, String)>> {
+    let mut polled = Polled {
+        stream,
+        shutdown: &shared.shutdown,
+    };
+    let fault = match read_frame(&mut polled, shared.cfg.max_body) {
+        Ok(payload) => {
+            shared.counters.frames_in.fetch_add(1, Ordering::Relaxed);
+            return Ok(payload);
         }
-        ReadOutcome::Truncated => {
-            shared
-                .counters
-                .framing_errors
-                .fetch_add(1, Ordering::Relaxed);
-            return FrameRead::Close(Some((
-                ErrorCode::MalformedFrame,
-                "truncated frame header".into(),
-            )));
-        }
-    }
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_LEN || len as usize > shared.cfg.max_body {
-        shared
-            .counters
-            .framing_errors
-            .fetch_add(1, Ordering::Relaxed);
-        return FrameRead::Close(Some((
+        Err(FrameError::Eof | FrameError::Io(_)) => return Err(None),
+        Err(fault) => fault,
+    };
+    shared
+        .counters
+        .framing_errors
+        .fetch_add(1, Ordering::Relaxed);
+    Err(Some(match fault {
+        FrameError::Oversized(len) => (
             ErrorCode::OversizedFrame,
             format!(
                 "frame of {len} bytes exceeds max_body {}",
                 shared.cfg.max_body
             ),
-        )));
-    }
-    let mut payload = vec![0u8; len as usize];
-    match read_full(stream, &mut payload, shared) {
-        ReadOutcome::Full => {}
-        ReadOutcome::Shutdown => return FrameRead::Close(None),
-        _ => {
-            shared
-                .counters
-                .framing_errors
-                .fetch_add(1, Ordering::Relaxed);
-            return FrameRead::Close(Some((
-                ErrorCode::MalformedFrame,
-                "truncated frame payload".into(),
-            )));
-        }
-    }
-    if crc32(&payload) != crc {
-        shared
-            .counters
-            .framing_errors
-            .fetch_add(1, Ordering::Relaxed);
-        return FrameRead::Close(Some((
-            ErrorCode::MalformedFrame,
-            "frame CRC mismatch".into(),
-        )));
-    }
-    shared.counters.frames_in.fetch_add(1, Ordering::Relaxed);
-    FrameRead::Payload(payload)
+        ),
+        fault => (ErrorCode::MalformedFrame, fault.to_string()),
+    }))
 }
 
 /// Write a reply straight to the socket — used before the writer thread
@@ -569,53 +515,29 @@ fn connection_loop(mut stream: TcpStream, client: u64, shared_arc: &Arc<Shared>)
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
 
     // Handshake: the first envelope must be a schema-matching `hello`.
-    let (session_from, session_cred, gateway) = match read_frame(&mut stream, shared) {
-        FrameRead::Payload(payload) => match Request::decode(&payload) {
+    let hello =
+        next_frame(&mut stream, shared).and_then(|payload| match Request::decode(&payload) {
             Ok(Request::Hello {
                 from,
                 credentials,
                 gateway,
-            }) => (from, credentials, gateway),
-            Ok(_) => {
+            }) => Ok((from, credentials, gateway)),
+            refused => {
                 shared
                     .counters
                     .envelope_errors
                     .fetch_add(1, Ordering::Relaxed);
-                send_direct(
-                    &mut stream,
-                    &Reply::Error {
-                        code: ErrorCode::NoHello,
-                        detail: "first envelope must be hello".into(),
-                        id: None,
-                        retry_ms: None,
-                    },
-                );
-                return;
+                Err(Some(match refused {
+                    Err(e) if e.0.contains("schema") => (ErrorCode::BadSchema, e.0),
+                    Err(e) => (ErrorCode::BadEnvelope, e.0),
+                    Ok(_) => (ErrorCode::NoHello, "first envelope must be hello".into()),
+                }))
             }
-            Err(e) => {
-                shared
-                    .counters
-                    .envelope_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let code = if e.0.contains("schema") {
-                    ErrorCode::BadSchema
-                } else {
-                    ErrorCode::BadEnvelope
-                };
-                send_direct(
-                    &mut stream,
-                    &Reply::Error {
-                        code,
-                        detail: e.0,
-                        id: None,
-                        retry_ms: None,
-                    },
-                );
-                return;
-            }
-        },
-        FrameRead::Close(err) => {
-            if let Some((code, detail)) = err {
+        });
+    let (session_from, session_cred, gateway) = match hello {
+        Ok(session) => session,
+        Err(close) => {
+            if let Some((code, detail)) = close {
                 send_direct(
                     &mut stream,
                     &Reply::Error {
@@ -682,9 +604,9 @@ fn connection_loop(mut stream: TcpStream, client: u64, shared_arc: &Arc<Shared>)
     };
 
     let close_err = loop {
-        let payload = match read_frame(&mut stream, shared) {
-            FrameRead::Payload(p) => p,
-            FrameRead::Close(err) => break err,
+        let payload = match next_frame(&mut stream, shared) {
+            Ok(p) => p,
+            Err(close) => break close,
         };
         let req = match Request::decode(&payload) {
             Ok(r) => r,
@@ -702,7 +624,7 @@ fn connection_loop(mut stream: TcpStream, client: u64, shared_arc: &Arc<Shared>)
                 continue;
             }
         };
-        match req {
+        let id = match req {
             Request::Hello { .. } => {
                 shared
                     .counters
@@ -713,6 +635,7 @@ fn connection_loop(mut stream: TcpStream, client: u64, shared_arc: &Arc<Shared>)
             Request::Bye => break None,
             Request::Sync { id } => {
                 shared.queue.push_control(Item::Sync { client, id });
+                continue;
             }
             Request::Stats { id } => {
                 // Answered inline from shared atomics — never queued
@@ -720,167 +643,108 @@ fn connection_loop(mut stream: TcpStream, client: u64, shared_arc: &Arc<Shared>)
                 // ingress pressure.
                 let body = shared.obs().stats_term();
                 reply(&Reply::Stats { id, body });
+                continue;
             }
             Request::Trace { id, trace } => {
                 let body = shared.obs().trace_term(trace);
                 reply(&Reply::Trace { id, body });
+                continue;
             }
-            Request::Advance { id, at } => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    reply(&Reply::Error {
-                        code: ErrorCode::ShuttingDown,
-                        detail: "server is shutting down".into(),
-                        id: Some(id),
-                        retry_ms: Some(BackoffPolicy::BUSY.delay_ms(0)),
-                    });
-                    continue;
-                }
+            Request::Advance { id, .. }
+            | Request::Event { id, .. }
+            | Request::Deliver { id, .. } => id,
+        };
+        // Everything below is work for the driver: refused once the
+        // server is shutting down.
+        if shared.shutdown.load(Ordering::Acquire) {
+            reply(&Reply::Error {
+                code: ErrorCode::ShuttingDown,
+                detail: "server is shutting down".into(),
+                id: Some(id),
+                retry_ms: Some(BackoffPolicy::BUSY.delay_ms(0)),
+            });
+            continue;
+        }
+        // A pushed delivery is attributed to the pushing peer's session
+        // identity (it carries no per-event override); deduplication
+        // and the `accepted` ack happen in the driver, *after* the
+        // batch runs.
+        let (key, from, credentials, at, payload) = match req {
+            Request::Advance { at, .. } => {
                 shared.queue.push_control(Item::Advance { client, id, at });
-            }
-            Request::Deliver {
-                id,
-                key,
-                at,
-                payload,
-            } => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    reply(&Reply::Error {
-                        code: ErrorCode::ShuttingDown,
-                        detail: "server is shutting down".into(),
-                        id: Some(id),
-                        retry_ms: Some(BackoffPolicy::BUSY.delay_ms(0)),
-                    });
-                    continue;
-                }
-                if let Some(b) = bucket.as_mut() {
-                    if let Admission::Throttled { retry_ms } = b.admit(Instant::now()) {
-                        shared
-                            .counters
-                            .throttled_replies
-                            .fetch_add(1, Ordering::Relaxed);
-                        reply(&Reply::Throttled { id, retry_ms });
-                        continue;
-                    }
-                }
-                // A pushed delivery is attributed to the pushing peer's
-                // session identity; deduplication and the `accepted`
-                // ack happen in the driver, *after* the batch runs.
-                let msg = InMessage::new(
-                    payload,
-                    {
-                        let mut m = reweb_core::MessageMeta::from_uri(session_from.clone());
-                        if let Some(c) = &session_cred {
-                            m = m.with_credentials(c.principal.clone(), c.secret.clone());
-                        }
-                        m
-                    },
-                    at.unwrap_or_else(wall_clock),
-                );
-                match shared.queue.push_event(Item::Msg {
-                    client,
-                    id,
-                    msg,
-                    key: Some(key),
-                    enq: obs.is_enabled().then(Instant::now),
-                }) {
-                    Ok(depth) => {
-                        shared
-                            .counters
-                            .msgs_enqueued
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .counters
-                            .queue_highwater
-                            .fetch_max(depth as u64, Ordering::Relaxed);
-                    }
-                    Err(full) => {
-                        shared.counters.busy_replies.fetch_add(1, Ordering::Relaxed);
-                        reply(&Reply::Busy {
-                            id,
-                            depth: full.depth,
-                            capacity: full.capacity,
-                            retry_ms: BackoffPolicy::BUSY.delay_ms(0),
-                        });
-                    }
-                }
+                continue;
             }
             Request::Event {
-                id,
-                at,
                 from,
                 credentials,
+                at,
                 payload,
-            } => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    reply(&Reply::Error {
-                        code: ErrorCode::ShuttingDown,
-                        detail: "server is shutting down".into(),
-                        id: Some(id),
-                        retry_ms: Some(BackoffPolicy::BUSY.delay_ms(0)),
-                    });
-                    continue;
-                }
-                if let Some(b) = bucket.as_mut() {
-                    if let Admission::Throttled { retry_ms } = b.admit(Instant::now()) {
-                        shared
-                            .counters
-                            .throttled_replies
-                            .fetch_add(1, Ordering::Relaxed);
-                        reply(&Reply::Throttled { id, retry_ms });
-                        continue;
-                    }
-                }
-                let msg = match event_to_message(
-                    &session_from,
-                    &session_cred,
-                    gateway,
-                    &from,
-                    &credentials,
-                    payload,
-                    at.unwrap_or_else(wall_clock),
-                ) {
-                    Ok(m) => m,
-                    Err(code) => {
-                        shared
-                            .counters
-                            .envelope_errors
-                            .fetch_add(1, Ordering::Relaxed);
-                        reply(&Reply::Error {
-                            code,
-                            detail: "per-event from/cred requires a gateway session".into(),
-                            id: Some(id),
-                            retry_ms: None,
-                        });
-                        continue;
-                    }
-                };
-                match shared.queue.push_event(Item::Msg {
-                    client,
+                ..
+            } => (None, from, credentials, at, payload),
+            Request::Deliver {
+                key, at, payload, ..
+            } => (Some(key), None, None, at, payload),
+            _ => unreachable!("answered above"),
+        };
+        if let Some(Admission::Throttled { retry_ms }) =
+            bucket.as_mut().map(|b| b.admit(Instant::now()))
+        {
+            shared
+                .counters
+                .throttled_replies
+                .fetch_add(1, Ordering::Relaxed);
+            reply(&Reply::Throttled { id, retry_ms });
+            continue;
+        }
+        let msg = match event_to_message(
+            &session_from,
+            &session_cred,
+            gateway,
+            &from,
+            &credentials,
+            payload,
+            at.unwrap_or_else(wall_clock),
+        ) {
+            Ok(m) => m,
+            Err(code) => {
+                shared
+                    .counters
+                    .envelope_errors
+                    .fetch_add(1, Ordering::Relaxed);
+                reply(&Reply::Error {
+                    code,
+                    detail: "per-event from/cred requires a gateway session".into(),
+                    id: Some(id),
+                    retry_ms: None,
+                });
+                continue;
+            }
+        };
+        match shared.queue.push_event(Item::Msg {
+            client,
+            id,
+            msg,
+            key,
+            enq: obs.is_enabled().then(Instant::now),
+        }) {
+            Ok(depth) => {
+                shared
+                    .counters
+                    .msgs_enqueued
+                    .fetch_add(1, Ordering::Relaxed);
+                shared
+                    .counters
+                    .queue_highwater
+                    .fetch_max(depth as u64, Ordering::Relaxed);
+            }
+            Err(full) => {
+                shared.counters.busy_replies.fetch_add(1, Ordering::Relaxed);
+                reply(&Reply::Busy {
                     id,
-                    msg,
-                    key: None,
-                    enq: obs.is_enabled().then(Instant::now),
-                }) {
-                    Ok(depth) => {
-                        shared
-                            .counters
-                            .msgs_enqueued
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .counters
-                            .queue_highwater
-                            .fetch_max(depth as u64, Ordering::Relaxed);
-                    }
-                    Err(full) => {
-                        shared.counters.busy_replies.fetch_add(1, Ordering::Relaxed);
-                        reply(&Reply::Busy {
-                            id,
-                            depth: full.depth,
-                            capacity: full.capacity,
-                            retry_ms: BackoffPolicy::BUSY.delay_ms(0),
-                        });
-                    }
-                }
+                    depth: full.depth,
+                    capacity: full.capacity,
+                    retry_ms: BackoffPolicy::BUSY.delay_ms(0),
+                });
             }
         }
     };
@@ -934,11 +798,9 @@ fn driver_loop(shared: Arc<Shared>) {
     // whole stream, so a batch boundary can never reorder engine time.
     let mut last_at = Timestamp::ZERO;
     loop {
-        let batch = shared.queue.pop_batch(
-            shared.cfg.max_batch,
-            shared.cfg.batch_latency,
-            &shared.shutdown,
-        );
+        let batch = shared
+            .queue
+            .pop_batch(shared.cfg.max_batch, BATCH_FILL_WAIT, &shared.shutdown);
         if batch.is_empty() {
             if shared.shutdown.load(Ordering::Acquire) && shared.queue.depth() == 0 {
                 return;
@@ -986,15 +848,7 @@ fn driver_loop(shared: Arc<Shared>) {
                                 .counters
                                 .deliveries_duplicate
                                 .fetch_add(1, Ordering::Relaxed);
-                            shared.send_to(
-                                client,
-                                ReplyClass::Control,
-                                Reply::Accepted {
-                                    id,
-                                    duplicate: true,
-                                }
-                                .encode(),
-                            );
+                            send_accepted(&shared, client, id, true);
                             continue;
                         }
                     }
@@ -1018,41 +872,10 @@ fn driver_loop(shared: Arc<Shared>) {
                     match outcome {
                         Ok(outs) => {
                             for o in outs {
-                                shared
-                                    .counters
-                                    .reactions_out
-                                    .fetch_add(1, Ordering::Relaxed);
-                                let trace = o.provenance.as_ref().map_or(0, |p| p.trace);
-                                push_outbound(&shared, &o.to, at, &o.payload, trace);
-                                shared.send_to(
-                                    client,
-                                    ReplyClass::Data,
-                                    Reply::Reaction {
-                                        id,
-                                        to: o.to,
-                                        payload: o.payload,
-                                    }
-                                    .encode(),
-                                );
+                                route_reaction(&shared, client, id, at, o);
                             }
                         }
-                        Err(e) => {
-                            shared
-                                .counters
-                                .engine_errors
-                                .fetch_add(1, Ordering::Relaxed);
-                            shared.send_to(
-                                client,
-                                ReplyClass::Control,
-                                Reply::Error {
-                                    code: ErrorCode::Engine,
-                                    detail: e.to_string(),
-                                    id: Some(id),
-                                    retry_ms: None,
-                                }
-                                .encode(),
-                            );
-                        }
+                        Err(e) => report_engine_error(&shared, &[(client, id)], &e),
                     }
                 }
                 Item::Sync { client, id } => {
@@ -1065,15 +888,35 @@ fn driver_loop(shared: Arc<Shared>) {
     }
 }
 
-/// Hand one reaction to the attached delivery agent (when one is).
-/// `trace` is the originating event's trace id (0 = untraced) — it
-/// rides along so the delivery agent's outbox/round-trip spans join the
-/// same causal chain.
-fn push_outbound(shared: &Shared, to: &str, at: Timestamp, payload: &reweb_term::Term, trace: u64) {
-    let delivery = shared.delivery.lock().expect("delivery handle poisoned");
-    if let Some(h) = delivery.as_ref() {
-        h.enqueue(to, at, payload, trace);
+/// Route one reaction the engine produced for request `id` of `client`:
+/// count it, hand it to the attached delivery agent (when one is), and
+/// send the submitter its `reaction` reply. `at` is the originating
+/// event's time; the provenance trace id (0 = untraced) rides along so
+/// the agent's outbox/round-trip spans join the same causal chain.
+fn route_reaction(shared: &Shared, client: u64, id: u64, at: Timestamp, o: OutMessage) {
+    shared
+        .counters
+        .reactions_out
+        .fetch_add(1, Ordering::Relaxed);
+    if let Some(h) = shared
+        .delivery
+        .lock()
+        .expect("delivery handle poisoned")
+        .as_ref()
+    {
+        let trace = o.provenance.as_ref().map_or(0, |p| p.trace);
+        h.enqueue(&o.to, at, &o.payload, trace);
     }
+    shared.send_to(
+        client,
+        ReplyClass::Data,
+        Reply::Reaction {
+            id,
+            to: o.to,
+            payload: o.payload,
+        }
+        .encode(),
+    );
 }
 
 /// Hand one accumulated message run to the engine, route its tagged
@@ -1104,22 +947,7 @@ fn flush_run(
         Ok(tagged) => {
             for (k, o) in tagged {
                 let (client, id) = tags[k as usize];
-                shared
-                    .counters
-                    .reactions_out
-                    .fetch_add(1, Ordering::Relaxed);
-                let trace = o.provenance.as_ref().map_or(0, |p| p.trace);
-                push_outbound(shared, &o.to, msgs[k as usize].at, &o.payload, trace);
-                shared.send_to(
-                    client,
-                    ReplyClass::Data,
-                    Reply::Reaction {
-                        id,
-                        to: o.to,
-                        payload: o.payload,
-                    }
-                    .encode(),
-                );
+                route_reaction(shared, client, id, msgs[k as usize].at, o);
             }
             for (i, key) in keys.iter().enumerate() {
                 if let Some(key) = key {
@@ -1133,48 +961,50 @@ fn flush_run(
                         .counters
                         .deliveries_ingested
                         .fetch_add(1, Ordering::Relaxed);
-                    shared.send_to(
-                        client,
-                        ReplyClass::Control,
-                        Reply::Accepted {
-                            id,
-                            duplicate: false,
-                        }
-                        .encode(),
-                    );
+                    send_accepted(shared, client, id, false);
                 }
             }
         }
-        Err(e) => {
-            shared
-                .counters
-                .engine_errors
-                .fetch_add(1, Ordering::Relaxed);
-            // Attribution is lost when the whole batch is refused;
-            // every submitter in the run hears about it once. Pushed
-            // deliveries in the run are deliberately *not* recorded in
-            // the ledger — no ack goes out, the sender retries, and a
-            // later successful run ingests them.
-            let detail = e.to_string();
-            let mut told = std::collections::HashSet::new();
-            for &(client, id) in tags.iter() {
-                if told.insert(client) {
-                    shared.send_to(
-                        client,
-                        ReplyClass::Control,
-                        Reply::Error {
-                            code: ErrorCode::Engine,
-                            detail: detail.clone(),
-                            id: Some(id),
-                            retry_ms: None,
-                        }
-                        .encode(),
-                    );
-                }
-            }
-        }
+        // Pushed deliveries in a refused run are deliberately *not*
+        // recorded in the ledger — no ack goes out, the sender retries,
+        // and a later successful run ingests them.
+        Err(e) => report_engine_error(shared, tags, &e),
     }
     msgs.clear();
     tags.clear();
     keys.clear();
+}
+
+/// Ack one pushed delivery, flagged `dup` when its key had been ingested
+/// before.
+fn send_accepted(shared: &Shared, client: u64, id: u64, duplicate: bool) {
+    let ack = Reply::Accepted { id, duplicate };
+    shared.send_to(client, ReplyClass::Control, ack.encode());
+}
+
+/// Count one engine refusal and answer it. Attribution is lost when a
+/// whole batch is refused, so every submitter in `tags` hears about it
+/// once, under its first request's id.
+fn report_engine_error(shared: &Shared, tags: &[(u64, u64)], e: &dyn std::fmt::Display) {
+    shared
+        .counters
+        .engine_errors
+        .fetch_add(1, Ordering::Relaxed);
+    let detail = e.to_string();
+    let mut told = std::collections::HashSet::new();
+    for &(client, id) in tags {
+        if told.insert(client) {
+            shared.send_to(
+                client,
+                ReplyClass::Control,
+                Reply::Error {
+                    code: ErrorCode::Engine,
+                    detail: detail.clone(),
+                    id: Some(id),
+                    retry_ms: None,
+                }
+                .encode(),
+            );
+        }
+    }
 }

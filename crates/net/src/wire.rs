@@ -1,7 +1,7 @@
 //! The wire protocol: framed textual terms over a byte stream.
 //!
 //! Every message on a connection — in either direction — is one *frame*
-//! ([`reweb_term::frame`]: `[len u32 LE][crc32 u32 LE][payload]`) whose
+//! ([`reweb_term::frame`]: `[len u32 LE][CRC-32 u32 LE][payload]`) whose
 //! payload is a single envelope term in the textual term syntax
 //! ([`reweb_term::parse_term`] / `Display`). The WAL already proved this
 //! format portable and pager-readable; the network reuses it verbatim,
@@ -28,7 +28,7 @@ use std::fmt;
 
 use reweb_core::{Credentials, InMessage, MessageMeta};
 use reweb_term::frame::encode_frame;
-use reweb_term::{parse_term, Term, Timestamp};
+use reweb_term::{parse_term, Term, TermBuilder, Timestamp};
 
 /// Schema string every session negotiates in its `hello`/`welcome`
 /// exchange. Bump when the envelope grammar changes incompatibly.
@@ -50,12 +50,13 @@ impl std::error::Error for EnvelopeError {}
 
 type Result<T> = std::result::Result<T, EnvelopeError>;
 
-fn field_text(t: &Term, name: &str) -> Result<String> {
-    t.children()
-        .iter()
-        .find(|c| c.label() == Some(name))
-        .map(|c| c.text_content())
+fn field<'a>(t: &'a Term, name: &str) -> Result<&'a Term> {
+    t.field(name)
         .ok_or_else(|| EnvelopeError(format!("field `{name}` missing in {t}")))
+}
+
+fn field_text(t: &Term, name: &str) -> Result<String> {
+    field(t, name).map(Term::text_content)
 }
 
 fn field_u64(t: &Term, name: &str) -> Result<u64> {
@@ -65,37 +66,30 @@ fn field_u64(t: &Term, name: &str) -> Result<u64> {
 }
 
 fn opt_field_u64(t: &Term, name: &str) -> Result<Option<u64>> {
-    if t.children().iter().any(|c| c.label() == Some(name)) {
-        field_u64(t, name).map(Some)
-    } else {
-        Ok(None)
-    }
+    t.field(name).map(|_| field_u64(t, name)).transpose()
 }
 
 fn field_child<'a>(t: &'a Term, name: &str) -> Result<&'a Term> {
-    let wrapper = t
-        .children()
-        .iter()
-        .find(|c| c.label() == Some(name))
-        .ok_or_else(|| EnvelopeError(format!("field `{name}` missing in {t}")))?;
-    wrapper
+    field(t, name)?
         .children()
         .first()
         .ok_or_else(|| EnvelopeError(format!("field `{name}` is empty in {t}")))
 }
 
-fn has_flag(t: &Term, name: &str) -> bool {
-    t.children().iter().any(|c| c.label() == Some(name))
+fn cred_from(t: &Term) -> Result<Option<Credentials>> {
+    t.field("cred")
+        .map(|c| {
+            Ok(Credentials {
+                principal: field_text(c, "principal")?,
+                secret: field_text(c, "secret")?,
+            })
+        })
+        .transpose()
 }
 
-fn cred_from(t: &Term) -> Result<Option<Credentials>> {
-    match t.children().iter().find(|c| c.label() == Some("cred")) {
-        None => Ok(None),
-        Some(c) => Ok(Some(Credentials {
-            principal: field_text(c, "principal")?,
-            secret: field_text(c, "secret")?,
-        })),
-    }
+/// The head every correlated envelope shares: `label{id["…"], …}`.
+fn envelope(label: &str, id: u64) -> TermBuilder {
+    Term::build(label).unordered().field("id", id.to_string())
 }
 
 fn cred_term(c: &Credentials) -> Term {
@@ -231,7 +225,7 @@ impl Request {
                 credentials,
                 payload,
             } => {
-                let mut b = Term::build("event").unordered().field("id", id.to_string());
+                let mut b = envelope("event", *id);
                 if let Some(at) = at {
                     b = b.field("at", at.millis().to_string());
                 }
@@ -250,32 +244,19 @@ impl Request {
                 at,
                 payload,
             } => {
-                let mut b = Term::build("deliver")
-                    .unordered()
-                    .field("id", id.to_string())
-                    .field("key", key);
+                let mut b = envelope("deliver", *id).field("key", key);
                 if let Some(at) = at {
                     b = b.field("at", at.millis().to_string());
                 }
                 b.child(Term::ordered("payload", vec![payload.clone()]))
                     .finish()
             }
-            Request::Advance { id, at } => Term::build("advance")
-                .unordered()
-                .field("id", id.to_string())
+            Request::Advance { id, at } => envelope("advance", *id)
                 .field("at", at.millis().to_string())
                 .finish(),
-            Request::Sync { id } => Term::build("sync")
-                .unordered()
-                .field("id", id.to_string())
-                .finish(),
-            Request::Stats { id } => Term::build("stats")
-                .unordered()
-                .field("id", id.to_string())
-                .finish(),
-            Request::Trace { id, trace } => Term::build("trace")
-                .unordered()
-                .field("id", id.to_string())
+            Request::Sync { id } => envelope("sync", *id).finish(),
+            Request::Stats { id } => envelope("stats", *id).finish(),
+            Request::Trace { id, trace } => envelope("trace", *id)
                 .field("trace", trace.to_string())
                 .finish(),
             Request::Bye => Term::elem("bye"),
@@ -295,17 +276,13 @@ impl Request {
                 Ok(Request::Hello {
                     from: field_text(t, "from")?,
                     credentials: cred_from(t)?,
-                    gateway: has_flag(t, "gateway"),
+                    gateway: t.field("gateway").is_some(),
                 })
             }
             Some("event") => Ok(Request::Event {
                 id: field_u64(t, "id")?,
                 at: opt_field_u64(t, "at")?.map(Timestamp),
-                from: t
-                    .children()
-                    .iter()
-                    .find(|c| c.label() == Some("from"))
-                    .map(|c| c.text_content()),
+                from: t.field("from").map(Term::text_content),
                 credentials: cred_from(t)?,
                 payload: field_child(t, "payload")?.clone(),
             }),
@@ -344,10 +321,7 @@ impl Request {
 
     /// Decode one frame payload into a request.
     pub fn decode(payload: &[u8]) -> Result<Request> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| EnvelopeError(format!("payload is not UTF-8: {e}")))?;
-        let term = parse_term(text).map_err(|e| EnvelopeError(format!("unparsable term: {e}")))?;
-        Request::from_term(&term)
+        Request::from_term(&decode_term(payload)?)
     }
 }
 
@@ -536,25 +510,18 @@ impl Reply {
                 .field("schema", schema)
                 .field("engine", engine)
                 .finish(),
-            Reply::Reaction { id, to, payload } => Term::build("reaction")
-                .unordered()
-                .field("id", id.to_string())
+            Reply::Reaction { id, to, payload } => envelope("reaction", *id)
                 .field("to", to)
                 .child(Term::ordered("payload", vec![payload.clone()]))
                 .finish(),
             Reply::Accepted { id, duplicate } => {
-                let mut b = Term::build("accepted")
-                    .unordered()
-                    .field("id", id.to_string());
+                let mut b = envelope("accepted", *id);
                 if *duplicate {
                     b = b.child(Term::elem("dup"));
                 }
                 b.finish()
             }
-            Reply::Done { id } => Term::build("done")
-                .unordered()
-                .field("id", id.to_string())
-                .finish(),
+            Reply::Done { id } => envelope("done", *id).finish(),
             Reply::Error {
                 code,
                 detail,
@@ -578,26 +545,18 @@ impl Reply {
                 depth,
                 capacity,
                 retry_ms,
-            } => Term::build("busy")
-                .unordered()
-                .field("id", id.to_string())
+            } => envelope("busy", *id)
                 .field("depth", depth.to_string())
                 .field("capacity", capacity.to_string())
                 .field("retry_ms", retry_ms.to_string())
                 .finish(),
-            Reply::Throttled { id, retry_ms } => Term::build("throttled")
-                .unordered()
-                .field("id", id.to_string())
+            Reply::Throttled { id, retry_ms } => envelope("throttled", *id)
                 .field("retry_ms", retry_ms.to_string())
                 .finish(),
-            Reply::Stats { id, body } => Term::build("stats")
-                .unordered()
-                .field("id", id.to_string())
+            Reply::Stats { id, body } => envelope("stats", *id)
                 .child(Term::ordered("body", vec![body.clone()]))
                 .finish(),
-            Reply::Trace { id, body } => Term::build("trace")
-                .unordered()
-                .field("id", id.to_string())
+            Reply::Trace { id, body } => envelope("trace", *id)
                 .child(Term::ordered("body", vec![body.clone()]))
                 .finish(),
         }
@@ -617,7 +576,7 @@ impl Reply {
             }),
             Some("accepted") => Ok(Reply::Accepted {
                 id: field_u64(t, "id")?,
-                duplicate: has_flag(t, "dup"),
+                duplicate: t.field("dup").is_some(),
             }),
             Some("done") => Ok(Reply::Done {
                 id: field_u64(t, "id")?,
@@ -659,11 +618,15 @@ impl Reply {
 
     /// Decode one frame payload into a reply.
     pub fn decode(payload: &[u8]) -> Result<Reply> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| EnvelopeError(format!("payload is not UTF-8: {e}")))?;
-        let term = parse_term(text).map_err(|e| EnvelopeError(format!("unparsable term: {e}")))?;
-        Reply::from_term(&term)
+        Reply::from_term(&decode_term(payload)?)
     }
+}
+
+/// Parse one frame payload as an envelope term (either direction).
+fn decode_term(payload: &[u8]) -> Result<Term> {
+    let text = std::str::from_utf8(payload)
+        .map_err(|e| EnvelopeError(format!("payload is not UTF-8: {e}")))?;
+    parse_term(text).map_err(|e| EnvelopeError(format!("unparsable term: {e}")))
 }
 
 /// Turn a decoded [`Request::Event`] into the engine's [`InMessage`],

@@ -6,14 +6,14 @@
 //! only* while the engine and every other client keep working.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use reweb_core::ReactiveEngine;
 use reweb_net::wire::{ErrorCode, Reply, Request};
 use reweb_net::{NetClient, NetConfig, NetServer};
-use reweb_term::frame::{crc32, FRAME_HEADER_LEN};
+use reweb_term::frame::{read_frame, FrameError, MAX_FRAME_LEN};
 use reweb_term::parse_term;
 
 /// One rule that echoes every `ping` so each admitted event produces
@@ -35,16 +35,9 @@ fn wait_until(what: &str, f: impl Fn() -> bool) {
 }
 
 /// Read one reply frame from a raw socket (for tests that bypass
-/// [`NetClient`] to violate the handshake).
-fn recv_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    stream.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    assert_eq!(crc32(&payload), crc, "reply frame CRC");
-    Ok(payload)
+/// [`NetClient`] to violate the handshake or the framing).
+fn recv_frame(stream: &mut TcpStream) -> Result<Vec<u8>, FrameError> {
+    read_frame(stream, MAX_FRAME_LEN as usize)
 }
 
 /// A full ingress queue answers `busy` — a bounded, explicit rejection,
@@ -56,7 +49,6 @@ fn queue_full_yields_busy_replies() {
     let cfg = NetConfig {
         max_batch: 1,
         queue_capacity: 2,
-        batch_latency: Duration::from_millis(1),
         ..NetConfig::default()
     };
     let server = NetServer::bind(
@@ -67,8 +59,8 @@ fn queue_full_yields_busy_replies() {
     .expect("bind");
     server.with_engine(|e| e.install_source(ECHO).expect("install"));
 
-    // Connect BEFORE stalling the driver: the handshake reads the
-    // engine descriptor under the same lock.
+    // Connect before stalling the driver. The handshake itself never
+    // takes the engine lock (the descriptor is read once at bind).
     let mut c = NetClient::connect(server.local_addr(), "http://c/").expect("connect");
 
     let hold = AtomicBool::new(true);
@@ -182,6 +174,99 @@ fn oversized_frame_closes_offender_only() {
     assert_eq!(replies.len(), 1);
     assert!(matches!(replies[0], Reply::Reaction { .. }));
     assert_eq!(server.stats().msgs_processed, 1);
+}
+
+/// Every framing fault class, one row each, on a raw session after a
+/// good `hello`: the reply it earns (or that none is sent), its
+/// `framing_errors` count, and a neighbouring session whose `sync` is
+/// still answered.
+#[test]
+fn every_framing_fault_class_is_answered_and_counted() {
+    let cfg = NetConfig {
+        max_body: 256,
+        ..NetConfig::default()
+    };
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        ReactiveEngine::new("http://server/".to_string()),
+        cfg,
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let mut neighbour = NetClient::connect(addr, "http://neighbour/").expect("connect neighbour");
+
+    let whole = Request::Sync { id: 9 }.encode();
+    let mut corrupt = whole.clone();
+    let last = corrupt.len() - 1;
+    corrupt[last] ^= 0x40;
+    let header = |len: u32| [len.to_le_bytes(), [0u8; 4]].concat();
+    let cases = [
+        (
+            "truncated header",
+            whole[..3].to_vec(),
+            Some(ErrorCode::MalformedFrame),
+        ),
+        (
+            "truncated payload",
+            whole[..whole.len() - 2].to_vec(),
+            Some(ErrorCode::MalformedFrame),
+        ),
+        ("CRC mismatch", corrupt, Some(ErrorCode::MalformedFrame)),
+        (
+            "header over max_body",
+            header(257),
+            Some(ErrorCode::OversizedFrame),
+        ),
+        (
+            "header over MAX_FRAME_LEN",
+            header(MAX_FRAME_LEN + 1),
+            Some(ErrorCode::OversizedFrame),
+        ),
+        ("clean EOF after a whole frame", whole.clone(), None),
+    ];
+    for (what, bytes, want) in cases {
+        let before = server.stats().framing_errors;
+        let mut raw = TcpStream::connect(addr).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let hello = Request::Hello {
+            from: "http://raw/".into(),
+            credentials: None,
+            gateway: false,
+        };
+        raw.write_all(&hello.encode()).expect("write hello");
+        let welcome = recv_frame(&mut raw).expect("welcome");
+        assert!(
+            matches!(Reply::decode(&welcome), Ok(Reply::Welcome { .. })),
+            "{what}"
+        );
+        raw.write_all(&bytes).expect("write fault");
+        raw.shutdown(Shutdown::Write).expect("half-close");
+        // Replies until the server closes: the `done` for the whole
+        // frame may race the close and be dropped; an error may not.
+        let mut errors = Vec::new();
+        loop {
+            match recv_frame(&mut raw) {
+                Ok(payload) => match Reply::decode(&payload).expect("reply decodes") {
+                    Reply::Error { code, .. } => errors.push(code),
+                    Reply::Done { id: 9 } => {}
+                    other => panic!("{what}: unexpected {other:?}"),
+                },
+                Err(FrameError::Eof) => break,
+                Err(e) => panic!("{what}: the server did not close cleanly: {e}"),
+            }
+        }
+        assert_eq!(errors, want.into_iter().collect::<Vec<_>>(), "{what}");
+        assert_eq!(
+            server.stats().framing_errors,
+            before + u64::from(want.is_some()),
+            "{what}"
+        );
+        assert!(
+            neighbour.sync().expect("neighbour sync").is_empty(),
+            "{what}"
+        );
+    }
 }
 
 /// A reader that never drains its replies gets them dropped (counted,

@@ -231,12 +231,33 @@ fn outbox_recovers_unsettled_deliveries_across_agent_restart() {
     let mut agent = DeliveryAgent::new(fast_cfg("http://a/", &dir, 100)).unwrap();
     assert_eq!(agent.pending(), 3, "outbox re-queued the unsettled set");
     agent.add_route("http://b/", b.local_addr());
-    agent.pump();
     assert!(agent.flush(Duration::from_secs(10)));
     wait_until("recovered deliveries", || b.delivered().len() == 3);
     let keys: Vec<String> = b.delivered().into_iter().map(|(k, _)| k).collect();
     assert_eq!(keys, vec!["http://a/#0", "http://a/#1", "http://a/#2"]);
     agent.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A server-attached agent delivers on its own: the reactions node A's
+/// driver hands over start their destination's worker, with no `flush`,
+/// `enqueue` or other call on the agent.
+#[test]
+fn server_attached_agent_delivers_without_being_polled() {
+    const N: usize = 5;
+    let dir = tmp("attached");
+    let b = bind_receiver("http://b/", &dir.join("ledger.log"));
+    let agent = DeliveryAgent::new(fast_cfg("http://a/", &dir, 2)).unwrap();
+    agent.add_route("http://b/", b.local_addr());
+    let a = bind_sender_a(&agent.handle());
+    let mut client = NetClient::connect(a.local_addr(), "http://client/").unwrap();
+    post_orders(&mut client, 0..N);
+    wait_until("deliveries from an unpolled agent", || {
+        b.delivered().len() == N
+    });
+    drop(agent);
+    drop(a);
+    drop(b);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -114,7 +114,6 @@ fn oracle_bytes(
 fn default_cfg() -> NetConfig {
     NetConfig {
         max_batch: 7, // small, so multi-batch splits actually happen
-        batch_latency: Duration::from_millis(1),
         ..NetConfig::default()
     }
 }

@@ -173,10 +173,7 @@ impl Histogram {
 
 /// Read the `u64` text content of the child labelled `name`.
 pub(crate) fn field_u64(t: &Term, name: &str) -> Option<u64> {
-    t.children()
-        .iter()
-        .find(|c| c.label() == Some(name))
-        .and_then(|c| c.text_content().parse().ok())
+    t.field(name).and_then(|c| c.text_content().parse().ok())
 }
 
 /// A thread-safe histogram: one relaxed `fetch_add` per record, no

@@ -58,7 +58,7 @@ pub fn term_from_bytes(bytes: &[u8]) -> Result<Term> {
 
 /// `t`'s child labelled `name`, if any.
 pub fn field<'a>(t: &'a Term, name: &str) -> Option<&'a Term> {
-    t.children().iter().find(|c| c.label() == Some(name))
+    t.field(name)
 }
 
 fn missing(t: &Term, name: &str) -> PersistError {

@@ -69,23 +69,90 @@ pub fn encode_frame_into(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// Read one frame from a blocking stream and return its payload. An
-/// oversized length prefix or a CRC mismatch is `InvalidData`.
-pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Vec<u8>> {
-    let bad = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidData, m);
+/// Read one frame from a blocking stream and return its payload. A
+/// header announcing more than `max_len` (or [`MAX_FRAME_LEN`]) bytes is
+/// refused before any payload byte is read or buffered.
+pub fn read_frame(r: &mut impl std::io::Read, max_len: usize) -> Result<Vec<u8>, FrameError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_LEN {
-        return Err(bad(format!("oversized frame: {len} bytes")));
+    match fill(r, &mut header)? {
+        0 => return Err(FrameError::Eof),
+        FRAME_HEADER_LEN => {}
+        _ => return Err(FrameError::Truncated),
+    }
+    let (len, crc) = parse_header(&header);
+    if len > MAX_FRAME_LEN || len as usize > max_len {
+        return Err(FrameError::Oversized(len));
     }
     let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    if fill(r, &mut payload)? < payload.len() {
+        return Err(FrameError::Truncated);
+    }
     if crc32(&payload) != crc {
-        return Err(bad("frame CRC mismatch".into()));
+        return Err(FrameError::Corrupt);
     }
     Ok(payload)
+}
+
+/// Split a frame header into its `(len, crc)` fields.
+fn parse_header(header: &[u8]) -> (u32, u32) {
+    let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().expect("4 bytes"));
+    (word(0), word(4))
+}
+
+/// Why [`read_frame`] returned no payload.
+#[derive(Debug)]
+pub enum FrameError {
+    /// The stream ended cleanly on a frame boundary.
+    Eof,
+    /// The stream ended inside a frame (its header or its payload).
+    Truncated,
+    /// The header announced a payload of this many bytes, more than the
+    /// reader's bound. Nothing after the header was read.
+    Oversized(u32),
+    /// The payload does not match its checksum.
+    Corrupt,
+    /// The underlying reader failed (a read timeout included).
+    Io(std::io::Error),
+}
+
+impl std::fmt::Display for FrameError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FrameError::Eof => f.write_str("end of stream"),
+            FrameError::Truncated => f.write_str("truncated frame"),
+            FrameError::Oversized(len) => write!(f, "oversized frame: {len} bytes"),
+            FrameError::Corrupt => f.write_str("frame CRC mismatch"),
+            FrameError::Io(e) => write!(f, "frame read failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+impl From<FrameError> for std::io::Error {
+    fn from(e: FrameError) -> std::io::Error {
+        let kind = match e {
+            FrameError::Io(io) => return io,
+            FrameError::Eof | FrameError::Truncated => std::io::ErrorKind::UnexpectedEof,
+            FrameError::Oversized(_) | FrameError::Corrupt => std::io::ErrorKind::InvalidData,
+        };
+        std::io::Error::new(kind, e)
+    }
+}
+
+/// Fill as much of `buf` as the stream yields; returns the bytes read,
+/// short only when the stream ended.
+fn fill(r: &mut impl std::io::Read, buf: &mut [u8]) -> Result<usize, FrameError> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(FrameError::Io(e)),
+        }
+    }
+    Ok(filled)
 }
 
 /// Why a frame scan stopped where it did.
@@ -132,11 +199,11 @@ pub fn scan_frames(buf: &[u8]) -> FrameScan {
         if buf.len() - pos < FRAME_HEADER_LEN {
             break TailState::TruncatedHeader;
         }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if len as u32 > MAX_FRAME_LEN {
+        let (len, crc) = parse_header(&buf[pos..pos + FRAME_HEADER_LEN]);
+        if len > MAX_FRAME_LEN {
             break TailState::CorruptPayload;
         }
+        let len = len as usize;
         let start = pos + FRAME_HEADER_LEN;
         if buf.len() - start < len {
             break TailState::TruncatedPayload;
@@ -237,5 +304,99 @@ mod tests {
         let scan = scan_frames(&buf);
         assert!(scan.frames.is_empty());
         assert_eq!(scan.tail, TailState::CorruptPayload);
+    }
+
+    /// `read_frame` over an in-memory stream; also returns how many
+    /// bytes it left unread.
+    fn read(bytes: &[u8], max_len: usize) -> (Result<Vec<u8>, FrameError>, usize) {
+        let mut r = bytes;
+        let got = read_frame(&mut r, max_len);
+        (got, r.len())
+    }
+
+    fn io_kind(e: FrameError) -> std::io::ErrorKind {
+        std::io::Error::from(e).kind()
+    }
+
+    #[test]
+    fn read_frame_eof_only_on_a_frame_boundary() {
+        let mut buf = encode_frame(b"one");
+        buf.extend(encode_frame(b"two"));
+        let mut r = buf.as_slice();
+        assert_eq!(read_frame(&mut r, 64).unwrap(), b"one");
+        assert_eq!(read_frame(&mut r, 64).unwrap(), b"two");
+        let eof = read_frame(&mut r, 64).unwrap_err();
+        assert!(matches!(eof, FrameError::Eof), "{eof:?}");
+        assert_eq!(io_kind(eof), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn read_frame_truncated_anywhere_inside_a_frame() {
+        let frame = encode_frame(b"payload");
+        for cut in 1..frame.len() {
+            let (got, _) = read(&frame[..cut], 64);
+            assert!(matches!(got, Err(FrameError::Truncated)), "cut at {cut}");
+        }
+        let (got, _) = read(&frame[..3], 64);
+        assert_eq!(io_kind(got.unwrap_err()), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn read_frame_oversized_reads_nothing_past_the_header() {
+        let frame = encode_frame(&[7u8; 100]);
+        let (got, left) = read(&frame, 99);
+        assert!(matches!(got, Err(FrameError::Oversized(100))), "{got:?}");
+        assert_eq!(left, 100, "the payload stays unread");
+        assert_eq!(read(&frame, 100).0.unwrap().len(), 100);
+        // Past MAX_FRAME_LEN whatever the caller's bound.
+        let mut header = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
+        header.extend_from_slice(&[0u8; 4]);
+        let err = read(&header, usize::MAX).0.unwrap_err();
+        assert!(matches!(err, FrameError::Oversized(n) if n == MAX_FRAME_LEN + 1));
+        assert_eq!(io_kind(err), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn read_frame_corrupt_on_a_crc_mismatch() {
+        let mut frame = encode_frame(b"will-be-flipped");
+        let last = frame.len() - 1;
+        frame[last] ^= 0x40;
+        let (got, left) = read(&frame, 64);
+        let err = got.unwrap_err();
+        assert!(matches!(err, FrameError::Corrupt), "{err:?}");
+        assert_eq!(left, 0);
+        assert_eq!(io_kind(err), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn read_frame_io_errors_pass_through_and_interrupts_retry() {
+        /// Yields one `Interrupted`, then the frame, then a timeout.
+        struct Flaky {
+            frame: Vec<u8>,
+            calls: usize,
+        }
+        impl std::io::Read for Flaky {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.calls += 1;
+                if self.calls == 1 {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                if self.frame.is_empty() {
+                    return Err(std::io::ErrorKind::TimedOut.into());
+                }
+                let n = buf.len().min(self.frame.len());
+                buf[..n].copy_from_slice(&self.frame[..n]);
+                self.frame.drain(..n);
+                Ok(n)
+            }
+        }
+        let mut r = Flaky {
+            frame: encode_frame(b"x"),
+            calls: 0,
+        };
+        assert_eq!(read_frame(&mut r, 64).unwrap(), b"x");
+        let err = read_frame(&mut r, 64).unwrap_err();
+        assert!(matches!(&err, FrameError::Io(_)), "{err:?}");
+        assert_eq!(io_kind(err), std::io::ErrorKind::TimedOut);
     }
 }

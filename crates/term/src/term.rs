@@ -166,6 +166,13 @@ impl Term {
         }
     }
 
+    /// The first child labelled `name` — the reader of the
+    /// `label["text"]` children [`TermBuilder::field`] writes.
+    #[inline]
+    pub fn field(&self, name: &str) -> Option<&Term> {
+        self.children().iter().find(|c| c.label() == Some(name))
+    }
+
     /// Attribute value, if this is an element with that attribute.
     pub fn attr(&self, key: &str) -> Option<&str> {
         let sym = Sym::lookup(key)?;

@@ -222,9 +222,11 @@ fn error_catalogue_matches_the_enum() {
 }
 
 /// The defaults table in §6 matches [`reweb::net::NetConfig`]'s actual
-/// `Default` — the doc may round units but not drift.
+/// `Default` and the fixed batch fill wait — the doc may round units
+/// but not drift.
 #[test]
 fn defaults_table_matches_netconfig() {
+    use reweb::net::router::BATCH_FILL_WAIT;
     use reweb::net::NetConfig;
     let cfg = NetConfig::default();
     let doc = include_str!("../docs/WIRE_PROTOCOL.md");
@@ -240,8 +242,8 @@ fn defaults_table_matches_netconfig() {
     };
     assert_eq!(cell("max_batch"), cfg.max_batch.to_string());
     assert_eq!(
-        cell("batch_latency"),
-        format!("{} ms", cfg.batch_latency.as_millis())
+        cell("BATCH_FILL_WAIT"),
+        format!("{} ms, fixed", BATCH_FILL_WAIT.as_millis())
     );
     assert_eq!(cell("queue_capacity"), cfg.queue_capacity.to_string());
     assert_eq!(cell("max_body"), "1 MiB");
