@@ -2,10 +2,11 @@
 //!
 //! Every message on a connection — in either direction — is one *frame*
 //! ([`reweb_term::frame`]: `[len u32 LE][CRC-32 u32 LE][payload]`) whose
-//! payload is a single envelope term in the textual term syntax
-//! ([`reweb_term::parse_term`] / `Display`). The WAL already proved this
-//! format portable and pager-readable; the network reuses it verbatim,
-//! so `strings` on a packet capture is a readable session history.
+//! payload is a single envelope term in the textual term syntax (read
+//! by [`reweb_term::decode()`], written by `Display`). The WAL already
+//! proved this format portable and pager-readable; the network reuses it
+//! verbatim, and the same decoder, so `strings` on a packet capture is a
+//! readable session history.
 //!
 //! Client→server envelopes are [`Request`]s, server→client envelopes are
 //! [`Reply`]s. The full grammar, the error- and backpressure-reply
@@ -24,11 +25,12 @@
 //!   the stream is still framed correctly, so the server replies with
 //!   [`ErrorCode::BadEnvelope`] and the session continues.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use reweb_core::{Credentials, InMessage, MessageMeta};
 use reweb_term::frame::encode_frame;
-use reweb_term::{parse_term, Term, TermBuilder, Timestamp};
+use reweb_term::{decode, Term, TermBuilder, Timestamp};
 
 /// Schema string every session negotiates in its `hello`/`welcome`
 /// exchange. Bump when the envelope grammar changes incompatibly.
@@ -55,12 +57,16 @@ fn field<'a>(t: &'a Term, name: &str) -> Result<&'a Term> {
         .ok_or_else(|| EnvelopeError(format!("field `{name}` missing in {t}")))
 }
 
+fn field_str<'a>(t: &'a Term, name: &str) -> Result<Cow<'a, str>> {
+    field(t, name).map(Term::text_str)
+}
+
 fn field_text(t: &Term, name: &str) -> Result<String> {
-    field(t, name).map(Term::text_content)
+    field_str(t, name).map(Cow::into_owned)
 }
 
 fn field_u64(t: &Term, name: &str) -> Result<u64> {
-    let s = field_text(t, name)?;
+    let s = field_str(t, name)?;
     s.parse()
         .map_err(|_| EnvelopeError(format!("field `{name}` is not a number: {s}")))
 }
@@ -622,11 +628,13 @@ impl Reply {
     }
 }
 
-/// Parse one frame payload as an envelope term (either direction).
+/// Parse one frame payload as an envelope term (either direction), with
+/// the one-pass [`reweb_term::decode()`] the log also reads with.
 fn decode_term(payload: &[u8]) -> Result<Term> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| EnvelopeError(format!("payload is not UTF-8: {e}")))?;
-    parse_term(text).map_err(|e| EnvelopeError(format!("unparsable term: {e}")))
+    decode(payload).map_err(|e| match std::str::from_utf8(payload) {
+        Err(u) => EnvelopeError(format!("payload is not UTF-8: {u}")),
+        Ok(_) => EnvelopeError(format!("unparsable term: {e}")),
+    })
 }
 
 /// Turn a decoded [`Request::Event`] into the engine's [`InMessage`],
@@ -663,6 +671,7 @@ pub fn event_to_message(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reweb_term::parse_term;
 
     fn rt_req(r: Request) {
         let t = r.to_term();

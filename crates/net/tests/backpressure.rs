@@ -13,7 +13,7 @@ use std::time::Duration;
 use reweb_core::ReactiveEngine;
 use reweb_net::wire::{ErrorCode, Reply, Request};
 use reweb_net::{NetClient, NetConfig, NetServer};
-use reweb_term::frame::{read_frame, FrameError, MAX_FRAME_LEN};
+use reweb_term::frame::{encode_frame, read_frame, FrameError, MAX_FRAME_LEN};
 use reweb_term::parse_term;
 
 /// One rule that echoes every `ping` so each admitted event produces
@@ -179,13 +179,18 @@ fn oversized_frame_closes_offender_only() {
 /// Every framing fault class, one row each, on a raw session after a
 /// good `hello`: the reply it earns (or that none is sent), its
 /// `framing_errors` count, and a neighbouring session whose `sync` is
-/// still answered.
+/// still answered. One envelope fault rides along: an `event` whose
+/// payload nests 10 000 brackets deep — a valid frame well under
+/// `max_body` that once overflowed the reader thread's stack and aborted
+/// the process. It earns `bad-envelope`, counts no framing error, and
+/// the session goes on to answer the `sync` behind it.
 #[test]
 fn every_framing_fault_class_is_answered_and_counted() {
     let cfg = NetConfig {
-        max_body: 256,
+        max_body: 64 * 1024,
         ..NetConfig::default()
     };
+    let max_body = cfg.max_body as u32;
     let server = NetServer::bind(
         "127.0.0.1:0",
         ReactiveEngine::new("http://server/".to_string()),
@@ -200,31 +205,54 @@ fn every_framing_fault_class_is_answered_and_counted() {
     let last = corrupt.len() - 1;
     corrupt[last] ^= 0x40;
     let header = |len: u32| [len.to_le_bytes(), [0u8; 4]].concat();
+    let deep = format!(
+        "event{{id[\"5\"], payload[{}\"x\"{}]}}",
+        "a[".repeat(10_000),
+        "]".repeat(10_000)
+    );
+    let deep = encode_frame(deep.as_bytes());
+    assert!(deep.len() < max_body as usize);
+    // (what, bytes, the error reply, counted as a framing error)
     let cases = [
         (
             "truncated header",
             whole[..3].to_vec(),
             Some(ErrorCode::MalformedFrame),
+            true,
         ),
         (
             "truncated payload",
             whole[..whole.len() - 2].to_vec(),
             Some(ErrorCode::MalformedFrame),
+            true,
         ),
-        ("CRC mismatch", corrupt, Some(ErrorCode::MalformedFrame)),
+        (
+            "CRC mismatch",
+            corrupt,
+            Some(ErrorCode::MalformedFrame),
+            true,
+        ),
         (
             "header over max_body",
-            header(257),
+            header(max_body + 1),
             Some(ErrorCode::OversizedFrame),
+            true,
         ),
         (
             "header over MAX_FRAME_LEN",
             header(MAX_FRAME_LEN + 1),
             Some(ErrorCode::OversizedFrame),
+            true,
         ),
-        ("clean EOF after a whole frame", whole.clone(), None),
+        ("clean EOF after a whole frame", whole.clone(), None, false),
+        (
+            "payload nested past MAX_NESTING",
+            deep,
+            Some(ErrorCode::BadEnvelope),
+            false,
+        ),
     ];
-    for (what, bytes, want) in cases {
+    for (what, bytes, want, framing) in cases {
         let before = server.stats().framing_errors;
         let mut raw = TcpStream::connect(addr).expect("connect");
         raw.set_read_timeout(Some(Duration::from_secs(5)))
@@ -241,25 +269,35 @@ fn every_framing_fault_class_is_answered_and_counted() {
             "{what}"
         );
         raw.write_all(&bytes).expect("write fault");
+        let mut errors = Vec::new();
+        let mut read_reply = |raw: &mut TcpStream| match recv_frame(raw) {
+            Ok(payload) => match Reply::decode(&payload).expect("reply decodes") {
+                Reply::Error { code, .. } => {
+                    errors.push(code);
+                    true
+                }
+                Reply::Done { id: 9 } => true,
+                other => panic!("{what}: unexpected {other:?}"),
+            },
+            Err(FrameError::Eof) => false,
+            Err(e) => panic!("{what}: the server did not close cleanly: {e}"),
+        };
+        if want == Some(ErrorCode::BadEnvelope) {
+            // An envelope fault leaves the session open: the fault's
+            // reply, then the answer to a `sync` sent after it.
+            raw.write_all(&whole).expect("write sync");
+            assert!(read_reply(&mut raw), "{what}: no reply to the fault");
+            let done = recv_frame(&mut raw).expect("the session goes on");
+            assert_eq!(Reply::decode(&done), Ok(Reply::Done { id: 9 }), "{what}");
+        }
         raw.shutdown(Shutdown::Write).expect("half-close");
         // Replies until the server closes: the `done` for the whole
         // frame may race the close and be dropped; an error may not.
-        let mut errors = Vec::new();
-        loop {
-            match recv_frame(&mut raw) {
-                Ok(payload) => match Reply::decode(&payload).expect("reply decodes") {
-                    Reply::Error { code, .. } => errors.push(code),
-                    Reply::Done { id: 9 } => {}
-                    other => panic!("{what}: unexpected {other:?}"),
-                },
-                Err(FrameError::Eof) => break,
-                Err(e) => panic!("{what}: the server did not close cleanly: {e}"),
-            }
-        }
+        while read_reply(&mut raw) {}
         assert_eq!(errors, want.into_iter().collect::<Vec<_>>(), "{what}");
         assert_eq!(
             server.stats().framing_errors,
-            before + u64::from(want.is_some()),
+            before + u64::from(framing),
             "{what}"
         );
         assert!(

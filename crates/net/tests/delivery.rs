@@ -22,7 +22,7 @@ use reweb_net::wire::{ErrorCode, Reply, Request};
 use reweb_net::{BackoffPolicy, DeliveryAgent, DeliveryConfig, NetClient, NetConfig, NetServer};
 use reweb_persist::{DurableEngine, DurableOptions};
 use reweb_term::frame::{crc32, FRAME_HEADER_LEN};
-use reweb_term::{parse_term, Term, Timestamp};
+use reweb_term::{parse_term, Term, Timestamp, MAX_NESTING};
 
 /// A fresh scratch directory for one test.
 fn tmp(name: &str) -> PathBuf {
@@ -258,6 +258,49 @@ fn server_attached_agent_delivers_without_being_polled() {
     drop(agent);
     drop(a);
     drop(b);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The wire's nesting cap, end to end. A reaction nested one level past
+/// what a `deliver` envelope admits is refused by the receiver with
+/// `bad-envelope` before its durable engine logs anything; the sender
+/// spends its retry budget on it and dead-letters it, and its outbox and
+/// dead-letter log read it back on restart. The reaction at the
+/// admitted depth behind it is delivered.
+#[test]
+fn a_reaction_past_the_wire_cap_is_dead_lettered_and_never_logged() {
+    let dir = tmp("nesting-cap");
+    let b_wal = dir.join("b-wal");
+    let mut b = bind_durable_receiver("http://b/", &b_wal, &dir.join("b-ledger.log"));
+    let nested = |n: usize| (0..n).fold(Term::text("x"), |t, _| Term::ordered("a", vec![t]));
+    // `deliver{…, payload[…]}` holds the payload two levels down.
+    let admitted = MAX_NESTING - 2;
+    {
+        let mut agent = DeliveryAgent::new(fast_cfg("http://a/", &dir, 2)).unwrap();
+        agent.add_route("http://b/", b.local_addr());
+        assert!(agent.enqueue("http://b/recv", Timestamp(1), &nested(admitted + 1)));
+        assert!(agent.enqueue("http://b/recv", Timestamp(2), &nested(admitted)));
+        assert!(agent.flush(Duration::from_secs(10)));
+        wait_until("the admitted reaction", || b.delivered().len() == 1);
+        assert_eq!(b.delivered()[0].1, nested(admitted));
+        let dead = agent.dead_letters();
+        assert_eq!(dead.len(), 1, "{dead:?}");
+        assert_eq!(dead[0].payload, nested(admitted + 1));
+        agent.shutdown();
+    }
+    let agent = DeliveryAgent::new(fast_cfg("http://a/", &dir, 2)).unwrap();
+    assert_eq!(agent.pending(), 0);
+    let dead = agent.dead_letters();
+    assert_eq!(dead.len(), 1);
+    assert_eq!(dead[0].payload, nested(admitted + 1));
+    b.shutdown();
+    drop(b);
+    let d = DurableEngine::open(&b_wal, DurableOptions::default(), || {
+        ReactiveEngine::new("http://b/".to_string())
+    })
+    .unwrap();
+    assert_eq!(d.engine().metrics.events_received, 1);
+    drop(agent);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

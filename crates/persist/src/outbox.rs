@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use reweb_term::{Term, Timestamp};
+use reweb_term::{write_elem, Term, Timestamp};
 
 use crate::log::FrameLog;
 use crate::wal::{field_child, field_text, field_u64, term_from_bytes};
@@ -63,34 +63,27 @@ enum OutboxRecord {
 
 impl OutboxRecord {
     fn to_bytes(&self) -> Vec<u8> {
-        let term = match self {
-            OutboxRecord::Head { schema } => Term::build("o_head")
-                .unordered()
-                .field("schema", schema)
-                .finish(),
-            OutboxRecord::Enq(p) => Term::build("o_enq")
-                .unordered()
-                .field("seq", p.seq.to_string())
-                .field("to", &p.to)
-                .field("at", p.at.millis().to_string())
-                .child(Term::ordered("payload", vec![p.payload.clone()]))
-                .finish(),
-            OutboxRecord::Settle {
-                seq,
-                how: Settle::Acked,
-            } => Term::build("o_ack")
-                .unordered()
-                .field("seq", seq.to_string())
-                .finish(),
-            OutboxRecord::Settle {
-                seq,
-                how: Settle::DeadLettered,
-            } => Term::build("o_dead")
-                .unordered()
-                .field("seq", seq.to_string())
-                .finish(),
-        };
-        term.to_string().into_bytes()
+        let mut out = String::new();
+        match self {
+            OutboxRecord::Head { schema } => {
+                write_elem(&mut out, "o_head", false, |w| w.field("schema", schema))
+            }
+            OutboxRecord::Enq(p) => write_elem(&mut out, "o_enq", false, |w| {
+                w.field_u64("seq", p.seq)?;
+                w.field("to", &p.to)?;
+                w.field_u64("at", p.at.millis())?;
+                w.elem("payload", true, |w| w.term(&p.payload))
+            }),
+            OutboxRecord::Settle { seq, how } => {
+                let label = match how {
+                    Settle::Acked => "o_ack",
+                    Settle::DeadLettered => "o_dead",
+                };
+                write_elem(&mut out, label, false, |w| w.field_u64("seq", *seq))
+            }
+        }
+        .expect("a String sink never fails");
+        out.into_bytes()
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<OutboxRecord> {
@@ -278,6 +271,35 @@ mod tests {
     use super::*;
     use std::fs::OpenOptions;
     use std::path::PathBuf;
+
+    /// An outbox the term-building writer wrote before the record
+    /// writer (`tests/fixtures/parent-outbox.log`): head, three
+    /// enqueues, an ack and a dead-letter settlement.
+    #[test]
+    fn parent_outbox_reads_and_re_encodes_byte_identically() {
+        const LOG: &[u8] = include_bytes!("../tests/fixtures/parent-outbox.log");
+        let scan = reweb_term::scan_frames(LOG);
+        assert!(matches!(scan.tail, reweb_term::TailState::Clean));
+        assert_eq!(scan.frames.len(), 6);
+        for (_, payload) in &scan.frames {
+            let rec = OutboxRecord::from_bytes(payload).expect("record decodes");
+            assert_eq!(&rec.to_bytes(), payload);
+        }
+        let path = scratch("parent-fixture");
+        std::fs::write(&path, LOG).unwrap();
+        let open = Outbox::open(&path, SyncPolicy::Os).unwrap();
+        assert_eq!(
+            open.pending,
+            vec![PendingDelivery {
+                seq: 2,
+                to: "http://peer-a".into(),
+                at: Timestamp(2000),
+                payload: reweb_term::parse_term("pong{id[\"3\"]}").unwrap(),
+            }]
+        );
+        assert_eq!(open.outbox.settled_count(), 2);
+        let _ = std::fs::remove_file(&path);
+    }
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("reweb-outbox-{}-{tag}", std::process::id()));

@@ -24,12 +24,12 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use reweb_core::{EngineMetrics, InMessage, ReplayMark};
-use reweb_term::{Term, Timestamp};
+use reweb_term::{write_elem, Term, Timestamp};
 
 use crate::log::{read_frames, write_frames_atomically};
 use crate::wal::{
-    field, field_child, field_text, field_u64, first_child, msg_from_term, msg_to_term,
-    term_from_bytes,
+    field, field_child, field_text, field_u64, first_child, msg_from_term, term_from_bytes,
+    write_msg,
 };
 use crate::{PersistError, Result};
 
@@ -147,12 +147,16 @@ fn metrics_from_term(t: &Term) -> Result<EngineMetrics> {
     Ok(m)
 }
 
+fn push(frames: &mut Vec<Vec<u8>>, t: Term) {
+    frames.push(t.to_string().into_bytes());
+}
+
 impl Snapshot {
     /// Serialize as a sequence of framed term records (see module docs).
     pub fn to_frames(&self) -> Vec<Vec<u8>> {
         let mut frames: Vec<Vec<u8>> = Vec::new();
-        let mut push = |t: Term| frames.push(t.to_string().into_bytes());
         push(
+            &mut frames,
             Term::build("s_meta")
                 .unordered()
                 .field("schema", SNAP_SCHEMA)
@@ -165,6 +169,7 @@ impl Snapshot {
         );
         for (i, mark) in self.warm_marks.iter().enumerate() {
             push(
+                &mut frames,
                 Term::build("s_mark")
                     .unordered()
                     .field("shard", i.to_string())
@@ -176,15 +181,23 @@ impl Snapshot {
         }
         for entry in &self.journal {
             match entry {
-                JournalEntry::Static(src) => {
-                    push(Term::ordered("s_prog", vec![Term::text(src.clone())]))
+                JournalEntry::Static(src) => push(
+                    &mut frames,
+                    Term::ordered("s_prog", vec![Term::text(src.clone())]),
+                ),
+                // Written by the WAL's own message writer.
+                JournalEntry::Dynamic(m) => {
+                    let mut out = String::new();
+                    write_elem(&mut out, "s_dyn", true, |w| write_msg(w, m))
+                        .expect("a String sink never fails");
+                    frames.push(out.into_bytes());
                 }
-                JournalEntry::Dynamic(m) => push(Term::ordered("s_dyn", vec![msg_to_term(m)])),
             }
         }
         for (i, shard) in self.shards.iter().enumerate() {
             for (uri, version, doc) in &shard.resources {
                 push(
+                    &mut frames,
                     Term::build("s_res")
                         .unordered()
                         .field("shard", i.to_string())
@@ -194,8 +207,9 @@ impl Snapshot {
                         .finish(),
                 );
             }
-            push(metrics_to_term(i, &shard.metrics));
+            push(&mut frames, metrics_to_term(i, &shard.metrics));
             push(
+                &mut frames,
                 Term::build("s_alog")
                     .unordered()
                     .field("shard", i.to_string())
@@ -207,7 +221,7 @@ impl Snapshot {
                     .finish(),
             );
         }
-        push(Term::build("s_end").unordered().finish());
+        push(&mut frames, Term::build("s_end").unordered().finish());
         frames
     }
 

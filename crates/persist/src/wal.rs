@@ -7,11 +7,20 @@
 //! processes — interned [`reweb_term::Sym`]s serialize as strings and
 //! re-intern on load — and keeps them debuggable: `strings wal.log` is a
 //! readable event history.
+//!
+//! Records are read with the one-pass decoder, without the wire's nesting
+//! cap ([`reweb_term::decode_uncapped`]: a node reads back whatever its
+//! rules derived and it wrote), and written
+//! straight into one buffer with [`reweb_term::write_elem`], the
+//! printer's own element writer: no `Term` is built to write a record,
+//! and the bytes are the ones `Display` would print for it.
 
+use std::borrow::Cow;
+use std::fmt;
 use std::path::Path;
 
 use reweb_core::{InMessage, MessageMeta};
-use reweb_term::{parse_term, Term, Timestamp};
+use reweb_term::{decode_uncapped, write_elem, ElemWriter, Term, Timestamp};
 
 use crate::log::FrameLog;
 use crate::{PersistError, Result};
@@ -51,9 +60,10 @@ pub enum Record {
 /// Parse one frame payload as a term (every journal's record codec
 /// starts here).
 pub fn term_from_bytes(bytes: &[u8]) -> Result<Term> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| PersistError::Corrupt("record is not UTF-8".into()))?;
-    Ok(parse_term(text)?)
+    decode_uncapped(bytes).map_err(|e| match std::str::from_utf8(bytes) {
+        Err(_) => PersistError::Corrupt("record is not UTF-8".into()),
+        Ok(_) => PersistError::Term(e),
+    })
 }
 
 /// `t`'s child labelled `name`, if any.
@@ -65,16 +75,21 @@ fn missing(t: &Term, name: &str) -> PersistError {
     PersistError::Corrupt(format!("record field `{name}` missing in {t}"))
 }
 
+/// The text of `t`'s child labelled `name`, borrowed from the record.
+fn field_str<'a>(t: &'a Term, name: &str) -> Result<Cow<'a, str>> {
+    field(t, name)
+        .map(Term::text_str)
+        .ok_or_else(|| missing(t, name))
+}
+
 /// The text of `t`'s child labelled `name`.
 pub fn field_text(t: &Term, name: &str) -> Result<String> {
-    field(t, name)
-        .map(|c| c.text_content())
-        .ok_or_else(|| missing(t, name))
+    field_str(t, name).map(Cow::into_owned)
 }
 
 /// [`field_text`] parsed as a number.
 pub fn field_u64(t: &Term, name: &str) -> Result<u64> {
-    let s = field_text(t, name)?;
+    let s = field_str(t, name)?;
     s.parse()
         .map_err(|_| PersistError::Corrupt(format!("record field `{name}` is not a number: {s}")))
 }
@@ -91,23 +106,20 @@ pub fn field_child<'a>(t: &'a Term, name: &str) -> Result<&'a Term> {
     first_child(field(t, name).ok_or_else(|| missing(t, name))?)
 }
 
-/// Serialize one in-message (payload + transport meta + arrival time).
-pub fn msg_to_term(m: &InMessage) -> Term {
-    let mut b = Term::build("m")
-        .unordered()
-        .field("at", m.at.millis().to_string())
-        .field("from", &m.meta.from);
-    if let Some(c) = &m.meta.credentials {
-        b = b.child(
-            Term::build("cred")
-                .unordered()
-                .field("principal", &c.principal)
-                .field("secret", &c.secret)
-                .finish(),
-        );
-    }
-    b.child(Term::ordered("payload", vec![m.payload.clone()]))
-        .finish()
+/// Write one in-message (payload + transport meta + arrival time) as the
+/// next item of `w`: `m{at["…"], from["…"], cred{…}, payload[…]}`.
+pub fn write_msg<W: fmt::Write>(w: &mut ElemWriter<'_, W>, m: &InMessage) -> fmt::Result {
+    w.elem("m", false, |w| {
+        w.field_u64("at", m.at.millis())?;
+        w.field("from", &m.meta.from)?;
+        if let Some(c) = &m.meta.credentials {
+            w.elem("cred", false, |w| {
+                w.field("principal", &c.principal)?;
+                w.field("secret", &c.secret)
+            })?;
+        }
+        w.elem("payload", true, |w| w.term(&m.payload))
+    })
 }
 
 /// Parse one in-message back out of its term form.
@@ -127,27 +139,40 @@ pub fn msg_from_term(t: &Term) -> Result<InMessage> {
 impl Record {
     /// Serialize as the textual term syntax (one line, frame payload).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let term = match self {
-            Record::Head { schema, engine } => Term::build("w_head")
-                .unordered()
-                .field("schema", schema)
-                .field("engine", engine)
-                .finish(),
-            Record::Install(src) => Term::ordered("w_install", vec![Term::text(src.clone())]),
-            Record::Batch(msgs) => Term::build("w_batch")
-                .children(msgs.iter().map(msg_to_term))
-                .finish(),
-            Record::Advance(t) => Term::build("w_adv")
-                .unordered()
-                .field("at", t.millis().to_string())
-                .finish(),
-            Record::Put { uri, doc } => Term::build("w_put")
-                .unordered()
-                .field("uri", uri)
-                .child(Term::ordered("doc", vec![doc.clone()]))
-                .finish(),
-        };
-        term.to_string().into_bytes()
+        let mut out = String::with_capacity(self.size_hint());
+        self.write(&mut out).expect("a String sink never fails");
+        out.into_bytes()
+    }
+
+    /// A first guess at the encoded length, so a batch is written into
+    /// one allocation in the common case (the buffer still grows if the
+    /// guess is short).
+    fn size_hint(&self) -> usize {
+        match self {
+            Record::Batch(msgs) => 16 + msgs.iter().map(|m| 96 + m.meta.from.len()).sum::<usize>(),
+            Record::Install(src) => 32 + src.len(),
+            _ => 128,
+        }
+    }
+
+    fn write(&self, out: &mut String) -> fmt::Result {
+        match self {
+            Record::Head { schema, engine } => write_elem(out, "w_head", false, |w| {
+                w.field("schema", schema)?;
+                w.field("engine", engine)
+            }),
+            Record::Install(src) => write_elem(out, "w_install", true, |w| w.text(src)),
+            Record::Batch(msgs) => write_elem(out, "w_batch", true, |w| {
+                msgs.iter().try_for_each(|m| write_msg(w, m))
+            }),
+            Record::Advance(t) => {
+                write_elem(out, "w_adv", false, |w| w.field_u64("at", t.millis()))
+            }
+            Record::Put { uri, doc } => write_elem(out, "w_put", false, |w| {
+                w.field("uri", uri)?;
+                w.elem("doc", true, |w| w.term(doc))
+            }),
+        }
     }
 
     /// Parse a frame payload back into a record.
@@ -159,12 +184,13 @@ impl Record {
                 engine: field_text(&t, "engine")?,
             }),
             Some("w_install") => Ok(Record::Install(first_child(&t)?.text_content())),
-            Some("w_batch") => Ok(Record::Batch(
-                t.children()
-                    .iter()
-                    .map(msg_from_term)
-                    .collect::<Result<Vec<_>>>()?,
-            )),
+            Some("w_batch") => {
+                let mut msgs = Vec::with_capacity(t.children().len());
+                for m in t.children() {
+                    msgs.push(msg_from_term(m)?);
+                }
+                Ok(Record::Batch(msgs))
+            }
             Some("w_adv") => Ok(Record::Advance(Timestamp(field_u64(&t, "at")?))),
             Some("w_put") => Ok(Record::Put {
                 uri: field_text(&t, "uri")?,
@@ -241,6 +267,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reweb_term::parse_term;
     use std::fs::OpenOptions;
 
     fn msg(src: &str, at: u64, cred: bool) -> InMessage {
@@ -273,6 +300,75 @@ mod tests {
         for r in &records {
             let back = Record::from_bytes(&r.to_bytes()).unwrap();
             assert_eq!(r, &back, "round-trip failed for {r:?}");
+        }
+    }
+
+    /// The record as a built term, the way `Display` sees it.
+    fn record_term(r: &Record) -> Term {
+        let msg = |m: &InMessage| {
+            let mut b = Term::build("m")
+                .unordered()
+                .field("at", m.at.millis().to_string())
+                .field("from", &m.meta.from);
+            if let Some(c) = &m.meta.credentials {
+                b = b.child(
+                    Term::build("cred")
+                        .unordered()
+                        .field("principal", &c.principal)
+                        .field("secret", &c.secret)
+                        .finish(),
+                );
+            }
+            b.child(Term::ordered("payload", vec![m.payload.clone()]))
+                .finish()
+        };
+        match r {
+            Record::Head { schema, engine } => Term::build("w_head")
+                .unordered()
+                .field("schema", schema)
+                .field("engine", engine)
+                .finish(),
+            Record::Install(src) => Term::ordered("w_install", vec![Term::text(src.clone())]),
+            Record::Batch(msgs) => Term::build("w_batch")
+                .children(msgs.iter().map(msg))
+                .finish(),
+            Record::Advance(t) => Term::build("w_adv")
+                .unordered()
+                .field("at", t.millis().to_string())
+                .finish(),
+            Record::Put { uri, doc } => Term::build("w_put")
+                .unordered()
+                .field("uri", uri)
+                .child(Term::ordered("doc", vec![doc.clone()]))
+                .finish(),
+        }
+    }
+
+    #[test]
+    fn the_record_writer_prints_what_display_prints() {
+        let records = vec![
+            Record::Head {
+                schema: WAL_SCHEMA.into(),
+                engine: "sharded:4:Threads".into(),
+            },
+            Record::Install("RULE r ON ping DO NOOP END\n\t\"q\" \\".into()),
+            Record::Batch(vec![
+                msg("order{@k=\"v\", id[\"o1\"], total[\"50\"]}", 1_000, false),
+                msg("payment{order[\"o\\\"1\"], e{}, b}", 2_000, true),
+                msg("\"bare text\"", 3_000, false),
+            ]),
+            Record::Batch(vec![]),
+            Record::Advance(Timestamp(123_456)),
+            Record::Put {
+                uri: "http://data/\"items\"".into(),
+                doc: parse_term("items[item{v[\"0\"]}]").unwrap(),
+            },
+        ];
+        for r in &records {
+            assert_eq!(
+                String::from_utf8(r.to_bytes()).unwrap(),
+                record_term(r).to_string()
+            );
         }
     }
 

@@ -304,3 +304,76 @@ fn put_resource_round_trips_with_versions() {
     assert_eq!(e.qe.store.version("http://data/doc"), Some(3));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `label[…[ "x" ]…]`, `n` brackets deep.
+fn nested(n: usize) -> reweb_term::Term {
+    (0..n).fold(reweb_term::Term::text("x"), |t, _| {
+        reweb_term::Term::ordered("a", vec![t])
+    })
+}
+
+/// What a node derives may nest deeper than the wire's cap, and it all
+/// reopens. A rule wraps the deepest payload the wire admits (126 levels
+/// under `event{payload[…]}`) two levels further into an action-log
+/// entry, a stored document and a reaction. Wrapped again in their
+/// records (`s_alog{entries[…]}`, `s_res{doc[…]}`, `o_enq{payload[…]}`),
+/// each sits past `MAX_NESTING`, yet the node reopens from its snapshot
+/// and from its log alone, and the outbox reopens with the reaction
+/// pending.
+#[test]
+fn derived_terms_past_the_wire_cap_reopen_from_snapshot_log_and_outbox() {
+    use reweb_persist::outbox::Outbox;
+    use reweb_term::MAX_NESTING;
+    const WRAP: &str = r#"RULE wrap ON deep[[var P]] DO SEQ
+        LOG a[b[var P]];
+        UPDATE INSERT a[b[var P]] INTO store[[]] IN "http://data/deep";
+        SEND a[b[var P]] TO "http://sink";
+    END END"#;
+    let dir = fresh_dir("derived-deep");
+    let outbox_path = dir.join("outbox.log");
+    let payload = reweb_term::Term::ordered("deep", vec![nested(MAX_NESTING - 3)]);
+    assert_eq!(payload.nesting(), MAX_NESTING - 2);
+    let store = parse_term("store[]").unwrap();
+    let (logged, stored, sent) = {
+        let mut d = DurableEngine::open(&dir, opts(), build).unwrap();
+        d.install_program(WRAP).unwrap();
+        d.put_resource("http://data/deep", store).unwrap();
+        let outs = d
+            .receive(
+                payload,
+                &MessageMeta::from_uri("http://peer"),
+                Timestamp(1_000),
+            )
+            .unwrap();
+        assert_eq!(outs.len(), 1);
+        let mut outbox = Outbox::open(&outbox_path, SyncPolicy::Os).unwrap().outbox;
+        outbox
+            .enqueue(&outs[0].to, Timestamp(1_000), &outs[0].payload)
+            .unwrap();
+        d.snapshot_now().unwrap();
+        let e = d.engine();
+        let stored = e.qe.store.get("http://data/deep").unwrap().clone();
+        (e.action_log.clone(), stored, outs[0].payload.clone())
+    };
+    assert_eq!(logged.len(), 1);
+    assert_eq!(logged[0].nesting(), MAX_NESTING - 1);
+    assert_eq!(stored.nesting(), MAX_NESTING);
+    assert_eq!(sent.nesting(), MAX_NESTING - 1);
+
+    let d = DurableEngine::open(&dir, opts(), build).unwrap();
+    assert!(d.recovery().used_snapshot);
+    assert_eq!(d.engine().action_log, logged);
+    assert_eq!(d.engine().qe.store.get("http://data/deep"), Ok(&stored));
+    drop(d);
+
+    std::fs::remove_file(dir.join("snapshot.bin")).unwrap();
+    let d = DurableEngine::open(&dir, opts(), build).unwrap();
+    assert!(!d.recovery().used_snapshot);
+    assert_eq!(d.engine().action_log, logged);
+    assert_eq!(d.engine().qe.store.get("http://data/deep"), Ok(&stored));
+
+    let reopened = Outbox::open(&outbox_path, SyncPolicy::Os).unwrap();
+    assert_eq!(reopened.pending.len(), 1);
+    assert_eq!(reopened.pending[0].payload, sent);
+    std::fs::remove_dir_all(&dir).ok();
+}

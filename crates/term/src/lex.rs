@@ -1,9 +1,15 @@
 //! Shared lexer for every textual syntax in `reweb`.
 //!
-//! Data terms (this crate), query terms (`reweb-query`), and the ECA rule
-//! language (`reweb-core`) are all lexed with this one tokenizer, which is a
-//! big part of the "language coherency" Thesis 7 asks for: learning one
-//! surface syntax is enough.
+//! Query terms (`reweb-query`) and the ECA rule language (`reweb-core`),
+//! including the data terms embedded in them, are lexed with this one
+//! tokenizer, which is a big part of the "language coherency" Thesis 7
+//! asks for: learning one surface syntax is enough.
+//!
+//! Whole data terms — every log record and wire frame, and
+//! [`crate::parse_term`] — no longer go through it: the one-pass
+//! [`crate::decode()`] reads them without a token vector. Its token rules
+//! are the ones below, and [`crate::parser::reference`] (this lexer plus
+//! the cursor parser) is the definition it is checked against.
 //!
 //! Token classes: identifiers (which may contain `:` or `.` between name
 //! parts, so `xml:id` and `price.usd` lex as one token), double-quoted

@@ -12,7 +12,9 @@
 //!   (`{...}`) children, string attributes, and text leaves.
 //! * [`rdf`] — RDF triples and graphs with pattern lookup and a small RDFS
 //!   closure, standing in for Semantic Web data.
-//! * A compact, round-trippable textual syntax ([`parse_term`] / `Display`).
+//! * A compact, round-trippable textual syntax ([`parse_term`] / `Display`),
+//!   read from bytes by the one-pass [`decode()`] and written without building
+//!   a term by [`write_elem`] — the codec under the log and the wire.
 //! * [`Path`]s for addressing nodes inside documents, with functional edits
 //!   ([`apply_edit`]) that never mutate shared structure.
 //! * [`identity`] — the two identity regimes of Thesis 10: *extensional*
@@ -32,6 +34,7 @@
 
 #![warn(missing_docs)]
 
+pub mod decode;
 pub mod diff;
 pub mod error;
 pub mod frame;
@@ -45,6 +48,7 @@ pub mod sym;
 pub mod term;
 pub mod time;
 
+pub use decode::{decode, decode_uncapped, MAX_NESTING};
 pub use diff::{diff_documents, Change};
 pub use error::TermError;
 pub use frame::{crc32, scan_frames, FrameScan, TailState};
@@ -53,7 +57,7 @@ pub use parser::parse_term;
 pub use path::{apply_edit, node_at, Path, PathEdit};
 pub use store::ResourceStore;
 pub use sym::{Sym, SymHasher, SymMap};
-pub use term::{Children, Element, Term, TermBuilder, INLINE_CHILDREN};
+pub use term::{write_elem, Children, ElemWriter, Element, Term, TermBuilder, INLINE_CHILDREN};
 pub use time::{Dur, Timestamp};
 
 /// Result alias used throughout the crate.

@@ -17,13 +17,27 @@
 //! `Display` on [`Term`] produces exactly this syntax, and
 //! `parse_term(t.to_string()) == t` holds for every term (see the property
 //! test at the bottom).
+//!
+//! Whole data terms go through the one-pass [`crate::decode()`]. The
+//! cursor-based [`parse`] below stays for data terms embedded in rules
+//! and queries, and [`reference()`] — the same parser over a whole input —
+//! is the definition `decode` is checked against.
 
 use crate::error::TermError;
 use crate::lex::{Cursor, Tok};
 use crate::term::Term;
 
-/// Parse a single data term; the whole input must be consumed.
+/// Parse a single data term; the whole input must be consumed. Runs the
+/// one-pass decoder ([`crate::decode()`]), so input nested deeper than
+/// [`crate::MAX_NESTING`] is refused.
 pub fn parse_term(input: &str) -> Result<Term, TermError> {
+    crate::decode::decode_str(input, crate::MAX_NESTING)
+}
+
+/// The reference parser: [`parse`] over the lexer's token stream, the
+/// whole input consumed. [`crate::decode()`] returns exactly its result on
+/// every input nested at most [`crate::MAX_NESTING`] deep.
+pub fn reference(input: &str) -> Result<Term, TermError> {
     let mut cur = Cursor::from_str(input)?;
     let t = parse(&mut cur)?;
     if !cur.at_end() {

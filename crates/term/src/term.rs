@@ -16,6 +16,7 @@
 //! available through [`Term::canonicalize`], which is also what extensional
 //! identity (Thesis 10) hashes.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -199,14 +200,40 @@ impl Term {
     /// The concatenated text of this node's direct text children, or the
     /// text itself for a leaf. (`status["cancelled"]` → `"cancelled"`.)
     pub fn text_content(&self) -> String {
+        self.text_str().into_owned()
+    }
+
+    /// [`Term::text_content`], borrowed unless it joins two or more text
+    /// children — so a record field such as `at["1700"]` reads without
+    /// allocating.
+    pub fn text_str(&self) -> Cow<'_, str> {
         match self {
-            Term::Text(s) => s.to_string(),
-            Term::Elem(e) => e
-                .children
-                .iter()
-                .filter_map(|c| c.as_text())
-                .collect::<Vec<_>>()
-                .join(""),
+            Term::Text(s) => Cow::Borrowed(s),
+            Term::Elem(e) => {
+                let mut texts = e.children.iter().filter_map(Term::as_text);
+                match (texts.next(), texts.next()) {
+                    (None, _) => Cow::Borrowed(""),
+                    (Some(only), None) => Cow::Borrowed(only),
+                    (Some(a), Some(b)) => {
+                        let mut joined = String::from(a);
+                        joined.push_str(b);
+                        joined.extend(texts);
+                        Cow::Owned(joined)
+                    }
+                }
+            }
+        }
+    }
+
+    /// How deep the printed form nests brackets: 0 for a text leaf or a
+    /// bare label, one more than the deepest child for `label[…]` and
+    /// `label{…}`. [`crate::decode()`] refuses input nested deeper than
+    /// [`crate::MAX_NESTING`].
+    pub fn nesting(&self) -> usize {
+        match self {
+            Term::Text(_) => 0,
+            Term::Elem(e) if e.ordered && e.attrs.is_empty() && e.children.is_empty() => 0,
+            Term::Elem(e) => 1 + e.children.iter().map(Term::nesting).max().unwrap_or(0),
         }
     }
 
@@ -484,19 +511,24 @@ fn ident_ok(s: &str) -> bool {
     !prev_sep
 }
 
+/// A label bare when the lexer would read it back as one identifier,
+/// else in the quoted `_q"…"` form.
+fn write_label(label: &str, out: &mut impl fmt::Write) -> fmt::Result {
+    if ident_ok(label) {
+        out.write_str(label)
+    } else {
+        // A label that isn't a valid identifier is printed as a
+        // quoted string prefixed form — rare, but keeps round-trips.
+        out.write_str("_q")?;
+        quote(label, out)
+    }
+}
+
 fn write_compact(t: &Term, out: &mut impl fmt::Write) -> fmt::Result {
     match t {
         Term::Text(s) => quote(s, out),
         Term::Elem(e) => {
-            let label = e.label.as_str();
-            if ident_ok(label) {
-                out.write_str(label)?;
-            } else {
-                // A label that isn't a valid identifier is printed as a
-                // quoted string prefixed form — rare, but keeps round-trips.
-                out.write_str("_q")?;
-                quote(label, out)?;
-            }
+            write_label(e.label.as_str(), out)?;
             if e.attrs.is_empty() && e.children.is_empty() {
                 // Bare label: `br` round-trips as an empty ordered element.
                 if !e.ordered {
@@ -526,6 +558,102 @@ fn write_compact(t: &Term, out: &mut impl fmt::Write) -> fmt::Result {
             }
             out.write_char(close)
         }
+    }
+}
+
+/// Print the element `label[…]` (or `label{…}` when not `ordered`) into
+/// `out`, its items written by `body` — byte for byte what `Display`
+/// prints for the same element built as a [`Term`], without building it.
+/// Labels, text and child terms go through the printer's own code, so
+/// there is one escaping routine.
+///
+/// ```
+/// use reweb_term::{write_elem, Term};
+/// let mut out = String::new();
+/// write_elem(&mut out, "m", false, |w| {
+///     w.field("at", "5")?;
+///     w.term(&Term::elem("ping"))
+/// })
+/// .unwrap();
+/// let built = Term::build("m").unordered().field("at", "5").child(Term::elem("ping")).finish();
+/// assert_eq!(out, built.to_string());
+/// ```
+pub fn write_elem<W: fmt::Write>(
+    out: &mut W,
+    label: &str,
+    ordered: bool,
+    body: impl FnOnce(&mut ElemWriter<'_, W>) -> fmt::Result,
+) -> fmt::Result {
+    write_label(label, out)?;
+    let mut w = ElemWriter {
+        out,
+        ordered,
+        empty: true,
+    };
+    body(&mut w)?;
+    match (w.empty, ordered) {
+        // Bare label, as `Display` prints an empty ordered element.
+        (true, true) => Ok(()),
+        (true, false) => w.out.write_str("{}"),
+        (false, true) => w.out.write_char(']'),
+        (false, false) => w.out.write_char('}'),
+    }
+}
+
+/// The items of one element being printed by [`write_elem`], in the
+/// order written (attributes first, as `Display` orders them).
+pub struct ElemWriter<'w, W: fmt::Write> {
+    out: &'w mut W,
+    ordered: bool,
+    empty: bool,
+}
+
+impl<W: fmt::Write> ElemWriter<'_, W> {
+    /// The opening bracket before the first item, `", "` before the rest.
+    fn item(&mut self) -> fmt::Result {
+        if self.empty {
+            self.empty = false;
+            self.out.write_char(if self.ordered { '[' } else { '{' })
+        } else {
+            self.out.write_str(", ")
+        }
+    }
+
+    /// A child term.
+    pub fn term(&mut self, t: &Term) -> fmt::Result {
+        self.item()?;
+        write_compact(t, self.out)
+    }
+
+    /// A text leaf child, `"text"`.
+    pub fn text(&mut self, text: &str) -> fmt::Result {
+        self.item()?;
+        quote(text, self.out)
+    }
+
+    /// The child `label["text"]` ([`TermBuilder::field`]).
+    pub fn field(&mut self, label: &str, text: &str) -> fmt::Result {
+        self.elem(label, true, |w| w.text(text))
+    }
+
+    /// The child `label["n"]`, the number written without a `String`
+    /// (digits need no escaping).
+    pub fn field_u64(&mut self, label: &str, n: u64) -> fmt::Result {
+        self.elem(label, true, |w| {
+            w.item()?;
+            write!(w.out, "\"{n}\"")
+        })
+    }
+
+    /// A child element, its items written by `body` ([`write_elem`]).
+    pub fn elem(
+        &mut self,
+        label: &str,
+        ordered: bool,
+        body: impl FnOnce(&mut ElemWriter<'_, W>) -> fmt::Result,
+    ) -> fmt::Result {
+        self.item()?;
+        write_elem(self.out, label, ordered, body)
     }
 }
 

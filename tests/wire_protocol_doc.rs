@@ -7,7 +7,7 @@
 
 use reweb::net::wire::{ErrorCode, Reply, Request};
 use reweb::term::frame::{encode_frame, scan_frames, TailState};
-use reweb::term::parse_term;
+use reweb::term::{decode, parse_term, parser};
 
 /// A fenced snippet: tag, body, and the line the fence opened on.
 struct Snippet {
@@ -49,6 +49,18 @@ fn fail<T>(s: &Snippet, e: &dyn std::fmt::Display) -> T {
     )
 }
 
+/// The decoder wall on a documented example: the one-pass decoder
+/// returns exactly what the reference parser returns.
+fn assert_decoder_wall(s: &Snippet, bytes: &[u8]) {
+    let text = std::str::from_utf8(bytes).expect("documented frames are UTF-8");
+    assert_eq!(
+        decode(bytes),
+        parser::reference(text),
+        "docs/WIRE_PROTOCOL.md:{} — decode differs from the reference parser",
+        s.line
+    );
+}
+
 /// A hex fence body → bytes: `#` starts a comment, everything else must
 /// be whitespace-separated hex pairs.
 fn parse_hex(s: &Snippet) -> Vec<u8> {
@@ -80,6 +92,7 @@ fn every_example_in_the_reference_decodes() {
             // Untagged/`text` fences are grammar and session sketches.
             "" | "text" => continue,
             "reweb-request" => {
+                assert_decoder_wall(s, s.body.as_bytes());
                 let t = parse_term(&s.body).unwrap_or_else(|e| fail(s, &e));
                 let req = Request::from_term(&t).unwrap_or_else(|e| fail(s, &e));
                 // The constructed form must reparse to the same request
@@ -94,6 +107,7 @@ fn every_example_in_the_reference_decodes() {
                 );
             }
             "reweb-reply" => {
+                assert_decoder_wall(s, s.body.as_bytes());
                 let t = parse_term(&s.body).unwrap_or_else(|e| fail(s, &e));
                 let rep = Reply::from_term(&t).unwrap_or_else(|e| fail(s, &e));
                 let printed = rep.to_term().to_string();
@@ -102,6 +116,7 @@ fn every_example_in_the_reference_decodes() {
                 assert_eq!(rep, back, "round-trip changed the reply at line {}", s.line);
             }
             "reweb-term" => {
+                assert_decoder_wall(s, s.body.as_bytes());
                 let t = parse_term(&s.body).unwrap_or_else(|e| fail(s, &e));
                 let reparsed = parse_term(&t.to_string()).unwrap_or_else(|e| fail(s, &e));
                 assert_eq!(t, reparsed, "print is not a fixed point at line {}", s.line);
@@ -123,6 +138,7 @@ fn every_example_in_the_reference_decodes() {
                     scan.tail
                 );
                 let payload = &scan.frames[0].1;
+                assert_decoder_wall(s, payload);
                 // The payload must be a protocol envelope — one
                 // direction or the other (labels are disjoint).
                 let as_req = Request::decode(payload);
@@ -175,6 +191,46 @@ fn worked_frames_are_the_sync_exchange() {
         .collect();
     assert_eq!(frames[0], (Request::Sync { id: 7 }).encode());
     assert_eq!(frames[1], (Reply::Done { id: 7 }).encode());
+}
+
+/// The nesting-cap example in §4 is the reply the decoder really gives:
+/// an `event` whose payload opens 127 `a[` brackets nests 129 deep
+/// counting the envelope's own two, one past the cap.
+#[test]
+fn nesting_cap_example_is_the_decoders_refusal() {
+    use reweb::term::MAX_NESTING;
+    let doc = include_str!("../docs/WIRE_PROTOCOL.md");
+    let snippet = extract_snippets(doc)
+        .into_iter()
+        .find(|s| s.tag == "reweb-reply" && s.body.contains("nesting deeper"))
+        .expect("§4 documents the nesting-cap refusal");
+    let Ok(Reply::Error {
+        code: ErrorCode::BadEnvelope,
+        detail,
+        id: None,
+        retry_ms: None,
+    }) = Reply::from_term(&parse_term(&snippet.body).unwrap())
+    else {
+        panic!("the nesting-cap example is not a bare bad-envelope error")
+    };
+    let depth = MAX_NESTING - 1;
+    let deep = format!(
+        "event{{id[\"5\"], payload[{}\"x\"{}]}}",
+        "a[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let refused = Request::decode(deep.as_bytes()).expect_err("one past the cap");
+    assert_eq!(refused.0, detail);
+    // One bracket shallower is an ordinary event.
+    let shallower = format!(
+        "event{{id[\"5\"], payload[{}\"x\"{}]}}",
+        "a[".repeat(depth - 1),
+        "]".repeat(depth - 1)
+    );
+    assert!(matches!(
+        Request::decode(shallower.as_bytes()),
+        Ok(Request::Event { .. })
+    ));
 }
 
 /// Every error code in the §4 catalogue table parses back through
