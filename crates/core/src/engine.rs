@@ -27,6 +27,7 @@
 //! metrics, never unwinding the engine.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use reweb_events::{
@@ -34,9 +35,7 @@ use reweb_events::{
     JoinMode,
 };
 use reweb_obs::{Obs, Provenance, Stage};
-use reweb_query::compiled::{
-    AlphaNetwork, CandidateIndex, EventShape, InterpretedIndex, Registration,
-};
+use reweb_query::compiled::{AlphaNetwork, CandidateIndex, EventShape, InterpretedIndex};
 use reweb_query::QueryEngine;
 use reweb_term::{Dur, Sym, Term, Timestamp};
 use reweb_update::{Executor, ProcedureDef};
@@ -120,15 +119,30 @@ impl EngineMetrics {
 }
 
 struct CompiledRule {
+    /// The engine's only copy of the rule: [`ReactiveEngine::program_source`]
+    /// prints it from here.
     rule: EcaRule,
     ev: IncrementalEngine,
     procs: BTreeMap<String, ProcedureDef>,
     set_path: String,
-    /// Alpha-network registrations of this rule's trigger patterns (tests
-    /// pre-stripped for rules whose timing semantics forbid skipping) —
-    /// kept so a match-mode switch can rebuild the index without
-    /// recompiling patterns.
-    regs: Vec<Registration>,
+    /// Whether the rule registers its trigger patterns label-only (see
+    /// [`register`]). Decided at install under the TTL in force then, and
+    /// kept: a later [`ReactiveEngine::set_default_ttl`] changes only later
+    /// installs, also across a match-mode rebuild.
+    label_only: bool,
+}
+
+/// Register rule `idx`'s trigger patterns with `index`. A `label_only`
+/// rule drops every test but the label: its deadline or TTL timing must
+/// see the full same-label stream, which is exactly the interpreted
+/// candidate set.
+fn register(index: &mut dyn CandidateIndex, rule: &EcaRule, label_only: bool, idx: usize) {
+    for mut reg in registrations(&rule.on) {
+        if label_only {
+            reg.tests.clear();
+        }
+        index.insert(&reg, idx);
+    }
 }
 
 /// Which candidate-index implementation dispatch runs on — see
@@ -157,13 +171,53 @@ fn fold_horizon(a: Option<Dur>, b: Option<Dur>) -> Option<Dur> {
 }
 
 /// One top-level item installed into an engine, kept for
-/// [`ReactiveEngine::program_source`].
+/// [`ReactiveEngine::program_source`]. The rules themselves live once, in
+/// the engine's compiled rules, which hold them in install order: each
+/// item takes its rules from there in turn.
 enum InstalledItem {
-    /// A rule set installed via [`ReactiveEngine::install`] (disabled
-    /// subtrees pruned away, since `Display` cannot express them).
-    Set(RuleSet),
-    /// A bare rule installed via [`ReactiveEngine::add_rule`].
-    Rule(EcaRule),
+    /// A rule set installed via [`ReactiveEngine::install`].
+    Set(InstalledSet),
+    /// A bare rule installed via [`ReactiveEngine::add_rule`]: the next
+    /// compiled rule.
+    Rule,
+}
+
+/// What an install of one enabled rule set *means*, without the rules it
+/// compiled: disabled subtrees are pruned (they install nothing, and the
+/// textual form cannot express disabledness). Its compiled rules are the
+/// next `compiled` ones in install pre-order, the set's own before its
+/// children's.
+struct InstalledSet {
+    /// The set's name and scoped definitions. Its `rules` are those that
+    /// never compiled — an install failed before reaching them, and
+    /// installation has no rollback, so the reprint keeps them — and its
+    /// `children` are empty (see `children` below).
+    head: RuleSet,
+    /// How many of the set's own rules compiled: all of them or none.
+    compiled: usize,
+    /// The enabled nested sets.
+    children: Vec<InstalledSet>,
+}
+
+impl InstalledSet {
+    /// Print the set as `RuleSet`'s `Display` prints the set it records,
+    /// its compiled rules taken in turn from `rules`.
+    fn write(
+        &self,
+        out: &mut String,
+        rules: &mut std::slice::Iter<'_, CompiledRule>,
+    ) -> fmt::Result {
+        self.head.write_head(out)?;
+        let compiled = rules.by_ref().take(self.compiled).map(|cr| &cr.rule);
+        for r in compiled.chain(&self.head.rules) {
+            writeln!(out, "{r}")?;
+        }
+        for c in &self.children {
+            c.write(out, rules)?;
+            out.push('\n');
+        }
+        out.write_str("END")
+    }
 }
 
 /// The engine-internal sequence state that stamps events: the virtual
@@ -181,20 +235,6 @@ pub struct ReplayMark {
     pub event_seq: u64,
     /// Derived-event sequence counter of the deduction layer.
     pub derived_seq: u64,
-}
-
-/// The enabled projection of a rule set: `None` when the set itself is
-/// disabled, otherwise a copy with disabled descendants removed. This is
-/// what an install actually *does*, and — unlike disabledness — it is
-/// expressible in the textual rule language, so it is what
-/// [`ReactiveEngine::program_source`] records.
-fn enabled_only(set: &RuleSet) -> Option<RuleSet> {
-    if !set.enabled {
-        return None;
-    }
-    let mut out = set.clone();
-    out.children = set.children.iter().filter_map(enabled_only).collect();
-    Some(out)
 }
 
 /// A per-node ECA rule engine.
@@ -304,16 +344,14 @@ impl ReactiveEngine {
     /// its (enabled) rules, scoping procedures root-to-leaf with inner
     /// definitions shadowing outer ones.
     pub fn install(&mut self, set: &RuleSet) -> crate::Result<()> {
-        // Record what this install *means* before running it: disabled
-        // subtrees are pruned (they install nothing and the textual form
-        // cannot express disabledness), and a failing install is still
-        // recorded because installation has no rollback — whatever
-        // partially installed is reproduced by re-running the same text.
-        if let Some(effective) = enabled_only(set) {
-            self.installed.push(InstalledItem::Set(effective));
+        // A failing install is still recorded whole: installation has no
+        // rollback, so whatever partially installed is reproduced by
+        // re-running the same text.
+        let mut failed = None;
+        if let Some(record) = self.install_scoped(set, &BTreeMap::new(), "", &mut failed) {
+            self.installed.push(InstalledItem::Set(record));
         }
-        self.install_scoped(set, &BTreeMap::new(), "")?;
-        Ok(())
+        failed.map_or(Ok(()), Err)
     }
 
     /// Parse and install a rule program (see [`crate::parse_program`]).
@@ -322,15 +360,33 @@ impl ReactiveEngine {
         self.install(&set)
     }
 
+    /// Install the enabled part of `set` and return its record (`None`
+    /// when the set is disabled). After the first error, kept in `failed`,
+    /// nothing more installs, but the rest of the set is still recorded,
+    /// its rules kept in the record since they never compiled.
     fn install_scoped(
         &mut self,
         set: &RuleSet,
         inherited: &BTreeMap<String, ProcedureDef>,
         parent_path: &str,
-    ) -> crate::Result<()> {
+        failed: &mut Option<crate::TermError>,
+    ) -> Option<InstalledSet> {
         if !set.enabled {
-            return Ok(());
+            return None;
         }
+        let mut record = InstalledSet {
+            head: RuleSet {
+                name: set.name.clone(),
+                enabled: true,
+                rules: Vec::new(),
+                children: Vec::new(),
+                procedures: set.procedures.clone(),
+                views: set.views.clone(),
+                event_rules: set.event_rules.clone(),
+            },
+            compiled: 0,
+            children: Vec::new(),
+        };
         let path = if parent_path.is_empty() {
             set.name.clone()
         } else {
@@ -340,26 +396,38 @@ impl ReactiveEngine {
         for p in &set.procedures {
             procs.insert(p.name.clone(), p.clone());
         }
-        for (uri, v) in &set.views {
-            self.qe.register_view(uri.clone(), v.clone());
+        if failed.is_none() {
+            for (uri, v) in &set.views {
+                self.qe.register_view(uri.clone(), v.clone());
+            }
+            for er in &set.event_rules {
+                if let Err(e) = self.deduction.register(er.clone()) {
+                    *failed = Some(e);
+                    break;
+                }
+                // DETECT engines run without a TTL (see DeductionLayer).
+                self.horizon = fold_horizon(self.horizon, er.on.replay_horizon(None));
+            }
         }
-        for er in &set.event_rules {
-            self.deduction.register(er.clone())?;
-            // DETECT engines run without a TTL (see DeductionLayer).
-            self.horizon = fold_horizon(self.horizon, er.on.replay_horizon(None));
+        if failed.is_none() {
+            for r in &set.rules {
+                self.add_rule_scoped(r.clone(), procs.clone(), path.clone());
+            }
+            record.compiled = set.rules.len();
+        } else {
+            record.head.rules = set.rules.clone();
         }
-        for r in &set.rules {
-            self.add_rule_scoped(r.clone(), procs.clone(), path.clone());
-        }
-        for c in &set.children {
-            self.install_scoped(c, &procs, &path)?;
-        }
-        Ok(())
+        record.children = set
+            .children
+            .iter()
+            .filter_map(|c| self.install_scoped(c, &procs, &path, failed))
+            .collect();
+        Some(record)
     }
 
     /// Install a single rule with no scoped procedures.
     pub fn add_rule(&mut self, rule: EcaRule) {
-        self.installed.push(InstalledItem::Rule(rule.clone()));
+        self.installed.push(InstalledItem::Rule);
         self.add_rule_scoped(rule, BTreeMap::new(), String::new());
     }
 
@@ -375,19 +443,8 @@ impl ReactiveEngine {
         }
         self.horizon = fold_horizon(self.horizon, rule.on.replay_horizon(self.default_ttl));
         let idx = self.compiled.len();
-        let skippable = alpha_skippable(&rule.on) && self.default_ttl.is_none();
-        let mut regs = registrations(&rule.on);
-        if !skippable {
-            // Deadline/TTL timing must see the full same-label stream:
-            // register label-only, which is exactly the interpreted
-            // candidate set.
-            for r in &mut regs {
-                r.tests.clear();
-            }
-        }
-        for r in &regs {
-            self.index.insert(r, idx);
-        }
+        let label_only = !alpha_skippable(&rule.on) || self.default_ttl.is_some();
+        register(self.index.as_mut(), &rule, label_only, idx);
         if rule.on.has_absence() || self.default_ttl.is_some() {
             self.advance_idxs.push(idx);
         }
@@ -396,7 +453,7 @@ impl ReactiveEngine {
             ev,
             procs,
             set_path,
-            regs,
+            label_only,
         });
         self.metrics.rules_installed += 1;
     }
@@ -406,8 +463,9 @@ impl ReactiveEngine {
         self.compiled.len()
     }
 
-    /// Switch the candidate-index implementation and rebuild it from the
-    /// stored registrations of every installed rule. Dispatch outputs are
+    /// Switch the candidate-index implementation and rebuild it from every
+    /// installed rule's trigger patterns, each registered as it was at
+    /// install (label-only or not). Dispatch outputs are
     /// byte-identical in both modes — pinned by the `compiled_equivalence`
     /// property test; [`MatchMode::Interpreted`] exists as that pin's
     /// baseline.
@@ -418,9 +476,7 @@ impl ReactiveEngine {
             MatchMode::Interpreted => Box::new(InterpretedIndex::new()),
         };
         for (idx, cr) in self.compiled.iter().enumerate() {
-            for r in &cr.regs {
-                index.insert(r, idx);
-            }
+            register(index.as_mut(), &cr.rule, cr.label_only, idx);
         }
         self.index = index;
     }
@@ -471,14 +527,19 @@ impl ReactiveEngine {
     /// export/debug surface.
     pub fn program_source(&self) -> String {
         let mut out = String::new();
+        let mut rules = self.compiled.iter();
         for item in &self.installed {
             if !out.is_empty() {
                 out.push_str("\n\n");
             }
-            match item {
-                InstalledItem::Set(s) => out.push_str(&s.to_string()),
-                InstalledItem::Rule(r) => out.push_str(&r.to_string()),
-            }
+            let printed = match item {
+                InstalledItem::Set(s) => s.write(&mut out, &mut rules),
+                InstalledItem::Rule => {
+                    let cr = rules.next().expect("a bare rule's install compiled it");
+                    write!(out, "{}", cr.rule)
+                }
+            };
+            printed.expect("a String sink never fails");
         }
         out
     }

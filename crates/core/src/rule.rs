@@ -196,8 +196,10 @@ impl RuleSet {
     }
 }
 
-impl fmt::Display for RuleSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl RuleSet {
+    /// What `Display` prints before the set's rules: the `RULESET` line
+    /// and the scoped procedures, views and DETECT rules, a line each.
+    pub(crate) fn write_head(&self, f: &mut impl fmt::Write) -> fmt::Result {
         writeln!(f, "RULESET {}", self.name)?;
         for p in &self.procedures {
             writeln!(
@@ -214,6 +216,13 @@ impl fmt::Display for RuleSet {
         for er in &self.event_rules {
             writeln!(f, "DETECT {} ON {} END", er.head, er.on)?;
         }
+        Ok(())
+    }
+}
+
+impl fmt::Display for RuleSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_head(f)?;
         for r in &self.rules {
             writeln!(f, "{r}")?;
         }

@@ -1,4 +1,5 @@
-//! Allocation budgets of the per-event path.
+//! Allocation budgets of the per-event path, and resident-bytes budgets
+//! of what a node keeps.
 //!
 //! This binary installs a counting `#[global_allocator]` and asserts how
 //! many heap allocations one input event costs in steady state (after a
@@ -9,8 +10,13 @@
 //! (in parentheses, with the count before the allocation-free match
 //! kernel).
 //!
-//! The counter is thread-local: the four scenarios run on libtest's
-//! parallel threads without seeing each other's allocations.
+//! The same allocator keeps a live-bytes balance (bytes allocated minus
+//! bytes freed), which the resident budgets read: bytes an installed rule
+//! keeps, and bytes one event term keeps. They repeat exactly too, and
+//! only ever tighten.
+//!
+//! The counters are thread-local: the scenarios run on libtest's parallel
+//! threads without seeing each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,22 +30,31 @@ thread_local! {
     // Const-initialised and without a destructor, so touching it from
     // inside the allocator never allocates or registers a TLS dtor.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+fn live_add(bytes: usize, sign: i64) {
+    LIVE.with(|n| n.set(n.get() + sign * bytes as i64));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the only addition
-// is a thread-local counter bump that itself never allocates.
+// is thread-local counter updates that themselves never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        live_add(layout.size(), 1);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live_add(layout.size(), -1);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        live_add(layout.size(), -1);
+        live_add(new_size, 1);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -152,13 +167,12 @@ fn conditional_send_over_16_item_resource() {
     assert_budget("conditional SEND over a 16-item resource", got, 12.0);
 }
 
-/// `match-mix` in miniature: attr-routed atomic rules (1 in 10
-/// conditional), `and`/`seq` joins within 10 s, a two-step DETECT chain
-/// and one absence rule, under a 60/40 order/pair stream.
-#[test]
-fn match_mix_shaped_program() {
+/// `match-mix` in miniature: `atomic` attr-routed atomic rules (1 in 10
+/// conditional), `composite` `and`/`seq` joins within 10 s, a two-step
+/// DETECT chain and one absence rule — `atomic + composite + 2` rules.
+fn mix_program(atomic: usize, composite: usize) -> String {
     let mut program = String::new();
-    for i in 0..40 {
+    for i in 0..atomic {
         if i % 10 == 0 {
             program.push_str(&format!(
                 "RULE a{i} ON order{{{{@route=\"r{i}\", n[[var N]], sku[[var S]]}}}} \
@@ -171,7 +185,7 @@ fn match_mix_shaped_program() {
             ));
         }
     }
-    for i in 0..8 {
+    for i in 0..composite {
         let op = if i % 2 == 0 { "and" } else { "seq" };
         program.push_str(&format!(
             "RULE c{i} ON {op}(pa{{{{@route=\"c{i}\", id[[var K]]}}}}, \
@@ -186,6 +200,13 @@ fn match_mix_shaped_program() {
          RULE stale ON absence(pa{{@route=\"c0\", id[[var K]]}}, pb{{@route=\"c0\", id[[var K]]}}, 10s) \
          DO SEND stale{k[var K]} TO \"http://sink/s\" END\n",
     );
+    program
+}
+
+/// `match-mix` in miniature under a 60/40 order/pair stream.
+#[test]
+fn match_mix_shaped_program() {
+    let program = mix_program(40, 8);
     let event = |j: usize| match j % 5 {
         // Every `pa` is closed by its `pb` two events later on even
         // routes; odd routes never close and expire with the window.
@@ -215,4 +236,59 @@ fn match_mix_shaped_program() {
         "enabled observability recorded {spans} spans over {} events",
         WARMUP + MEASURED
     );
+}
+
+/// Live heap bytes on this thread that `make` leaves allocated, with what
+/// it returned (still alive, so counted).
+fn live_bytes<T>(make: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE.with(Cell::get);
+    let out = make();
+    (out, LIVE.with(Cell::get) - before)
+}
+
+fn assert_resident(what: &str, got: i64, budget: i64) {
+    eprintln!("resident budget: {what}: {got} B (budget {budget})");
+    assert!(
+        got <= budget,
+        "{what}: {got} B exceeds the budget of {budget} B"
+    );
+}
+
+/// Bytes an installed rule keeps, over a 1 000-rule `match-mix`-shaped
+/// program: the rule's AST, its compiled event query, its share of the
+/// alpha network and of the engine's per-rule tables. The symbols are
+/// interned by a first install beforehand, so the process-wide symbol
+/// table (which other tests on other threads also grow) is not counted.
+#[test]
+fn resident_bytes_per_installed_rule() {
+    let program = mix_program(832, 166);
+    drop(engine_with(&program));
+    // A fresh symbol, resolved once, brings this thread's symbol snapshot
+    // up to date, so the measured install resolves without refreshing it.
+    let _ = reweb_term::Sym::new("resident_bytes_per_installed_rule").as_str();
+    let mut engine = ReactiveEngine::new("http://svc");
+    let ((), bytes) = live_bytes(|| engine.install_program(&program).expect("program installs"));
+    assert_eq!(engine.rule_count(), 1_000);
+    let per_rule = bytes / engine.rule_count() as i64;
+    // 2 027 (was 4 119: a second copy of each rule's AST, its stored
+    // registrations, and 80-byte alpha tests in 4-slot edge lists).
+    assert_resident("live bytes per installed rule", per_rule, 2_100);
+}
+
+/// Bytes one `order{@route, n, sku}` event term keeps, built by
+/// `TermBuilder` and decoded from its printed form.
+#[test]
+fn resident_bytes_of_one_order_term() {
+    let text = order(7, 3).to_string();
+    let (built, built_bytes) = live_bytes(|| order(7, 3));
+    let (decoded, decoded_bytes) =
+        live_bytes(|| reweb_term::decode(text.as_bytes()).expect("the printed term decodes"));
+    assert_eq!(built, decoded);
+    // 442 each (was 754: a B-tree leaf for the one attribute).
+    assert_resident(
+        "live bytes of an order term (TermBuilder)",
+        built_bytes,
+        450,
+    );
+    assert_resident("live bytes of an order term (decode)", decoded_bytes, 450);
 }

@@ -164,8 +164,10 @@ pub enum AlphaTest {
     ChildCountGe(usize),
     /// The payload is a bare text leaf equal to this constant.
     IsText(Sym),
-    /// A hoisted `WHERE` comparison over one root attribute binding.
-    Guard(GuardTest),
+    /// A hoisted `WHERE` comparison over one root attribute binding
+    /// (boxed: the rarest test is the largest, and every other test is
+    /// stored at its size).
+    Guard(Box<GuardTest>),
 }
 
 impl AlphaTest {
@@ -186,7 +188,7 @@ impl AlphaTest {
             AlphaTest::IsText(t) => TestKey::IsText(*t),
             // `Cmp` holds floats (no `Eq`/`Hash`), so guards are keyed by
             // their printed form — identical guards print identically.
-            AlphaTest::Guard(g) => TestKey::Guard(g.var, g.attr, g.cmp.to_string()),
+            AlphaTest::Guard(g) => TestKey::Guard(Box::new((g.var, g.attr, g.cmp.to_string()))),
         }
     }
 
@@ -213,7 +215,8 @@ impl AlphaTest {
 }
 
 /// Canonical, hashable identity of an [`AlphaTest`] (structural hashing on
-/// `Sym` ids; guards via their printed form).
+/// `Sym` ids; guards via their printed form, boxed so that every other
+/// edge key stays 16 bytes).
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum TestKey {
     AttrPresent(Sym),
@@ -224,7 +227,7 @@ enum TestKey {
     ChildCountEq(usize),
     ChildCountGe(usize),
     IsText(Sym),
-    Guard(Sym, Sym, String),
+    Guard(Box<(Sym, Sym, String)>),
 }
 
 // ---------------------------------------------------------------------------
@@ -286,11 +289,11 @@ pub fn compile_pattern(pattern: &QueryTerm, cmps: &[Cmp]) -> Registration {
         let vars = cmp.variables();
         if let [x] = vars[..] {
             if let Some(&attr) = attr_vars.get(&x) {
-                reg.tests.push(AlphaTest::Guard(GuardTest {
+                reg.tests.push(AlphaTest::Guard(Box::new(GuardTest {
                     var: x,
                     attr,
                     cmp: cmp.clone(),
-                }));
+                })));
             }
         }
     }
@@ -504,7 +507,7 @@ impl AlphaNetwork {
             AlphaTest::HasChildLabelText(l, t) => {
                 self.nodes[parent].child_text.insert((*l, *t), c);
             }
-            t => self.nodes[parent].linear.push((t.clone(), c)),
+            t => push_sized(&mut self.nodes[parent].linear, (t.clone(), c)),
         }
         self.edges.insert((parent, key), c);
         c
@@ -544,6 +547,17 @@ impl AlphaNetwork {
     }
 }
 
+/// Push onto a node's edge or rule list. Most nodes hold one of each, so
+/// the first allocation holds exactly one; `push` grows the list from
+/// there (reserving exactly on every push would copy a shared node's list
+/// once per rule).
+fn push_sized<T>(list: &mut Vec<T>, item: T) {
+    if list.capacity() == 0 {
+        list.reserve_exact(1);
+    }
+    list.push(item);
+}
+
 impl CandidateIndex for AlphaNetwork {
     fn insert(&mut self, reg: &Registration, rule: usize) {
         let mut node = match reg.label {
@@ -567,7 +581,7 @@ impl CandidateIndex for AlphaNetwork {
         for test in &reg.tests {
             node = self.child(node, test);
         }
-        self.nodes[node].emit.push(rule);
+        push_sized(&mut self.nodes[node].emit, rule);
     }
 
     fn collect(&self, shape: &EventShape<'_>, out: &mut Vec<usize>, tests_run: &mut u64) {

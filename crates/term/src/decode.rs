@@ -19,9 +19,9 @@
 //! no such exception. `crates/term/tests/decoder_wall.rs` holds the
 //! equivalence.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use crate::attrs::{AttrBuf, Attrs};
 use crate::error::TermError;
 use crate::parser;
 use crate::sym::Sym;
@@ -198,7 +198,7 @@ impl<'a> Decoder<'a> {
                 return Ok(Term::Elem(Arc::new(Element {
                     label,
                     ordered: true,
-                    attrs: BTreeMap::new(),
+                    attrs: Attrs::new(),
                     children: Children::new(),
                 })))
             }
@@ -207,7 +207,7 @@ impl<'a> Decoder<'a> {
             return Err(Refused::TooDeep(self.pos));
         }
         self.pos += 1;
-        let mut attrs = BTreeMap::new();
+        let mut attrs = AttrBuf::new();
         let mut children = Children::new();
         loop {
             if self.eat(close) {
@@ -228,7 +228,7 @@ impl<'a> Decoder<'a> {
                     Some(b) if b.is_ascii_digit() => self.number().to_owned(),
                     _ => return Err(Refused::Syntax),
                 };
-                attrs.insert(Sym::new(key), value);
+                attrs.push((Sym::new(key), value));
             } else {
                 children.push(self.term(depth + 1)?);
             }
@@ -242,7 +242,7 @@ impl<'a> Decoder<'a> {
         Ok(Term::Elem(Arc::new(Element {
             label,
             ordered,
-            attrs,
+            attrs: Attrs::from_writes(attrs),
             children,
         })))
     }

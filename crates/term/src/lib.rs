@@ -34,6 +34,7 @@
 
 #![warn(missing_docs)]
 
+pub mod attrs;
 pub mod decode;
 pub mod diff;
 pub mod error;
@@ -48,6 +49,7 @@ pub mod sym;
 pub mod term;
 pub mod time;
 
+pub use attrs::Attrs;
 pub use decode::{decode, decode_uncapped, MAX_NESTING};
 pub use diff::{diff_documents, Change};
 pub use error::TermError;

@@ -17,12 +17,12 @@
 //! identity (Thesis 10) hashes.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 use smallvec::SmallVec;
 
+use crate::attrs::{AttrBuf, Attrs};
 use crate::sym::Sym;
 
 /// Inline capacity for an element's child list: terms with at most this
@@ -49,16 +49,16 @@ pub enum Term {
 /// The label and attribute *names* are interned [`Sym`]s: copying an element
 /// copies integers, and label dispatch compares integers. Attribute *values*
 /// stay `String`s (they are data, not vocabulary). Because `Sym` orders by
-/// its interned string, the attribute map iterates in exactly the byte order
-/// a `BTreeMap<String, _>` would — serialization is unchanged.
+/// its interned string, the attribute list iterates in exactly the byte
+/// order a `BTreeMap<String, _>` would — serialization is unchanged.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Element {
     /// The element name (interned).
     pub label: Sym,
     /// `true` for `label[ … ]` (significant order), `false` for `label{ … }`.
     pub ordered: bool,
-    /// String attributes, sorted by (interned) name.
-    pub attrs: BTreeMap<Sym, String>,
+    /// String attributes, sorted by (interned) name, in one allocation.
+    pub attrs: Attrs,
     /// Child terms, in document order (inline up to [`INLINE_CHILDREN`]).
     pub children: Children,
 }
@@ -76,7 +76,7 @@ impl Term {
         Term::Elem(Arc::new(Element {
             label: label.into(),
             ordered: true,
-            attrs: BTreeMap::new(),
+            attrs: Attrs::new(),
             children: children.into(),
         }))
     }
@@ -86,7 +86,7 @@ impl Term {
         Term::Elem(Arc::new(Element {
             label: label.into(),
             ordered: false,
-            attrs: BTreeMap::new(),
+            attrs: Attrs::new(),
             children: children.into(),
         }))
     }
@@ -115,7 +115,7 @@ impl Term {
         TermBuilder {
             label: label.into(),
             ordered: true,
-            attrs: BTreeMap::new(),
+            attrs: AttrBuf::new(),
             children: Vec::new(),
         }
     }
@@ -418,7 +418,9 @@ impl Term {
 pub struct TermBuilder {
     label: Sym,
     ordered: bool,
-    attrs: BTreeMap<Sym, String>,
+    /// Attributes in the order set; they become the element's [`Attrs`]
+    /// at [`TermBuilder::finish`], allocated once at their final size.
+    attrs: AttrBuf,
     children: Vec<Term>,
 }
 
@@ -429,9 +431,9 @@ impl TermBuilder {
         self
     }
 
-    /// Set a string attribute.
+    /// Set a string attribute (setting one twice keeps the last value).
     pub fn attr(mut self, key: impl Into<Sym>, value: impl Into<String>) -> Self {
-        self.attrs.insert(key.into(), value.into());
+        self.attrs.push((key.into(), value.into()));
         self
     }
 
@@ -463,7 +465,7 @@ impl TermBuilder {
         Term::Elem(Arc::new(Element {
             label: self.label,
             ordered: self.ordered,
-            attrs: self.attrs,
+            attrs: Attrs::from_writes(self.attrs),
             children: self.children.into(),
         }))
     }
