@@ -11,8 +11,9 @@
 //! - **framing + envelopes** ([`wire`]): `hello`/`event`/`sync`
 //!   requests, `reaction`/`error`/`busy`/`throttled` replies;
 //! - **admission** ([`limit`], [`router`]): per-connection token-bucket
-//!   rate limits, a frame body limit enforced before the body is read,
-//!   and a bounded global queue whose overflow is an explicit `busy`
+//!   rate limits, a frame body limit enforced from the header (an
+//!   oversized body is never allocated or parsed), and a bounded global
+//!   queue whose overflow is an explicit `busy`
 //!   reply — backpressure is part of the protocol, not a TCP accident;
 //! - **the driver** ([`server`]): one thread forming batches under size
 //!   and latency bounds and feeding any [`reweb_core::Engine`] —

@@ -9,10 +9,21 @@
 //! with a `busy` reply and is **not** enqueued. Control items (`sync`
 //! markers, clock advances) bypass the capacity check — they are
 //! client-bounded and rejecting them would deadlock lockstep clients.
+//!
+//! The queue wakes its driver only when the driver can act. Under the
+//! queue mutex it keeps the depth its single waiter needs: 1 while
+//! `IngressQueue::pop_batch` waits for a first item, `max_batch`
+//! while a batch fills, none while the driver runs a batch. A push
+//! notifies only when the depth reaches that value, so a batch filling
+//! over [`BATCH_FILL_WAIT`] costs the driver one wake-up, not one per
+//! arrival. Two counters in [`crate::IngressStats`] count the stages
+//! that feed this hand-off: `socket_reads` (read calls on the
+//! connection sockets) and `driver_wakeups` (waits in `pop_batch` that
+//! a push ended, as opposed to a timeout).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use reweb_core::InMessage;
@@ -35,9 +46,10 @@ pub struct NetConfig {
     /// replies.
     pub queue_capacity: usize,
     /// Largest accepted frame body, in bytes. A frame header announcing
-    /// more closes the connection before the body is read (the
-    /// body-limit pattern: never buffer what you already know you will
-    /// reject).
+    /// more closes the connection: the body is never allocated as a
+    /// payload or parsed, and at most one read buffer of it is taken
+    /// off the socket (the body-limit pattern: never allocate for what
+    /// you already know you will reject).
     pub max_body: usize,
     /// Per-connection reply buffer for *reaction* frames. A slow reader
     /// whose buffer is full has further reactions *dropped* (counted in
@@ -128,15 +140,29 @@ pub(crate) struct QueueFull {
 /// The bounded arrival-order queue between reader threads and the
 /// driver.
 pub(crate) struct IngressQueue {
-    inner: Mutex<VecDeque<Item>>,
+    inner: Mutex<QueueState>,
     cv: Condvar,
     capacity: usize,
+}
+
+/// What the queue mutex guards.
+struct QueueState {
+    items: VecDeque<Item>,
+    /// The depth at which the waiting driver can act, `None` while no
+    /// driver waits. The push that reaches it notifies and clears it.
+    wake_at: Option<usize>,
+    /// Waits in `pop_batch` that ended on a notify, not a timeout.
+    wakeups: u64,
 }
 
 impl IngressQueue {
     pub(crate) fn new(capacity: usize) -> IngressQueue {
         IngressQueue {
-            inner: Mutex::new(VecDeque::new()),
+            inner: Mutex::new(QueueState {
+                items: VecDeque::new(),
+                wake_at: None,
+                wakeups: 0,
+            }),
             cv: Condvar::new(),
             capacity,
         }
@@ -145,27 +171,60 @@ impl IngressQueue {
     /// Admit one event, unless the queue is at capacity. Returns the
     /// queue depth *after* the push on success.
     pub(crate) fn push_event(&self, item: Item) -> Result<usize, QueueFull> {
-        let mut q = self.inner.lock().expect("ingress queue poisoned");
-        if q.len() >= self.capacity {
+        let q = self.inner.lock().expect("ingress queue poisoned");
+        if q.items.len() >= self.capacity {
             return Err(QueueFull {
-                depth: q.len() as u64,
+                depth: q.items.len() as u64,
                 capacity: self.capacity as u64,
             });
         }
-        q.push_back(item);
-        let depth = q.len();
-        drop(q);
-        self.cv.notify_one();
-        Ok(depth)
+        Ok(self.push(q, item))
     }
 
     /// Enqueue a control item (`sync`/`advance`): always admitted, so a
-    /// lockstep client can always flush even against a full queue.
+    /// lockstep client can always flush even against a full queue. Like
+    /// an event, it wakes the driver only at the depth the driver waits
+    /// for: a control item does not end a batch's fill early.
     pub(crate) fn push_control(&self, item: Item) {
-        let mut q = self.inner.lock().expect("ingress queue poisoned");
-        q.push_back(item);
+        let q = self.inner.lock().expect("ingress queue poisoned");
+        self.push(q, item);
+    }
+
+    /// Append `item` under the held lock and wake the driver if this
+    /// push reaches the depth it waits for. Returns the depth after the
+    /// push.
+    fn push(&self, mut q: MutexGuard<'_, QueueState>, item: Item) -> usize {
+        q.items.push_back(item);
+        let depth = q.items.len();
+        let wake = q.wake_at.is_some_and(|n| depth >= n);
+        if wake {
+            q.wake_at = None;
+        }
         drop(q);
-        self.cv.notify_one();
+        if wake {
+            self.cv.notify_one();
+        }
+        depth
+    }
+
+    /// Block on the condvar until a push reaches depth `wake_at` or
+    /// `timeout` passes, counting a wait that a push ended.
+    fn wait<'a>(
+        &self,
+        mut q: MutexGuard<'a, QueueState>,
+        wake_at: usize,
+        timeout: Duration,
+    ) -> MutexGuard<'a, QueueState> {
+        q.wake_at = Some(wake_at);
+        let (mut q, res) = self
+            .cv
+            .wait_timeout(q, timeout)
+            .expect("ingress queue poisoned");
+        q.wake_at = None;
+        if !res.timed_out() {
+            q.wakeups += 1;
+        }
+        q
     }
 
     /// Pop the next batch: blocks until at least one item is queued (or
@@ -181,36 +240,37 @@ impl IngressQueue {
     ) -> Vec<Item> {
         let mut q = self.inner.lock().expect("ingress queue poisoned");
         // Phase 1: wait for the first item.
-        while q.is_empty() {
+        while q.items.is_empty() {
             if shutdown.load(Ordering::Acquire) {
                 return Vec::new();
             }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(q, Duration::from_millis(20))
-                .expect("ingress queue poisoned");
-            q = guard;
+            q = self.wait(q, 1, Duration::from_millis(20));
         }
         // Phase 2: give the batch `latency` to fill.
         let deadline = Instant::now() + latency;
-        while q.len() < max_batch && !shutdown.load(Ordering::Acquire) {
+        while q.items.len() < max_batch && !shutdown.load(Ordering::Acquire) {
             let now = Instant::now();
             if now >= deadline {
                 break;
             }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(q, deadline - now)
-                .expect("ingress queue poisoned");
-            q = guard;
+            q = self.wait(q, max_batch, deadline - now);
         }
-        let n = q.len().min(max_batch);
-        q.drain(..n).collect()
+        let n = q.items.len().min(max_batch);
+        q.items.drain(..n).collect()
     }
 
     /// Current queue depth (diagnostics).
     pub(crate) fn depth(&self) -> usize {
-        self.inner.lock().expect("ingress queue poisoned").len()
+        self.inner
+            .lock()
+            .expect("ingress queue poisoned")
+            .items
+            .len()
+    }
+
+    /// Waits in [`IngressQueue::pop_batch`] that a push ended.
+    pub(crate) fn driver_wakeups(&self) -> u64 {
+        self.inner.lock().expect("ingress queue poisoned").wakeups
     }
 }
 
@@ -402,6 +462,84 @@ mod tests {
         assert!(q
             .pop_batch(16, Duration::from_millis(1), &shutdown)
             .is_empty());
+    }
+
+    /// Spin until the driver waits for depth `n`: the interleaving a
+    /// wake test checks (a push while the driver waits) is forced, not
+    /// slept into.
+    fn until_waiting_for(q: &IngressQueue, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while q.inner.lock().expect("queue").wake_at != Some(n) {
+            assert!(Instant::now() < deadline, "driver never waited for {n}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_full_batch_ends_the_fill_wait() {
+        let q = IngressQueue::new(16);
+        let shutdown = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let driver = s.spawn(|| {
+                let t0 = Instant::now();
+                let batch = q.pop_batch(4, Duration::from_secs(30), &shutdown);
+                (batch.len(), t0.elapsed())
+            });
+            q.push_event(item(0)).unwrap();
+            until_waiting_for(&q, 4);
+            for i in 1..4 {
+                q.push_event(item(i)).unwrap();
+            }
+            let (n, took) = driver.join().expect("driver");
+            assert_eq!(n, 4);
+            assert!(took < Duration::from_secs(10), "fill ran {took:?}");
+        });
+    }
+
+    #[test]
+    fn a_first_item_wakes_an_idle_driver() {
+        // A poll that times out between the test's check and its push
+        // takes the item without a wake-up; another round rules that
+        // out, while a missing wake fails every round.
+        let woken = (0..3).any(|_| {
+            let q = IngressQueue::new(16);
+            let shutdown = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                let driver = s.spawn(|| q.pop_batch(1, Duration::from_secs(30), &shutdown));
+                until_waiting_for(&q, 1);
+                q.push_event(item(0)).unwrap();
+                assert_eq!(driver.join().expect("driver").len(), 1);
+            });
+            q.driver_wakeups() == 1
+        });
+        assert!(woken, "the first item never woke the waiting driver");
+    }
+
+    #[test]
+    fn pushes_below_the_batch_size_do_not_wake_a_filling_driver() {
+        let q = IngressQueue::new(16);
+        let shutdown = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let driver = s.spawn(|| q.pop_batch(8, Duration::from_secs(30), &shutdown));
+            q.push_event(item(0)).unwrap();
+            until_waiting_for(&q, 8);
+            let filling = q.driver_wakeups();
+            for i in 1..8 {
+                // Each push lands while the driver waits; only the one
+                // that completes the batch may wake it. The pause gives
+                // a wrongly woken driver time to count its wake-up; the
+                // right count does not depend on it.
+                until_waiting_for(&q, 8);
+                if i == 7 {
+                    q.push_control(Item::Sync { client: 1, id: i });
+                } else {
+                    q.push_event(item(i)).unwrap();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            assert_eq!(driver.join().expect("driver").len(), 8);
+            assert_eq!(q.driver_wakeups(), filling + 1);
+        });
     }
 
     #[test]

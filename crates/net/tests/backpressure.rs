@@ -34,6 +34,23 @@ fn wait_until(what: &str, f: impl Fn() -> bool) {
     panic!("timed out waiting for {what}");
 }
 
+/// `n` valid `event` frames, ids and times counting from 1 000,
+/// concatenated: a pipelined window written in one go.
+fn event_window(n: u64) -> Vec<u8> {
+    (0..n)
+        .flat_map(|i| {
+            Request::Event {
+                id: 1_000 + i,
+                at: Some(reweb_term::Timestamp(1_000 + i)),
+                from: None,
+                credentials: None,
+                payload: ping(&i.to_string()),
+            }
+            .encode()
+        })
+        .collect()
+}
+
 /// Read one reply frame from a raw socket (for tests that bypass
 /// [`NetClient`] to violate the handshake or the framing).
 fn recv_frame(stream: &mut TcpStream) -> Result<Vec<u8>, FrameError> {
@@ -135,8 +152,39 @@ fn queue_full_yields_busy_replies() {
     assert!(matches!(after[0], Reply::Reaction { .. }));
 }
 
-/// An oversized frame is rejected from its header alone — before the
-/// body is read or buffered — with an explicit error, and closes only
+/// A pipelined window is read in bulk and wakes the driver once per
+/// batch, not once per event: 512 events written in one `send_raw`,
+/// then a `sync`. Each connection reads through one buffer (two `read`
+/// calls per frame without it, 1 026 here), and a push wakes the
+/// driver only at the depth it can act on (over a hundred wake-ups here
+/// when every push notified).
+#[test]
+fn a_pipelined_window_is_read_in_bulk_and_wakes_the_driver_per_batch() {
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        ReactiveEngine::new("http://server/".to_string()),
+        NetConfig::default(),
+    )
+    .expect("bind");
+    server.with_engine(|e| e.install_source(ECHO).expect("install"));
+    let mut c = NetClient::connect(server.local_addr(), "http://c/").expect("connect");
+    let window = event_window(512);
+    let before = server.stats();
+    c.send_raw(&window).expect("send window");
+    let replies = c.sync().expect("sync");
+    let after = server.stats();
+
+    assert_eq!(replies.len(), 512, "one reaction per event");
+    assert_eq!(after.frames_in - before.frames_in, 513, "512 events + sync");
+    assert_eq!(after.msgs_processed - before.msgs_processed, 512);
+    let reads = after.socket_reads - before.socket_reads;
+    assert!(reads <= 64, "{reads} socket reads for 513 frames");
+    let wakeups = after.driver_wakeups - before.driver_wakeups;
+    assert!(wakeups <= 16, "{wakeups} driver wake-ups for 512 events");
+}
+
+/// An oversized frame is rejected from its header alone — its body is
+/// never allocated or parsed — with an explicit error, and closes only
 /// the offending connection.
 #[test]
 fn oversized_frame_closes_offender_only() {
@@ -186,6 +234,24 @@ fn oversized_frame_closes_offender_only() {
 /// the session goes on to answer the `sync` behind it.
 #[test]
 fn every_framing_fault_class_is_answered_and_counted() {
+    framing_fault_rows(0);
+}
+
+/// The same rows with good `event` frames ahead of each fault in the
+/// same write, so the server's read buffer holds valid frames and the
+/// fault together: the events are admitted before the fault is
+/// answered and then processed, and the fault still earns the same
+/// reply, the same count and the same close.
+#[test]
+fn framing_faults_behind_good_frames_are_answered_and_counted() {
+    for k in [1, 64] {
+        framing_fault_rows(k);
+    }
+}
+
+/// One session per fault row, each writing `k` valid events and then
+/// the fault in a single `write_all`.
+fn framing_fault_rows(k: usize) {
     let cfg = NetConfig {
         max_body: 64 * 1024,
         ..NetConfig::default()
@@ -252,8 +318,15 @@ fn every_framing_fault_class_is_answered_and_counted() {
             false,
         ),
     ];
+    let events = event_window(k as u64);
     for (what, bytes, want, framing) in cases {
+        let what = format!("{what} behind {k} events");
+        let what = what.as_str();
         let before = server.stats().framing_errors;
+        let (enqueued, processed) = {
+            let st = server.stats();
+            (st.msgs_enqueued, st.msgs_processed)
+        };
         let mut raw = TcpStream::connect(addr).expect("connect");
         raw.set_read_timeout(Some(Duration::from_secs(5)))
             .expect("read timeout");
@@ -268,11 +341,19 @@ fn every_framing_fault_class_is_answered_and_counted() {
             matches!(Reply::decode(&welcome), Ok(Reply::Welcome { .. })),
             "{what}"
         );
-        raw.write_all(&bytes).expect("write fault");
+        raw.write_all(&[events.as_slice(), &bytes].concat())
+            .expect("write events and fault");
         let mut errors = Vec::new();
         let mut read_reply = |raw: &mut TcpStream| match recv_frame(raw) {
             Ok(payload) => match Reply::decode(&payload).expect("reply decodes") {
                 Reply::Error { code, .. } => {
+                    // The reader admits the events ahead of the fault
+                    // before it reads, let alone answers, the fault.
+                    assert_eq!(
+                        server.stats().msgs_enqueued,
+                        enqueued + k as u64,
+                        "{what}: events admitted before the fault's reply"
+                    );
                     errors.push(code);
                     true
                 }
@@ -289,6 +370,12 @@ fn every_framing_fault_class_is_answered_and_counted() {
             assert!(read_reply(&mut raw), "{what}: no reply to the fault");
             let done = recv_frame(&mut raw).expect("the session goes on");
             assert_eq!(Reply::decode(&done), Ok(Reply::Done { id: 9 }), "{what}");
+            // The `sync` fences the events: processed before its `done`.
+            assert_eq!(
+                server.stats().msgs_processed,
+                processed + k as u64,
+                "{what}"
+            );
         }
         raw.shutdown(Shutdown::Write).expect("half-close");
         // Replies until the server closes: the `done` for the whole
@@ -300,6 +387,10 @@ fn every_framing_fault_class_is_answered_and_counted() {
             before + u64::from(framing),
             "{what}"
         );
+        assert_eq!(server.stats().msgs_enqueued, enqueued + k as u64, "{what}");
+        wait_until("events ahead of the fault processed", || {
+            server.stats().msgs_processed == processed + k as u64
+        });
         assert!(
             neighbour.sync().expect("neighbour sync").is_empty(),
             "{what}"
