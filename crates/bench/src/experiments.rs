@@ -5,7 +5,7 @@
 //! tests the thesis's quantifiable claim. Absolute numbers depend on the
 //! host; the shapes should not.
 
-use reweb_core::{negotiate, AaaConfig, MessageMeta, Permission, ReactiveEngine, Strategy};
+use reweb_core::{AaaConfig, MessageMeta, Permission, ReactiveEngine};
 use reweb_events::{parse_event_query, Event, EventId, IncrementalEngine, NaiveEngine};
 use reweb_production::{CaRule, ProductionEngine};
 use reweb_query::parser::{parse_condition, parse_construct_term, parse_query_term};
@@ -14,6 +14,7 @@ use reweb_term::{parse_term, Dur, IdentityMode, ResourceStore, Term, Timestamp};
 use reweb_update::{apply_update, Action, Executor, Update};
 use reweb_websim::{Poller, Simulation};
 
+use crate::negotiation::{self, Party};
 use crate::{customers_doc, f, mixed_stream, news_doc, order_payload, timed, Table};
 
 /// An experiment entry point: builds its workload and returns its table.
@@ -906,7 +907,9 @@ pub fn e10_identity() -> Table {
 }
 
 /// E11 (Thesis 11): reactive vs eager policy exchange in trust
-/// negotiation, as the policy base grows.
+/// negotiation, as the policy base grows. Franz and the shop are two
+/// engine nodes on the simulated Web (see [`negotiation`]); every column
+/// is read off the run.
 pub fn e11_trust_negotiation() -> Table {
     let mut t = Table::new(
         "E11",
@@ -927,20 +930,20 @@ pub fn e11_trust_negotiation() -> Table {
          in n) and leaks only sensitive policies on the needed path; eager \
          exchange sends and leaks everything.",
     );
+    let franz = Party::franz();
     for extra in [0usize, 14, 62] {
-        let (franz, mut shop) = reweb_core::trust::fussbaelle_scenario();
-        for i in 0..extra {
-            let p = reweb_core::Policy::new(format!("unrelated_{i}"), vec!["something"]);
-            shop = shop.with_policy(if i % 2 == 0 { p.sensitive() } else { p });
-        }
-        let n = shop.policies.len() + franz.policies.len();
-        for strategy in [Strategy::Reactive, Strategy::Eager] {
-            let out = negotiate(&franz, &shop, "purchase", strategy);
+        let shop = Party::fussbaelle(extra);
+        let n = shop.policy_count() + franz.policy_count();
+        for (name, strategy) in [
+            ("Reactive", negotiation::REACTIVE),
+            ("Eager", negotiation::EAGER),
+        ] {
+            let (_, out) = negotiation::run(strategy, &franz, &shop, "purchase");
             t.row(vec![
-                format!("{strategy:?}"),
+                name.into(),
                 n.to_string(),
                 out.messages.to_string(),
-                out.policies_disclosed.to_string(),
+                out.policies_sent.to_string(),
                 out.sensitive_leaked.to_string(),
                 out.bytes.to_string(),
                 out.success.to_string(),

@@ -11,6 +11,7 @@ use rand::{Rng, SeedableRng};
 use reweb_term::{parse_term, Term, Timestamp};
 
 pub mod experiments;
+pub mod negotiation;
 
 /// A printable experiment table.
 #[derive(Clone, Debug)]

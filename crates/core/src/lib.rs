@@ -43,9 +43,6 @@
 //!   authorization (ACL over event labels, resources, rule installation),
 //!   and accounting — realized as *derived events* fed back into the same
 //!   engine ("double reactivity") plus usage counters and a billing report.
-//! * [`trust`] — the thesis-11 scenario: policy-based trust negotiation by
-//!   reactive, incremental rule exchange, with the eager "send every
-//!   policy up front" strategy as the E11 baseline.
 
 #![warn(missing_docs)]
 
@@ -56,7 +53,6 @@ pub mod parser;
 pub mod rule;
 pub mod shard;
 pub mod surface;
-pub mod trust;
 
 pub use aaa::{AaaConfig, AccountingRecord, Acl, Credentials, MessageMeta, Permission, Principal};
 pub use engine::{EngineMetrics, MatchMode, OutMessage, ReactiveEngine, ReplayMark};
@@ -66,7 +62,6 @@ pub use reweb_events::JoinMode;
 pub use rule::{Branch, EcaRule, RuleSet};
 pub use shard::{ExecMode, InMessage, ShardedEngine};
 pub use surface::Engine;
-pub use trust::{negotiate, NegotiationOutcome, Party, Policy, Strategy};
 
 pub use reweb_term::TermError;
 

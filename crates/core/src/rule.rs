@@ -51,11 +51,6 @@ impl EcaRule {
         }
     }
 
-    /// `ON event DO action` (condition trivially true).
-    pub fn on_do(name: impl Into<String>, on: EventQuery, action: Action) -> Self {
-        EcaRule::new(name, on, Condition::always_true(), action)
-    }
-
     /// ECAA rule: `ON event IF cond THEN a1 ELSE a2`.
     pub fn ecaa(
         name: impl Into<String>,
@@ -150,21 +145,9 @@ impl RuleSet {
         self
     }
 
-    /// Append a scoped procedure (builder style).
-    pub fn with_procedure(mut self, p: ProcedureDef) -> RuleSet {
-        self.procedures.push(p);
-        self
-    }
-
     /// Append a scoped view (builder style).
     pub fn with_view(mut self, uri: impl Into<String>, rule: DeductiveRule) -> RuleSet {
         self.views.push((uri.into(), rule));
-        self
-    }
-
-    /// Append a scoped DETECT rule (builder style).
-    pub fn with_event_rule(mut self, r: EventRule) -> RuleSet {
-        self.event_rules.push(r);
         self
     }
 

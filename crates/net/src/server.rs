@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -200,7 +200,6 @@ impl NetServer {
         cfg: NetConfig,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let ledger = match &cfg.delivery_journal {
             Some(path) => DeliveryLedger::open(path)?,
@@ -344,6 +343,14 @@ impl NetServer {
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.accept.take() {
+            // The accept thread blocks in `accept`: wake it with a
+            // connection of our own, and keep waking it until it has
+            // exited, so a lost wake cannot hang the shutdown.
+            let wake = wake_addr(self.addr);
+            while !h.is_finished() {
+                let _ = TcpStream::connect_timeout(&wake, Duration::from_millis(100));
+                std::thread::sleep(Duration::from_millis(1));
+            }
             let _ = h.join();
         }
         if let Some(h) = self.driver.take() {
@@ -383,16 +390,31 @@ fn wall_clock() -> Timestamp {
     )
 }
 
+/// Where [`NetServer::shutdown`] connects to wake the accept thread: the
+/// listener itself, through loopback of the same family when it is bound
+/// to an unspecified address.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
 fn accept_loop(
     listener: TcpListener,
     shared: Arc<Shared>,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
     loop {
+        let accepted = listener.accept();
+        // A shutdown wakes a blocked `accept` with a connection of its
+        // own: check before counting or serving what came in.
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((mut stream, _)) => {
                 // Connection cap: refuse before spawning anything. The
                 // refusal is a complete, well-formed error reply — the
@@ -450,9 +472,7 @@ fn accept_loop(
                     }
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // A persistent error (out of descriptors, say) must not spin.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }

@@ -246,7 +246,8 @@ impl Outbox {
     }
 
     /// Settlement records journaled so far (acked + dead-lettered).
-    pub fn settled_count(&self) -> u64 {
+    #[cfg(test)]
+    fn settled_count(&self) -> u64 {
         self.settled
     }
 

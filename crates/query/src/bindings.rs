@@ -93,11 +93,6 @@ impl Bindings {
         self.get(name).is_some()
     }
 
-    /// Is the symbol `name` bound?
-    pub fn contains_sym(&self, name: Sym) -> bool {
-        self.get_sym(name).is_some()
-    }
-
     /// No variables bound?
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()

@@ -257,12 +257,6 @@ impl Registration {
         }
     }
 
-    /// Drop everything but the dispatch label.
-    pub fn strip_tests(mut self) -> Registration {
-        self.tests.clear();
-        self
-    }
-
     fn normalize(mut self) -> Registration {
         self.tests.sort_by_cached_key(AlphaTest::key);
         self.tests.dedup_by_key(|t| t.key());

@@ -15,7 +15,7 @@ use reweb_term::{ResourceStore, Term, TermError};
 use crate::ast::QueryTerm;
 use crate::bindings::Bindings;
 use crate::expr::Cmp;
-use crate::matcher::{match_anywhere, match_anywhere_into, Match};
+use crate::matcher::match_anywhere_into;
 use crate::rules::DeductiveRule;
 
 /// One conjunct of a condition: a pattern over a resource or view.
@@ -63,34 +63,6 @@ impl Condition {
         out.sort();
         out.dedup();
         out
-    }
-
-    /// Syntactic negation of a single-atom-free condition is not supported;
-    /// ECAA rules (Thesis 9) exist precisely so `C` / else replaces
-    /// `C` / `¬C` pairs.
-    pub fn and_cmp(mut self, c: Cmp) -> Condition {
-        self.comparisons.push(c);
-        self
-    }
-
-    /// Conjoin an `in resource pattern` atom.
-    pub fn and_atom(mut self, resource: impl Into<String>, pattern: QueryTerm) -> Condition {
-        self.atoms.push(QueryAtom {
-            resource: resource.into(),
-            pattern,
-            negated: false,
-        });
-        self
-    }
-
-    /// Conjoin a negated `not in resource pattern` atom.
-    pub fn and_not_atom(mut self, resource: impl Into<String>, pattern: QueryTerm) -> Condition {
-        self.atoms.push(QueryAtom {
-            resource: resource.into(),
-            pattern,
-            negated: true,
-        });
-        self
     }
 }
 
@@ -153,11 +125,6 @@ impl QueryEngine {
     /// Is `uri` a registered deductive view (vs a stored document)?
     pub fn is_view(&self, uri: &str) -> bool {
         self.views.contains_key(uri)
-    }
-
-    /// The URIs of all registered views.
-    pub fn view_names(&self) -> impl Iterator<Item = &str> {
-        self.views.keys().map(|s| s.as_str())
     }
 
     /// Does the dependency graph of views reach `uri` back from itself?
@@ -268,18 +235,6 @@ impl QueryEngine {
         let mut out = Vec::new();
         match_anywhere_into(pattern, &root, seed, &mut out);
         Ok(out)
-    }
-
-    /// Like [`QueryEngine::query`] but keeps the matched node paths —
-    /// update actions need them to address their targets.
-    pub fn query_with_paths(
-        &self,
-        uri: &str,
-        pattern: &QueryTerm,
-        seed: &Bindings,
-    ) -> Result<Vec<Match>, TermError> {
-        let root = self.resource_root(uri, None)?;
-        Ok(match_anywhere(pattern, &root, seed))
     }
 
     /// Evaluate a condition, threading bindings through atoms left to right.

@@ -10,8 +10,6 @@
 //! * [`Term`] — an immutable, structurally shared, semi-structured data model
 //!   standing in for XML: elements with ordered (`[...]`) or unordered
 //!   (`{...}`) children, string attributes, and text leaves.
-//! * [`rdf`] — RDF triples and graphs with pattern lookup and a small RDFS
-//!   closure, standing in for Semantic Web data.
 //! * A compact, round-trippable textual syntax ([`parse_term`] / `Display`),
 //!   read from bytes by the one-pass [`decode()`] and written without building
 //!   a term by [`write_elem`] — the codec under the log and the wire.
@@ -43,7 +41,6 @@ pub mod identity;
 pub mod lex;
 pub mod parser;
 pub mod path;
-pub mod rdf;
 pub mod store;
 pub mod sym;
 pub mod term;

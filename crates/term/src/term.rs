@@ -122,16 +122,6 @@ impl Term {
 
     // ----- accessors -----------------------------------------------------
 
-    /// Is this a text leaf?
-    pub fn is_text(&self) -> bool {
-        matches!(self, Term::Text(_))
-    }
-
-    /// Is this an element?
-    pub fn is_elem(&self) -> bool {
-        matches!(self, Term::Elem(_))
-    }
-
     /// The element node, if this is an element.
     pub fn as_element(&self) -> Option<&Element> {
         match self {
@@ -321,14 +311,6 @@ impl Term {
                 Ok(Term::Elem(Arc::new(new)))
             }
         }
-    }
-
-    /// New element with the given children.
-    pub fn with_children(&self, children: Vec<Term>) -> Result<Term, crate::TermError> {
-        self.modify_element(|e| {
-            e.children = children.into();
-            Ok(())
-        })
     }
 
     /// New element with `child` appended.

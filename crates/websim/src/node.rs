@@ -79,14 +79,6 @@ impl NodeKind {
         }
     }
 
-    /// Mutable access to the engine of an [`NodeKind::Engine`].
-    pub fn as_engine_mut(&mut self) -> Option<&mut ReactiveEngine> {
-        match self {
-            NodeKind::Engine(e) => Some(e),
-            _ => None,
-        }
-    }
-
     /// The reactive engine behind an [`NodeKind::Engine`],
     /// [`NodeKind::Sharded`] or live [`NodeKind::Durable`] node, through
     /// the one [`Engine`] surface (`None` for other kinds and for a
@@ -108,14 +100,6 @@ impl NodeKind {
         }
     }
 
-    /// Mutable access to the engine of an [`NodeKind::Sharded`].
-    pub fn as_sharded_mut(&mut self) -> Option<&mut ShardedEngine> {
-        match self {
-            NodeKind::Sharded(e) => Some(e),
-            _ => None,
-        }
-    }
-
     /// The recorded deliveries, if this node is an [`NodeKind::Sink`].
     pub fn as_sink(&self) -> Option<&[(Timestamp, Envelope)]> {
         match self {
@@ -126,14 +110,6 @@ impl NodeKind {
 
     /// The durable node, if this is an [`NodeKind::Durable`].
     pub fn as_durable(&self) -> Option<&DurableNode> {
-        match self {
-            NodeKind::Durable(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to an [`NodeKind::Durable`] node.
-    pub fn as_durable_mut(&mut self) -> Option<&mut DurableNode> {
         match self {
             NodeKind::Durable(d) => Some(d),
             _ => None,

@@ -284,11 +284,6 @@ impl Simulation {
         self.nodes.get(uri)
     }
 
-    /// Mutable access to the node registered at `uri`.
-    pub fn node_mut(&mut self, uri: &str) -> Option<&mut NodeKind> {
-        self.nodes.get_mut(uri)
-    }
-
     /// The engine at `uri`, if that node is an [`NodeKind::Engine`].
     pub fn engine(&self, uri: &str) -> Option<&ReactiveEngine> {
         self.nodes.get(uri).and_then(NodeKind::as_engine)

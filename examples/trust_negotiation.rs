@@ -1,119 +1,46 @@
 //! The paper's Thesis 11 walkthrough: policy-based trust negotiation
-//! between customer Franz and the online shop fussbaelle.biz, with rules
-//! (policies) exchanged *reactively* as data.
+//! between customer Franz and the online shop fussbaelle.biz. Both are
+//! engine nodes on the simulated Web, with AAA on; their disclosure
+//! policies are rule sets that travel between them in `install_rules`
+//! messages, reactively (only the policy guarding what was asked for) or
+//! eagerly (every policy up front).
 //!
 //! ```text
 //! cargo run --example trust_negotiation
 //! ```
 //!
-//! Also demonstrates the engine-level half of Thesis 11: a rule set
-//! travelling inside an `install_rules` message and being evaluated by the
-//! receiving engine (meta-circularity), gated by AAA (Thesis 12).
+//! The programs and the scenario live in `reweb_bench::negotiation`; the
+//! trace below is read from each node's store: `state` journals what
+//! the node was asked for (`pending`), asked for (`asked`) and presented
+//! (`given`); `presented` holds what its peer presented to it.
 
-use reweb::core::{
-    meta::install_rules_payload, negotiate, parse_program, AaaConfig, MessageMeta, Permission,
-    ReactiveEngine, Strategy,
-};
-use reweb::term::{parse_term, Timestamp};
+use reweb_bench::negotiation::{self, Party, EAGER, REACTIVE};
 
 fn main() {
-    // ----- 1. the fussbaelle.biz negotiation ------------------------------
-    let (franz, shop) = reweb::core::trust::fussbaelle_scenario();
-
-    println!("== reactive negotiation (the paper's five steps) ==");
-    let out = negotiate(&franz, &shop, "purchase", Strategy::Reactive);
-    for line in &out.trace {
-        println!("  {line}");
+    let (franz, shop) = (Party::franz(), Party::fussbaelle(0));
+    for (name, strategy) in [("reactive", REACTIVE), ("eager", EAGER)] {
+        println!("== {name} negotiation ==");
+        let (sim, out) = negotiation::run(strategy, &franz, &shop, "purchase");
+        for p in [&franz, &shop] {
+            let node = sim.engine(&p.uri()).expect("an engine node");
+            let store = &node.qe.store;
+            let read = |r: &str| {
+                store
+                    .get(&format!("{}/{r}", p.uri()))
+                    .expect("seeded")
+                    .to_string()
+            };
+            println!("  {}", p.name);
+            println!("    state:     {}", read("state"));
+            println!("    presented: {}", read("presented"));
+            let (policies, sensitive) = negotiation::received_policies(node);
+            println!("    installed {policies} policies from its peer ({sensitive} sensitive)");
+        }
+        println!(
+            "  success={} messages={} policies_sent={} sensitive_leaked={} bytes={}\n",
+            out.success, out.messages, out.policies_sent, out.sensitive_leaked, out.bytes
+        );
+        assert!(out.success);
+        assert_eq!(out.sensitive_leaked, 1);
     }
-    println!(
-        "success={} messages={} policies_disclosed={} sensitive_leaked={} bytes={}",
-        out.success, out.messages, out.policies_disclosed, out.sensitive_leaked, out.bytes
-    );
-    assert!(out.success);
-
-    println!("\n== eager strategy (everything up front) ==");
-    let eager = negotiate(&franz, &shop, "purchase", Strategy::Eager);
-    println!(
-        "success={} messages={} policies_disclosed={} sensitive_leaked={} bytes={}",
-        eager.success,
-        eager.messages,
-        eager.policies_disclosed,
-        eager.sensitive_leaked,
-        eager.bytes
-    );
-
-    // ----- 2. rules as messages: install_rules over the engine ------------
-    //
-    // The shop sends Franz's assistant a rule set that reacts to its offer
-    // events. Installation requires the InstallRules permission.
-    let offer_rules = parse_program(
-        r#"
-        RULESET shop_offers
-          RULE on_offer
-            ON offer{{item[[var I]], price[[var P]]}} where var P <= 25
-            DO SEND interested{item[var I]} TO "http://fussbaelle.biz"
-          END
-        END
-        "#,
-    )
-    .expect("offer rules parse");
-
-    let mut assistant = ReactiveEngine::new("http://franz/assistant");
-    assistant.aaa = reweb::core::aaa::Aaa::new(AaaConfig {
-        require_auth: true,
-        authorize: true,
-        accounting: true,
-        accounting_events: false,
-    });
-    assistant
-        .aaa
-        .register("fussbaelle.biz", "shop-secret", vec!["partner".into()]);
-    assistant
-        .aaa
-        .acl
-        .grant("partner", Permission::ReceiveEvent("*".into()));
-    assistant.aaa.acl.grant("partner", Permission::InstallRules);
-
-    let shop_meta = MessageMeta::from_uri("http://fussbaelle.biz")
-        .with_credentials("fussbaelle.biz", "shop-secret");
-    assistant.receive(
-        install_rules_payload(&offer_rules),
-        &shop_meta,
-        Timestamp(0),
-    );
-    println!(
-        "\nassistant installed {} rule(s) from the shop",
-        assistant.rule_count()
-    );
-    assert_eq!(assistant.rule_count(), 1);
-
-    // The installed (remote!) rule now reacts to offers.
-    let out = assistant.receive(
-        parse_term(r#"offer{item["soccer ball"], price["19.99"]}"#).unwrap(),
-        &shop_meta,
-        Timestamp(1_000),
-    );
-    println!("installed rule reacted: {}", out[0].payload);
-    assert_eq!(out[0].to, "http://fussbaelle.biz");
-
-    // An over-budget offer does not trigger it.
-    let out = assistant.receive(
-        parse_term(r#"offer{item["goal"], price["299"]}"#).unwrap(),
-        &shop_meta,
-        Timestamp(2_000),
-    );
-    assert!(out.is_empty());
-
-    // An unauthenticated party cannot install rules.
-    let mallory = MessageMeta::from_uri("http://mallory");
-    assistant.receive(
-        install_rules_payload(&offer_rules),
-        &mallory,
-        Timestamp(3_000),
-    );
-    assert_eq!(assistant.rule_count(), 1, "mallory's rules rejected");
-    println!(
-        "mallory's install attempt denied; accounting recorded {} request(s)",
-        assistant.aaa.records.len()
-    );
 }

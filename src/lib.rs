@@ -10,7 +10,7 @@
 //!
 //! This facade crate re-exports every layer:
 //!
-//! * [`term`] — data substrate: semi-structured terms, RDF, identity, diff,
+//! * [`term`] — data substrate: semi-structured terms, identity, diff,
 //!   versioned resource stores, virtual time.
 //! * [`query`] — Web query language: query terms, simulation matching,
 //!   construct terms, deductive rules (views).
@@ -19,7 +19,7 @@
 //! * [`update`] — update language and compound actions: transactional
 //!   sequences, alternatives, branching, procedures.
 //! * [`core`] — the ECA rule language and reactive engine (the paper's
-//!   primary contribution), including meta-rules, trust negotiation and AAA.
+//!   primary contribution), including meta-rules and AAA.
 //! * [`persist`] — durability: write-ahead log, snapshots, and crash
 //!   recovery wrapping single or sharded engines ([`DurableEngine`]).
 //! * [`net`] — the networked ingress tier: a framed TCP listener,
