@@ -279,7 +279,7 @@ pub struct ReactiveEngine {
     /// widens, and the durability layer reads it per logged record.
     horizon: Option<Dur>,
     /// Warmup-replay mode: event-query and deduction state advances, but
-    /// no rule fires (see [`Engine::set_replay_warmup`]).
+    /// no rule fires (see [`ReactiveEngine::set_replay_warmup`]).
     replay_warmup: bool,
     /// Counters and error log (see [`EngineMetrics`]).
     pub metrics: EngineMetrics,
@@ -698,6 +698,41 @@ impl ReactiveEngine {
         out
     }
 
+    /// Warmup-replay mode for crash recovery: while set, events still
+    /// flow through AAA admission, deduction, and every rule's
+    /// incremental event-query state — but **no rule fires**: no
+    /// condition is evaluated, no action runs, no store write, output,
+    /// log entry, or metric results. `reweb_persist` uses this to
+    /// rebuild composite-event partial state from a log suffix whose
+    /// *effects* are already covered by a snapshot.
+    pub fn set_replay_warmup(&mut self, on: bool) {
+        self.replay_warmup = on;
+    }
+
+    /// The replay horizon: a duration `B` such that no input older than
+    /// `now - B` can still influence a future answer of any installed
+    /// rule or DETECT rule (see
+    /// [`reweb_events::EventQuery::replay_horizon`]). `None` = unbounded
+    /// (some installed query retains state forever). Recovery replays
+    /// exactly this much log suffix to rebuild composite-event state.
+    pub fn replay_horizon(&self) -> Option<Dur> {
+        // Cached: folded at install time (per rule, under the TTL the
+        // rule was compiled with; DETECT rules without one), because the
+        // durability layer consults this per logged record and rules are
+        // never uninstalled — the fold only ever widens.
+        self.horizon
+    }
+
+    /// Fire every absence deadline already due at the *current* clock,
+    /// bypassing the monotone-clock fast path of
+    /// [`ReactiveEngine::advance_time`]. Recovery uses this (under
+    /// warmup mode) to discharge deadlines that a restored clock jumped
+    /// over, so they cannot fire spuriously on the first post-recovery
+    /// input; the outputs are discarded.
+    pub fn flush_due_deadlines(&mut self) {
+        self.advance_fire();
+    }
+
     /// Advance the virtual clock: fires absence deadlines in rule event
     /// queries and DETECT rules.
     pub fn advance_time(&mut self, now: Timestamp) -> Vec<OutMessage> {
@@ -709,7 +744,7 @@ impl ReactiveEngine {
     }
 
     /// Shared body of [`ReactiveEngine::advance_time`] and
-    /// [`Engine::flush_due_deadlines`]: advance the deduction
+    /// [`ReactiveEngine::flush_due_deadlines`]: advance the deduction
     /// layer and every *tick-sensitive* rule (see `advance_idxs`) to the
     /// current clock. Remaining rules catch up on their next candidate
     /// push — their windowed gc is output-invisible, so delaying it never
@@ -972,30 +1007,8 @@ impl Engine for ReactiveEngine {
     fn set_obs(&mut self, obs: Arc<Obs>) {
         ReactiveEngine::set_obs(self, obs);
     }
-    fn engines(&self) -> &[ReactiveEngine] {
-        std::slice::from_ref(self)
-    }
-    fn engines_mut(&mut self) -> &mut [ReactiveEngine] {
-        std::slice::from_mut(self)
-    }
-    fn front_clock(&self) -> Timestamp {
-        self.now
-    }
-    fn restore_front_clock(&mut self, t: Timestamp) {
-        self.now = t;
-    }
-    fn set_replay_warmup(&mut self, on: bool) {
-        self.replay_warmup = on;
-    }
-    fn replay_horizon(&self) -> Option<Dur> {
-        // Cached: folded at install time (per rule, under the TTL the
-        // rule was compiled with; DETECT rules without one), because the
-        // durability layer consults this per logged record and rules are
-        // never uninstalled — the fold only ever widens.
-        self.horizon
-    }
-    fn flush_due_deadlines(&mut self) {
-        self.advance_fire();
+    fn next_deadline(&self) -> Option<Timestamp> {
+        ReactiveEngine::next_deadline(self)
     }
 }
 

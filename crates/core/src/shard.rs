@@ -66,7 +66,6 @@ use crate::aaa::MessageMeta;
 use crate::engine::{EngineMetrics, OutMessage, ReactiveEngine};
 use crate::meta::ruleset_from_term;
 use crate::rule::RuleSet;
-use crate::surface::Engine;
 
 pub mod exec;
 
@@ -370,11 +369,6 @@ impl ShardedEngine {
         }
     }
 
-    /// The execution mode this engine was built with.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.mode
-    }
-
     /// The worker pool backing [`ExecMode::Threads`]. The
     /// mode-implies-pool invariant is established by
     /// [`ShardedEngine::with_mode`] and checked in this one place, so a
@@ -399,11 +393,6 @@ impl ShardedEngine {
         for s in &mut self.shards {
             s.rig_panic_on_label(label);
         }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Read access to the shards (tests, experiments). After a worker
@@ -646,9 +635,8 @@ impl ShardedEngine {
         }
     }
 
-    /// [`ShardedEngine::try_receive_batch_tagged`], swallowing execution
-    /// failures into [`ShardedEngine::warnings`] like
-    /// [`ShardedEngine::receive_batch`] does.
+    /// [`ShardedEngine::receive_batch`], tagging every output with the
+    /// index of the batch message that produced it.
     pub fn receive_batch_tagged(&mut self, msgs: &[InMessage]) -> Vec<(u32, OutMessage)> {
         match self.try_receive_batch_tagged(msgs) {
             Ok(out) => out,
@@ -683,7 +671,7 @@ impl ShardedEngine {
     /// epilogue sweep is attributed to the last message. Stripping the
     /// tags reproduces the untagged output byte for byte (it IS the
     /// untagged implementation).
-    pub fn try_receive_batch_tagged(
+    fn try_receive_batch_tagged(
         &mut self,
         msgs: &[InMessage],
     ) -> crate::Result<Vec<(u32, OutMessage)>> {
@@ -974,7 +962,7 @@ impl ShardedEngine {
 
     /// [`ShardedEngine::advance_time`], surfacing worker failures (see
     /// [`ShardedEngine::try_receive_batch`]).
-    pub fn try_advance_time(&mut self, now: Timestamp) -> crate::Result<Vec<OutMessage>> {
+    fn try_advance_time(&mut self, now: Timestamp) -> crate::Result<Vec<OutMessage>> {
         if let Some(why) = &self.poisoned {
             return Err(reweb_term::TermError::InvalidEdit(why.clone()));
         }
@@ -1031,83 +1019,6 @@ impl ShardedEngine {
                     }
                 }
             }
-        }
-    }
-}
-
-impl Engine for ShardedEngine {
-    fn descriptor(&self) -> String {
-        format!("sharded:{}:{:?}", self.shards.len(), self.mode)
-    }
-    fn install_source(&mut self, src: &str) -> crate::Result<()> {
-        self.install_program(src)
-    }
-    fn receive_batch_tagged(
-        &mut self,
-        msgs: &[InMessage],
-    ) -> crate::Result<Vec<(u32, OutMessage)>> {
-        self.try_receive_batch_tagged(msgs)
-    }
-    fn advance_clock(&mut self, t: Timestamp) -> crate::Result<Vec<OutMessage>> {
-        self.try_advance_time(t)
-    }
-    fn put_doc(&mut self, uri: &str, doc: Term) -> crate::Result<()> {
-        self.put_resource(uri, doc);
-        Ok(())
-    }
-    fn metrics(&self) -> EngineMetrics {
-        ShardedEngine::metrics(self)
-    }
-    /// Shard 0's handle: after [`Engine::set_obs`] every shard holds a
-    /// clone of the same `Arc`.
-    fn obs(&self) -> &Arc<reweb_obs::Obs> {
-        self.shards[0].obs()
-    }
-    /// All shards report into the same flight recorder and histograms —
-    /// the atomics *are* the cross-shard merge, so a `stats` snapshot
-    /// needs no per-shard fold.
-    fn set_obs(&mut self, obs: Arc<reweb_obs::Obs>) {
-        for s in &mut self.shards {
-            s.set_obs(Arc::clone(&obs));
-        }
-    }
-    fn engines(&self) -> &[ReactiveEngine] {
-        &self.shards
-    }
-    fn engines_mut(&mut self) -> &mut [ReactiveEngine] {
-        &mut self.shards
-    }
-    fn front_clock(&self) -> Timestamp {
-        self.now
-    }
-    /// Per-shard clocks and stores were restored behind the front-end's
-    /// back, so the per-shard deadline caches and absence flags are
-    /// recomputed from the shards' actual rule state.
-    fn restore_front_clock(&mut self, t: Timestamp) {
-        self.now = self.now.max(t);
-        for i in 0..self.shards.len() {
-            self.has_timers[i] = self.shards[i].has_deadline_rules();
-            self.deadlines[i] = self.shards[i].next_deadline();
-        }
-    }
-    fn set_replay_warmup(&mut self, on: bool) {
-        for s in &mut self.shards {
-            s.set_replay_warmup(on);
-        }
-    }
-    /// The widest shard horizon; `None` = some shard holds unbounded
-    /// state.
-    fn replay_horizon(&self) -> Option<Dur> {
-        let mut max = Dur::ZERO;
-        for s in &self.shards {
-            max = max.max(s.replay_horizon()?);
-        }
-        Some(max)
-    }
-    fn flush_due_deadlines(&mut self) {
-        for i in 0..self.shards.len() {
-            self.shards[i].flush_due_deadlines();
-            self.deadlines[i] = self.shards[i].next_deadline();
         }
     }
 }

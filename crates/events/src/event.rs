@@ -64,12 +64,6 @@ impl Event {
         self
     }
 
-    /// Set the observability trace id (builder style).
-    pub fn with_trace(mut self, trace: u64) -> Event {
-        self.trace = trace;
-        self
-    }
-
     /// The canonical timestamp used by event queries (reception time).
     pub fn time(&self) -> Timestamp {
         self.received

@@ -152,14 +152,6 @@ impl EventQuery {
         }
     }
 
-    /// Filter this query's answers by `cmps` (the `WHERE` clause).
-    pub fn where_(self, cmps: Vec<Cmp>) -> EventQuery {
-        EventQuery::Where {
-            inner: Box::new(self),
-            cmps,
-        }
-    }
-
     /// The payload root labels this query can react to; `None` means "any
     /// label" (used for subscription indexing). Labels of `absent` parts
     /// are included: those events must reach the operator too. Sorted by

@@ -341,7 +341,10 @@ impl DeliveryAgent {
         let mut pending: Vec<PendingDelivery> = Vec::new();
         let outbox = match &cfg.outbox {
             Some(path) => {
-                let open = Outbox::open(path, SyncPolicy::Always)?;
+                let mut open = Outbox::open(path, SyncPolicy::Always)?;
+                // Settled records are history: drop them now, so the
+                // journal holds only what this run may still deliver.
+                open.outbox.compact()?;
                 pending = open.pending;
                 Some(open.outbox)
             }

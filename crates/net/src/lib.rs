@@ -16,9 +16,9 @@
 //!   queue whose overflow is an explicit `busy`
 //!   reply — backpressure is part of the protocol, not a TCP accident;
 //! - **the driver** ([`server`]): one thread forming batches under size
-//!   and latency bounds and feeding any [`reweb_core::Engine`] —
-//!   [`reweb_core::ReactiveEngine`], [`reweb_core::ShardedEngine`], or
-//!   a [`reweb_persist::DurableEngine`] over either — through the
+//!   and latency bounds and feeding any [`reweb_core::Engine`] — a
+//!   [`reweb_core::ReactiveEngine`] or a [`reweb_persist::DurableEngine`]
+//!   over one — through the
 //!   *tagged* batch surface, so every reaction routes back to the
 //!   connection whose event produced it;
 //! - **the client** ([`client`]): the blocking reference client the

@@ -356,8 +356,8 @@ pub enum ErrorCode {
     /// A non-gateway session sent a per-event `from`/`cred` override.
     /// The event is rejected; the session continues.
     NotGateway,
-    /// The engine refused the batch (e.g. a poisoned sharded engine
-    /// after a worker panic). The session continues; the event was
+    /// The engine refused the batch (e.g. a durable engine's log write
+    /// failed). The session continues; the event was
     /// logged as rejected.
     Engine,
     /// The server is shutting down; no further events are accepted.
@@ -416,7 +416,7 @@ pub enum Reply {
         /// The schema the server speaks ([`WIRE_SCHEMA`]).
         schema: String,
         /// The serving engine's shape descriptor (`single`,
-        /// `sharded:8:Threads`, `durable:…`) — diagnostic only.
+        /// `durable:single`) — diagnostic only.
         engine: String,
     },
     /// One reaction the receiver's own submission produced, in engine

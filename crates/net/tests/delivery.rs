@@ -239,6 +239,43 @@ fn outbox_recovers_unsettled_deliveries_across_agent_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A reopened agent compacts its outbox: deliveries that were all
+/// settled leave only the journal header behind, and the next reaction
+/// gets a fresh sequence number, so the receiver's ledger does not
+/// mistake it for a duplicate.
+#[test]
+fn reopened_agent_compacts_a_settled_outbox() {
+    const N: usize = 5;
+    let dir = tmp("outbox-compact");
+    let b = bind_receiver("http://b/", &dir.join("ledger.log"));
+    {
+        let mut agent = DeliveryAgent::new(fast_cfg("http://a/", &dir, 100)).unwrap();
+        agent.add_route("http://b/", b.local_addr());
+        for i in 0..N {
+            assert!(agent.enqueue(
+                "http://b/recv",
+                Timestamp(i as u64),
+                &parse_term(&format!("ev{i}")).unwrap()
+            ));
+        }
+        assert!(agent.flush(Duration::from_secs(10)));
+        agent.shutdown();
+    }
+    let mut agent = DeliveryAgent::new(fast_cfg("http://a/", &dir, 100)).unwrap();
+    assert_eq!(agent.pending(), 0);
+    let journal = std::fs::read(dir.join("outbox.log")).unwrap();
+    let frames = reweb_term::scan_frames(&journal).frames;
+    assert_eq!(frames.len(), 1, "only the header survives compaction");
+    assert!(frames[0].1.starts_with(b"o_head"));
+    agent.add_route("http://b/", b.local_addr());
+    assert!(agent.enqueue("http://b/recv", Timestamp(99), &parse_term("late").unwrap()));
+    assert!(agent.flush(Duration::from_secs(10)));
+    wait_until("the post-compaction delivery", || b.delivered().len() == N + 1);
+    assert_eq!(b.delivered()[N].0, format!("http://a/#{N}"));
+    agent.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A server-attached agent delivers on its own: the reactions node A's
 /// driver hands over start their destination's worker, with no `flush`,
 /// `enqueue` or other call on the agent.

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use reweb_core::{InMessage, MessageMeta, ReactiveEngine, ShardedEngine};
+use reweb_core::{InMessage, MessageMeta, ReactiveEngine};
 use reweb_net::wire::Reply;
 use reweb_net::{NetClient, NetConfig, NetServer, RateLimit};
 use reweb_persist::{DurableEngine, DurableOptions, SyncPolicy};
@@ -273,12 +273,11 @@ proptest! {
     }
 }
 
-/// The same transport equivalence holds for every engine shape the
-/// ingress tier serves: sharded (parallel workers) and durable (WAL
-/// underneath) front-ends produce the single engine's byte stream for a
-/// fixed representative workload.
+/// The same transport equivalence holds for both engine shapes the
+/// ingress tier serves: the durable front-end (WAL underneath) produces
+/// the single engine's byte stream for a fixed representative workload.
 #[test]
-fn sharded_and_durable_engines_serve_identically() {
+fn single_and_durable_engines_serve_identically() {
     let rules: Vec<(u8, usize, usize)> = (0..5).map(|i| (i as u8, i, i + 1)).collect();
     let src = program(&rules);
     let stream: Vec<(usize, u64, u64)> = (0..40).map(|i| (i % 5, i as u64 % 11, 500)).collect();
@@ -290,14 +289,6 @@ fn sharded_and_durable_engines_serve_identically() {
     )
     .expect("bind single");
     run_differential(&single, &src, &stream, false);
-
-    let sharded = NetServer::bind(
-        "127.0.0.1:0",
-        ShardedEngine::new_parallel("http://server/", 4),
-        default_cfg(),
-    )
-    .expect("bind sharded");
-    run_differential(&sharded, &src, &stream, false);
 
     let dir = std::env::temp_dir().join(format!("reweb-net-dur-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -314,35 +305,12 @@ fn sharded_and_durable_engines_serve_identically() {
     let durable = NetServer::bind("127.0.0.1:0", durable, default_cfg()).expect("bind durable");
     run_differential(&durable, &src, &stream, false);
 
-    let sharded_dir = dir.join("sharded");
-    let durable_sharded = DurableEngine::open(
-        &sharded_dir,
-        DurableOptions {
-            sync: SyncPolicy::Os,
-            snapshot_every: Some(8),
-        },
-        || ShardedEngine::new("http://server/", 3),
-    )
-    .expect("open durable sharded");
-    let durable_sharded = NetServer::bind("127.0.0.1:0", durable_sharded, default_cfg())
-        .expect("bind durable sharded");
-    run_differential(&durable_sharded, &src, &stream, false);
-
-    let descriptors: Vec<String> = [&single, &sharded, &durable, &durable_sharded]
+    let descriptors: Vec<String> = [&single, &durable]
         .iter()
         .map(|s| s.with_engine(|e| e.descriptor()))
         .collect();
-    assert_eq!(
-        descriptors,
-        [
-            "single",
-            "sharded:4:Threads",
-            "durable:single",
-            "durable:sharded:3:Serial"
-        ]
-    );
+    assert_eq!(descriptors, ["single", "durable:single"]);
     drop(durable);
-    drop(durable_sharded);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -2,9 +2,11 @@
 //!
 //! Every engine in the lower layers is in-memory: kill the process and
 //! rules, resource stores, and in-flight composite-event state vanish.
-//! This crate wraps a [`reweb_core::ReactiveEngine`] or
-//! [`reweb_core::ShardedEngine`] in a [`DurableEngine`] that makes the
-//! node recoverable:
+//! This crate wraps a [`reweb_core::ReactiveEngine`] in a
+//! [`DurableEngine`] that makes the node recoverable. Recovery steps that
+//! one engine directly: it logs the engine's inputs and replays them
+//! into it, with no per-shard views in between.
+//!
 //!
 //! * **Write-ahead log.** Every input — `install_program`,
 //!   `receive`/`receive_batch` payloads, `advance_time`, `put_resource`
@@ -13,8 +15,8 @@
 //!   existing textual term syntax, so interned symbols serialize as
 //!   strings and re-intern on load: logs are portable across processes.
 //! * **Snapshots.** Periodically (or on demand) the durable state —
-//!   reprinted rule programs (the install journal), every shard's
-//!   resource store, metrics, and action log — is written to
+//!   reprinted rule programs (the install journal), the resource store,
+//!   metrics, and action log — is written to
 //!   `snapshot.bin` together with a log offset ([`snapshot::Snapshot`]).
 //! * **Recovery.** [`DurableEngine::open`] rebuilds the engine: load the
 //!   snapshot (if any), then replay the log suffix. A torn or corrupt
@@ -28,21 +30,21 @@
 //! logs — but not the incremental evaluator's partial matches (windowed
 //! joins, pending absences). Those are rebuilt by replay, and the
 //! engine's retention bounds make the replay *bounded*: by
-//! [`reweb_core::Engine::replay_horizon`] (which folds
+//! [`reweb_core::ReactiveEngine::replay_horizon`] (which folds
 //! `reweb_events::EventQuery::replay_horizon` over the installed
 //! rules), no event older than `clock − B` can still influence a future
 //! answer, where `B` is that conservative horizon. So the snapshot also
 //! records the offset `H` of the first log record within that horizon,
-//! plus each shard's [`reweb_core::ReplayMark`] (clock and event-id
+//! plus the engine's [`reweb_core::ReplayMark`] (clock and event-id
 //! counters) as of `H`. Recovery then:
 //!
 //! 1. replays the **install journal** (all rule programs installed
 //!    before `H`, static text or original `install_rules` messages, in
-//!    order — reproducing shard placement exactly);
-//! 2. restores the replay marks and every resource store (state as of
+//!    order);
+//! 2. restores the replay mark and the resource store (state as of
 //!    `S`);
 //! 3. replays `[H, S)` in **warmup mode**
-//!    ([`reweb_core::Engine::set_replay_warmup`]): events flow
+//!    ([`reweb_core::ReactiveEngine::set_replay_warmup`]): events flow
 //!    through admission, deduction, and event-query state, re-stamped
 //!    with their original event ids — but nothing fires, because every
 //!    effect of those records (store writes, outputs, metrics) is
@@ -55,15 +57,13 @@
 //! After step 5 the engine state is byte-for-byte what an uninterrupted
 //! run would hold — pinned by the crash-matrix property test
 //! (`tests/crash_matrix.rs`), which kills runs at every record boundary
-//! *and* at random byte offsets inside the torn tail, for single and
-//! sharded engines alike. Rules with unbounded retention (window-less
+//! *and* at random byte offsets inside the torn tail. Rules with unbounded retention (window-less
 //! joins without a TTL, `agg` buffers) make the horizon unbounded; the
 //! snapshot then still restores stores and skips re-executing actions,
 //! but the warmup suffix degenerates to the whole log.
 //!
 //! Not snapshotted (node-local observability, no effect on outputs):
-//! AAA accounting records and usage counters, shard occupancy counters,
-//! and routing-layer warnings — after a snapshot recovery they cover
+//! AAA accounting records and usage counters — after a snapshot recovery they cover
 //! only the replayed suffix. Genesis recovery (no snapshot) rebuilds
 //! them exactly.
 //!
@@ -88,7 +88,7 @@ use reweb_core::{
     Engine, EngineMetrics, InMessage, MessageMeta, OutMessage, ReactiveEngine, ReplayMark,
 };
 use reweb_obs::{Obs, Stage};
-use reweb_term::{Dur, Term, TermError, Timestamp};
+use reweb_term::{Term, TermError, Timestamp};
 
 pub mod log;
 pub mod outbox;
@@ -214,18 +214,21 @@ struct Mark {
     /// Effective latest event time of the record (monotone across
     /// records): what the retention horizon is compared against.
     at: Timestamp,
-    /// Front-end clock before processing.
-    front_clock: Timestamp,
-    /// Per-shard replay marks before processing.
-    engine_marks: Vec<ReplayMark>,
+    /// The engine's replay mark before processing.
+    mark: ReplayMark,
     /// Install-journal length before this record's entries.
     journal_len: usize,
 }
 
-/// A crash-recoverable wrapper around a reactive or sharded engine: same
-/// input surface, plus a write-ahead log and snapshots underneath. See
-/// the crate docs for the recovery discipline.
-pub struct DurableEngine<E: Engine> {
+/// A crash-recoverable wrapper around a [`ReactiveEngine`]: same input
+/// surface, plus a write-ahead log and snapshots underneath. See the
+/// crate docs for the recovery discipline.
+///
+/// Every method is defined for `DurableEngine<ReactiveEngine>` only. The
+/// type parameter stays, defaulted, so that code naming
+/// `DurableEngine<ReactiveEngine>` (the benchmark harness does) keeps
+/// compiling.
+pub struct DurableEngine<E = ReactiveEngine> {
     engine: E,
     wal: wal::Wal,
     snap_path: PathBuf,
@@ -244,7 +247,7 @@ pub struct DurableEngine<E: Engine> {
     obs: Arc<Obs>,
 }
 
-impl<E: Engine> fmt::Debug for DurableEngine<E> {
+impl fmt::Debug for DurableEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("DurableEngine")
             .field("engine", &self.engine.descriptor())
@@ -260,7 +263,7 @@ enum Mode {
     Replay,
 }
 
-impl<E: Engine> DurableEngine<E> {
+impl DurableEngine {
     /// Open (or create) a durable engine rooted at `dir`. `build` must
     /// return the engine in its *configured blank* state — same shape,
     /// AAA setup, and TTL the original process used; everything dynamic
@@ -269,7 +272,11 @@ impl<E: Engine> DurableEngine<E> {
     /// pointing past the log end); a torn log tail or half-written
     /// snapshot is healed silently and reported in
     /// [`DurableEngine::recovery`].
-    pub fn open(dir: &Path, opts: DurableOptions, build: impl FnOnce() -> E) -> Result<Self> {
+    pub fn open(
+        dir: &Path,
+        opts: DurableOptions,
+        build: impl FnOnce() -> ReactiveEngine,
+    ) -> Result<Self> {
         let opened_at = std::time::Instant::now();
         std::fs::create_dir_all(dir)?;
         let wal_path = dir.join("wal.log");
@@ -411,52 +418,34 @@ impl<E: Engine> DurableEngine<E> {
                 "snapshot offsets do not lie on log record boundaries".into(),
             ));
         }
-        if snap.shards.len() != self.engine.engines().len() {
-            return Err(PersistError::Corrupt(format!(
-                "snapshot has {} shards, engine has {}",
-                snap.shards.len(),
-                self.engine.engines().len()
-            )));
-        }
-
         // 1. Suppress all effects while state is reassembled.
         self.engine.set_replay_warmup(true);
 
         // 2. Rule base as of the warm offset: replay the install journal
-        //    through the engine's normal install paths, so routing and
-        //    scoping come out exactly as they did originally.
+        //    through the engine's normal install paths, so scoping comes
+        //    out exactly as it did originally.
         for entry in &snap.journal {
             match entry {
                 JournalEntry::Static(src) => {
-                    let _ = self.engine.install_source(src);
+                    let _ = self.engine.install_program(src);
                 }
                 JournalEntry::Dynamic(m) => {
-                    let _ = self.engine.receive_batch_tagged(std::slice::from_ref(m));
+                    self.engine.receive_batch_tagged(std::slice::from_ref(m));
                 }
             }
             stats.journal_entries += 1;
         }
         self.journal = snap.journal.clone();
 
-        // 3. Sequence state as of the warm offset, stores as of the
-        //    snapshot offset (warmup never touches stores). The front
-        //    clock goes last: restoring it rebuilds front-end caches
-        //    from the shard state restored here.
-        for (e, mark) in self
-            .engine
-            .engines_mut()
-            .iter_mut()
-            .zip(snap.warm_marks.iter())
-        {
-            e.restore_replay_mark(*mark);
+        // 3. Sequence state (clock included) as of the warm offset, the
+        //    store as of the snapshot offset (warmup never touches it).
+        self.engine.restore_replay_mark(snap.warm_mark);
+        for (uri, version, doc) in &snap.state.resources {
+            self.engine
+                .qe
+                .store
+                .put_with_version(uri.clone(), doc.clone(), *version);
         }
-        for (e, shard) in self.engine.engines_mut().iter_mut().zip(snap.shards.iter()) {
-            for (uri, version, doc) in &shard.resources {
-                e.qe.store
-                    .put_with_version(uri.clone(), doc.clone(), *version);
-            }
-        }
-        self.engine.restore_front_clock(snap.warm_clock);
 
         // 4. Warmup replay [H, S): rebuild composite-event state.
         for (off, rec) in records {
@@ -473,10 +462,8 @@ impl<E: Engine> DurableEngine<E> {
         self.engine.set_replay_warmup(false);
 
         // 6. Observability as of S overwrites whatever warmup touched.
-        for (e, shard) in self.engine.engines_mut().iter_mut().zip(snap.shards.iter()) {
-            e.metrics = shard.metrics.clone();
-            e.action_log = shard.action_log.clone();
-        }
+        self.engine.metrics = snap.state.metrics;
+        self.engine.action_log = snap.state.action_log;
 
         // 7. Full replay of the suffix [S, …): effects on, outputs
         //    discarded (the pre-crash process already returned them).
@@ -502,7 +489,7 @@ impl<E: Engine> DurableEngine<E> {
             Record::Head { .. } => Ok(Vec::new()),
             Record::Install(src) => {
                 self.journal.push(JournalEntry::Static(src.clone()));
-                self.engine.install_source(src).map(|()| Vec::new())
+                self.engine.install_program(src).map(|()| Vec::new())
             }
             Record::Batch(msgs) => {
                 for m in msgs {
@@ -510,17 +497,22 @@ impl<E: Engine> DurableEngine<E> {
                         self.journal.push(JournalEntry::Dynamic(m.clone()));
                     }
                 }
-                self.engine.receive_batch_tagged(msgs)
+                Ok(self.engine.receive_batch_tagged(msgs))
             }
-            Record::Advance(t) => self
+            Record::Advance(t) => Ok(self
                 .engine
-                .advance_clock(*t)
-                .map(|out| out.into_iter().map(|o| (0, o)).collect()),
+                .advance_time(*t)
+                .into_iter()
+                .map(|o| (0, o))
+                .collect()),
             // Warmup skips puts: the snapshot's store already holds the
             // final as-of-S value; re-putting an older one would clobber
             // later in-window updates.
             Record::Put { .. } if matches!(mode, Mode::Warm) => Ok(Vec::new()),
-            Record::Put { uri, doc } => self.engine.put_doc(uri, doc.clone()).map(|()| Vec::new()),
+            Record::Put { uri, doc } => {
+                self.engine.qe.store.put(uri.clone(), doc.clone());
+                Ok(Vec::new())
+            }
         };
         match outcome {
             Ok(out) => Ok(out),
@@ -533,23 +525,17 @@ impl<E: Engine> DurableEngine<E> {
     /// processing) and prune marks that fell behind the retention
     /// horizon.
     fn push_mark(&mut self, offset: u64, rec: &Record) {
-        let clock = self.engine.front_clock();
+        let mark = self.engine.replay_mark();
+        let clock = mark.clock;
         let at = match rec {
             Record::Batch(msgs) => msgs.iter().map(|m| m.at).fold(clock, Timestamp::max),
             Record::Advance(t) => clock.max(*t),
             _ => clock,
         };
-        let engine_marks = self
-            .engine
-            .engines()
-            .iter()
-            .map(|e| e.replay_mark())
-            .collect();
         self.marks.push_back(Mark {
             offset,
             at,
-            front_clock: clock,
-            engine_marks,
+            mark,
             journal_len: self.journal.len(),
         });
         match self.engine.replay_horizon() {
@@ -628,70 +614,45 @@ impl<E: Engine> DurableEngine<E> {
         // refuses to start ("snapshot is newer than the log").
         self.sync_wal()?;
         let end = self.wal.len();
-        let clock = self.engine.front_clock();
+        let clock = self.engine.now();
         // Warm start: the first retained record inside the retention
         // horizon. No such record (quiet log, or everything expired) ⇒
         // the snapshot is self-sufficient and warms from its own offset;
         // unbounded retention ⇒ warm from genesis.
-        let (warm_offset, warm_clock, warm_marks, journal_len) = match self.engine.replay_horizon()
-        {
-            None => (
-                self.genesis_offset,
-                Timestamp::ZERO,
-                vec![ReplayMark::default(); self.engine.engines().len()],
-                0usize,
-            ),
+        let (warm_offset, warm_mark, journal_len) = match self.engine.replay_horizon() {
+            None => (self.genesis_offset, ReplayMark::default(), 0usize),
             Some(r) => {
                 let horizon = clock.saturating_sub(r);
                 match self.marks.iter().find(|m| m.at >= horizon) {
-                    Some(m) => (
-                        m.offset,
-                        m.front_clock,
-                        m.engine_marks.clone(),
-                        m.journal_len,
-                    ),
-                    None => (
-                        end,
-                        clock,
-                        self.engine
-                            .engines()
-                            .iter()
-                            .map(|e| e.replay_mark())
-                            .collect(),
-                        self.journal.len(),
-                    ),
+                    Some(m) => (m.offset, m.mark, m.journal_len),
+                    None => (end, self.engine.replay_mark(), self.journal.len()),
                 }
             }
         };
-        let shards = self
-            .engine
-            .engines()
-            .iter()
-            .map(|e| ShardState {
-                resources: e
-                    .qe
-                    .store
-                    .uris()
-                    .map(|u| {
-                        (
-                            u.to_string(),
-                            e.qe.store.version(u).expect("listed uri"),
-                            e.qe.store.get(u).expect("listed uri").clone(),
-                        )
-                    })
-                    .collect(),
-                metrics: e.metrics.clone(),
-                action_log: e.action_log.clone(),
-            })
-            .collect();
+        let e = &self.engine;
+        let state = ShardState {
+            resources: e
+                .qe
+                .store
+                .uris()
+                .map(|u| {
+                    (
+                        u.to_string(),
+                        e.qe.store.version(u).expect("listed uri"),
+                        e.qe.store.get(u).expect("listed uri").clone(),
+                    )
+                })
+                .collect(),
+            metrics: e.metrics.clone(),
+            action_log: e.action_log.clone(),
+        };
         let snap = Snapshot {
-            engine: self.engine.descriptor(),
+            engine: e.descriptor(),
             log_offset: end,
             warm_offset,
-            warm_clock,
-            warm_marks,
+            warm_mark,
             journal: self.journal[..journal_len].to_vec(),
-            shards,
+            state,
         };
         snap.write_to(&self.snap_path)?;
         self.records_since_snapshot = 0;
@@ -700,7 +661,7 @@ impl<E: Engine> DurableEngine<E> {
 
     /// The wrapped engine (read access; mutating it directly would
     /// bypass the log).
-    pub fn engine(&self) -> &E {
+    pub fn engine(&self) -> &ReactiveEngine {
         &self.engine
     }
 
@@ -736,9 +697,8 @@ fn engine_error(e: PersistError) -> TermError {
     TermError::Engine(e.to_string())
 }
 
-/// Every call that changes state is logged first; the recovery hooks
-/// reach through to the wrapped engine.
-impl<E: Engine> Engine for DurableEngine<E> {
+/// Every call that changes state is logged first.
+impl Engine for DurableEngine {
     fn descriptor(&self) -> String {
         format!("durable:{}", self.engine.descriptor())
     }
@@ -775,25 +735,7 @@ impl<E: Engine> Engine for DurableEngine<E> {
                 .span(0, Stage::Recovery, 0, self.recovery.elapsed_ns);
         }
     }
-    fn engines(&self) -> &[ReactiveEngine] {
-        self.engine.engines()
-    }
-    fn engines_mut(&mut self) -> &mut [ReactiveEngine] {
-        self.engine.engines_mut()
-    }
-    fn front_clock(&self) -> Timestamp {
-        self.engine.front_clock()
-    }
-    fn restore_front_clock(&mut self, t: Timestamp) {
-        self.engine.restore_front_clock(t);
-    }
-    fn set_replay_warmup(&mut self, on: bool) {
-        self.engine.set_replay_warmup(on);
-    }
-    fn replay_horizon(&self) -> Option<Dur> {
-        self.engine.replay_horizon()
-    }
-    fn flush_due_deadlines(&mut self) {
-        self.engine.flush_due_deadlines();
+    fn next_deadline(&self) -> Option<Timestamp> {
+        self.engine.next_deadline()
     }
 }

@@ -17,6 +17,10 @@
 //!
 //! On disk it is a [`FrameLog`] of textual-term records, like the WAL: a
 //! torn final record is healed by truncation on open, never an error.
+//! [`Outbox::compact`] rewrites it as the header plus the unsettled
+//! remainder; the header then also carries the next sequence number
+//! (`o_head{schema[…], next[…]}`), so compaction never lets a sequence
+//! number — and with it a delivery key — be handed out twice.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -24,7 +28,7 @@ use std::path::Path;
 use reweb_term::{write_elem, Term, Timestamp};
 
 use crate::log::FrameLog;
-use crate::wal::{field_child, field_text, field_u64, term_from_bytes};
+use crate::wal::{field, field_child, field_text, field_u64, term_from_bytes};
 use crate::{PersistError, Result, SyncPolicy};
 
 /// Magic first record of every outbox journal.
@@ -56,7 +60,10 @@ pub enum Settle {
 }
 
 enum OutboxRecord {
-    Head { schema: String },
+    /// `next` is written only by [`Outbox::compact`]: the first sequence
+    /// number not yet handed out, which the settled records it drops no
+    /// longer show.
+    Head { schema: String, next: Option<u64> },
     Enq(PendingDelivery),
     Settle { seq: u64, how: Settle },
 }
@@ -65,9 +72,13 @@ impl OutboxRecord {
     fn to_bytes(&self) -> Vec<u8> {
         let mut out = String::new();
         match self {
-            OutboxRecord::Head { schema } => {
-                write_elem(&mut out, "o_head", false, |w| w.field("schema", schema))
-            }
+            OutboxRecord::Head { schema, next } => write_elem(&mut out, "o_head", false, |w| {
+                w.field("schema", schema)?;
+                match next {
+                    Some(n) => w.field_u64("next", *n),
+                    None => Ok(()),
+                }
+            }),
             OutboxRecord::Enq(p) => write_elem(&mut out, "o_enq", false, |w| {
                 w.field_u64("seq", p.seq)?;
                 w.field("to", &p.to)?;
@@ -91,6 +102,10 @@ impl OutboxRecord {
         match t.label() {
             Some("o_head") => Ok(OutboxRecord::Head {
                 schema: field_text(&t, "schema")?,
+                next: match field(&t, "next") {
+                    Some(_) => Some(field_u64(&t, "next")?),
+                    None => None,
+                },
             }),
             Some("o_enq") => Ok(OutboxRecord::Enq(PendingDelivery {
                 seq: field_u64(&t, "seq")?,
@@ -148,7 +163,7 @@ impl Outbox {
         let mut settled = 0u64;
         for (i, (_, payload)) in open.frames.iter().enumerate() {
             match OutboxRecord::from_bytes(payload)? {
-                OutboxRecord::Head { schema } => {
+                OutboxRecord::Head { schema, next } => {
                     if i != 0 {
                         return Err(PersistError::Corrupt("outbox header not first".into()));
                     }
@@ -157,6 +172,7 @@ impl Outbox {
                             "outbox schema `{schema}` is not `{OUTBOX_SCHEMA}`"
                         )));
                     }
+                    next_seq = next.unwrap_or(0);
                 }
                 OutboxRecord::Enq(p) => {
                     next_seq = next_seq.max(p.seq + 1);
@@ -178,6 +194,7 @@ impl Outbox {
         if outbox.log.is_empty() {
             outbox.append(&OutboxRecord::Head {
                 schema: OUTBOX_SCHEMA.into(),
+                next: None,
             })?;
         }
         let pending = outbox.live.values().cloned().collect();
@@ -253,11 +270,17 @@ impl Outbox {
 
     /// Rewrite the journal with only the header and the unsettled
     /// remainder (write-to-temp then rename, so a crash mid-compaction
-    /// leaves either the old or the new journal, never a mix). Call
-    /// when the settled prefix dominates the file.
+    /// leaves either the old or the new journal, never a mix). The header
+    /// records the next sequence number, so a reopened outbox continues
+    /// where this one stopped even when every delivery was settled. A
+    /// journal without settlement records is left as it is.
     pub fn compact(&mut self) -> Result<()> {
+        if self.settled == 0 {
+            return Ok(());
+        }
         let head = OutboxRecord::Head {
             schema: OUTBOX_SCHEMA.into(),
+            next: Some(self.next_seq),
         };
         let live = self.live.values().map(|p| OutboxRecord::Enq(p.clone()));
         self.log
@@ -378,6 +401,28 @@ mod tests {
         let seqs: Vec<u64> = open.pending.iter().map(|p| p.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3], "compaction kept the pending set");
         assert!(open.outbox.next_seq == 4, "compaction kept seq monotone");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Once every delivery is settled, compaction leaves only the header;
+    /// the reopened outbox must still hand out the next sequence number,
+    /// not reuse one the receiver's ledger already holds.
+    #[test]
+    fn compacted_outbox_keeps_seq_monotone_when_all_settled() {
+        let path = scratch("all-settled");
+        let mut ob = Outbox::open(&path, SyncPolicy::Always).unwrap().outbox;
+        for i in 0..4 {
+            let seq = ob.enqueue("http://b/", Timestamp(i), &Term::elem("e")).unwrap();
+            ob.settle(seq, Settle::Acked).unwrap();
+        }
+        ob.compact().unwrap();
+        drop(ob);
+        let open = Outbox::open(&path, SyncPolicy::Always).unwrap();
+        assert!(open.pending.is_empty());
+        assert_eq!(reweb_term::scan_frames(&std::fs::read(&path).unwrap()).frames.len(), 1);
+        let mut ob = open.outbox;
+        let seq = ob.enqueue("http://b/", Timestamp(9), &Term::elem("f")).unwrap();
+        assert_eq!(seq, 4, "a compacted outbox must not reuse sequence numbers");
         let _ = std::fs::remove_file(&path);
     }
 }

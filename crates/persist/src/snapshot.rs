@@ -8,17 +8,23 @@
 //!   `S` (state below is exact as of `S`) and **warm offset** `H` (the
 //!   retention-horizon record recovery starts replaying from — see the
 //!   crate docs for why `H < S` rebuilds composite-event state exactly);
-//! * `s_mark` — per-shard [`reweb_core::ReplayMark`]s as of `H`;
+//! * `s_mark` — the engine's [`reweb_core::ReplayMark`] as of `H`;
 //! * `s_prog` / `s_dyn` — the install journal up to `H`: every rule
 //!   program installed statically (reprinted rule text) or dynamically
-//!   (the original `install_rules` message, so shard placement replays
-//!   through the same admission path);
-//! * `s_res` — every resource-store document of every shard as of `S`,
-//!   with its version counter;
-//! * `s_metrics` / `s_alog` — per-shard engine metrics and action logs
-//!   as of `S` (restored so observability survives a crash);
+//!   (the original `install_rules` message, replayed through the same
+//!   admission path);
+//! * `s_res` — every resource-store document as of `S`, with its
+//!   version counter;
+//! * `s_metrics` / `s_alog` — engine metrics and action log as of `S`
+//!   (restored so observability survives a crash);
 //! * `s_end` — terminator; a snapshot file without it (crash mid-write)
 //!   is ignored in favor of genesis replay.
+//!
+//! The format still carries the shard layout sharded engines once wrote:
+//! `s_meta` declares `shards["1"]`, its `warm_clock` repeats the mark's
+//! clock, and the per-engine records name `shard["0"]`. Only that layout
+//! is read; a snapshot declaring any other shard count is refused as
+//! [`PersistError::Corrupt`].
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -37,9 +43,7 @@ use crate::{PersistError, Result};
 pub const SNAP_SCHEMA: &str = "reweb-snap/v1";
 
 /// One entry of the install journal: how a rule program entered the
-/// engine, in order. Replaying the journal reproduces the rule base —
-/// including shard placement, which for dynamic installs depends on the
-/// admitting message, not just the rules.
+/// engine, in order. Replaying the journal reproduces the rule base.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalEntry {
     /// `install_program` text (original source, or a reprinted rule set).
@@ -48,7 +52,7 @@ pub enum JournalEntry {
     Dynamic(InMessage),
 }
 
-/// Per-shard state captured as of the snapshot's log offset.
+/// Engine state captured as of the snapshot's log offset.
 #[derive(Clone, Debug, Default)]
 pub struct ShardState {
     /// `(uri, version, doc)` of every stored resource.
@@ -69,21 +73,20 @@ pub struct Snapshot {
     /// Warm offset `H ≤ S`: recovery replays `[H, S)` in warmup mode to
     /// rebuild composite-event partial state, then `[S, …)` fully.
     pub warm_offset: u64,
-    /// Front-end clock as of `H` (restored before warm replay).
-    pub warm_clock: Timestamp,
-    /// Per-shard replay marks as of `H`.
-    pub warm_marks: Vec<ReplayMark>,
+    /// The engine's replay mark (clock included) as of `H`, restored
+    /// before warm replay.
+    pub warm_mark: ReplayMark,
     /// Install journal entries from before `H` (later installs are
     /// replayed from the log itself).
     pub journal: Vec<JournalEntry>,
-    /// Per-shard state as of `S`.
-    pub shards: Vec<ShardState>,
+    /// Engine state as of `S`.
+    pub state: ShardState,
 }
 
-fn metrics_to_term(shard: usize, m: &EngineMetrics) -> Term {
+fn metrics_to_term(m: &EngineMetrics) -> Term {
     Term::build("s_metrics")
         .unordered()
-        .field("shard", shard.to_string())
+        .field("shard", "0")
         .field("received", m.events_received.to_string())
         .field("denied", m.events_denied.to_string())
         .field("derived", m.events_derived.to_string())
@@ -163,22 +166,20 @@ impl Snapshot {
                 .field("engine", &self.engine)
                 .field("log_offset", self.log_offset.to_string())
                 .field("warm_offset", self.warm_offset.to_string())
-                .field("warm_clock", self.warm_clock.millis().to_string())
-                .field("shards", self.shards.len().to_string())
+                .field("warm_clock", self.warm_mark.clock.millis().to_string())
+                .field("shards", "1")
                 .finish(),
         );
-        for (i, mark) in self.warm_marks.iter().enumerate() {
-            push(
-                &mut frames,
-                Term::build("s_mark")
-                    .unordered()
-                    .field("shard", i.to_string())
-                    .field("clock", mark.clock.millis().to_string())
-                    .field("eseq", mark.event_seq.to_string())
-                    .field("dseq", mark.derived_seq.to_string())
-                    .finish(),
-            );
-        }
+        push(
+            &mut frames,
+            Term::build("s_mark")
+                .unordered()
+                .field("shard", "0")
+                .field("clock", self.warm_mark.clock.millis().to_string())
+                .field("eseq", self.warm_mark.event_seq.to_string())
+                .field("dseq", self.warm_mark.derived_seq.to_string())
+                .finish(),
+        );
         for entry in &self.journal {
             match entry {
                 JournalEntry::Static(src) => push(
@@ -194,33 +195,31 @@ impl Snapshot {
                 }
             }
         }
-        for (i, shard) in self.shards.iter().enumerate() {
-            for (uri, version, doc) in &shard.resources {
-                push(
-                    &mut frames,
-                    Term::build("s_res")
-                        .unordered()
-                        .field("shard", i.to_string())
-                        .field("uri", uri)
-                        .field("version", version.to_string())
-                        .child(Term::ordered("doc", vec![doc.clone()]))
-                        .finish(),
-                );
-            }
-            push(&mut frames, metrics_to_term(i, &shard.metrics));
+        for (uri, version, doc) in &self.state.resources {
             push(
                 &mut frames,
-                Term::build("s_alog")
+                Term::build("s_res")
                     .unordered()
-                    .field("shard", i.to_string())
-                    .child(
-                        Term::build("entries")
-                            .children(shard.action_log.iter().cloned())
-                            .finish(),
-                    )
+                    .field("shard", "0")
+                    .field("uri", uri)
+                    .field("version", version.to_string())
+                    .child(Term::ordered("doc", vec![doc.clone()]))
                     .finish(),
             );
         }
+        push(&mut frames, metrics_to_term(&self.state.metrics));
+        push(
+            &mut frames,
+            Term::build("s_alog")
+                .unordered()
+                .field("shard", "0")
+                .child(
+                    Term::build("entries")
+                        .children(self.state.action_log.iter().cloned())
+                        .finish(),
+                )
+                .finish(),
+        );
         push(&mut frames, Term::build("s_end").unordered().finish());
         frames
     }
@@ -249,29 +248,34 @@ impl Snapshot {
                 "snapshot schema `{schema}` is not `{SNAP_SCHEMA}`"
             )));
         }
-        let n_shards = field_u64(meta, "shards")? as usize;
+        let n_shards = field_u64(meta, "shards")?;
+        if n_shards != 1 {
+            return Err(PersistError::Corrupt(format!(
+                "snapshot declares {n_shards} shards; only single-engine snapshots \
+                 (one shard) are readable"
+            )));
+        }
         let mut snap = Snapshot {
             engine: field_text(meta, "engine")?,
             log_offset: field_u64(meta, "log_offset")?,
             warm_offset: field_u64(meta, "warm_offset")?,
-            warm_clock: Timestamp(field_u64(meta, "warm_clock")?),
-            warm_marks: vec![ReplayMark::default(); n_shards],
+            warm_mark: ReplayMark::default(),
             journal: Vec::new(),
-            shards: vec![ShardState::default(); n_shards],
+            state: ShardState::default(),
         };
-        let shard = |t: &Term| -> Result<usize> {
-            let i = field_u64(t, "shard")? as usize;
-            if i >= n_shards {
-                return Err(PersistError::Corrupt(format!(
-                    "snapshot names shard {i} but declares {n_shards} shards"
-                )));
+        let shard = |t: &Term| -> Result<()> {
+            match field_u64(t, "shard")? {
+                0 => Ok(()),
+                i => Err(PersistError::Corrupt(format!(
+                    "snapshot names shard {i} but declares 1 shard"
+                ))),
             }
-            Ok(i)
         };
         for t in &terms[1..terms.len() - 1] {
             match t.label() {
                 Some("s_mark") => {
-                    snap.warm_marks[shard(t)?] = ReplayMark {
+                    shard(t)?;
+                    snap.warm_mark = ReplayMark {
                         clock: Timestamp(field_u64(t, "clock")?),
                         event_seq: field_u64(t, "eseq")?,
                         derived_seq: field_u64(t, "dseq")?,
@@ -284,17 +288,21 @@ impl Snapshot {
                     .journal
                     .push(JournalEntry::Dynamic(msg_from_term(first_child(t)?)?)),
                 Some("s_res") => {
-                    snap.shards[shard(t)?].resources.push((
+                    shard(t)?;
+                    snap.state.resources.push((
                         field_text(t, "uri")?,
                         field_u64(t, "version")?,
                         field_child(t, "doc")?.clone(),
                     ));
                 }
-                Some("s_metrics") => snap.shards[shard(t)?].metrics = metrics_from_term(t)?,
+                Some("s_metrics") => {
+                    shard(t)?;
+                    snap.state.metrics = metrics_from_term(t)?;
+                }
                 Some("s_alog") => {
-                    let i = shard(t)?;
+                    shard(t)?;
                     if let Some(entries) = field(t, "entries") {
-                        snap.shards[i].action_log = entries.children().to_vec();
+                        snap.state.action_log = entries.children().to_vec();
                     }
                 }
                 other => {
@@ -337,18 +345,14 @@ mod tests {
         metrics.fires_by_rule.insert("r1".into(), 3);
         metrics.errors.push("rule r9: action failed: boom".into());
         Snapshot {
-            engine: "sharded:2:Serial".into(),
+            engine: "single".into(),
             log_offset: 420,
             warm_offset: 120,
-            warm_clock: Timestamp(9_000),
-            warm_marks: vec![
-                ReplayMark {
-                    clock: Timestamp(8_000),
-                    event_seq: 11,
-                    derived_seq: 2,
-                },
-                ReplayMark::default(),
-            ],
+            warm_mark: ReplayMark {
+                clock: Timestamp(8_000),
+                event_seq: 11,
+                derived_seq: 2,
+            },
             journal: vec![
                 JournalEntry::Static("RULE r1 ON ping DO NOOP END".into()),
                 JournalEntry::Dynamic(InMessage::new(
@@ -357,18 +361,15 @@ mod tests {
                     Timestamp(50),
                 )),
             ],
-            shards: vec![
-                ShardState {
-                    resources: vec![(
-                        "http://data/items".into(),
-                        4,
-                        parse_term("items[item{v[\"0\"]}]").unwrap(),
-                    )],
-                    metrics,
-                    action_log: vec![parse_term("logged{x[\"1\"]}").unwrap()],
-                },
-                ShardState::default(),
-            ],
+            state: ShardState {
+                resources: vec![(
+                    "http://data/items".into(),
+                    4,
+                    parse_term("items[item{v[\"0\"]}]").unwrap(),
+                )],
+                metrics,
+                action_log: vec![parse_term("logged{x[\"1\"]}").unwrap()],
+            },
         }
     }
 
@@ -386,18 +387,17 @@ mod tests {
         assert_eq!(back.engine, snap.engine);
         assert_eq!(back.log_offset, snap.log_offset);
         assert_eq!(back.warm_offset, snap.warm_offset);
-        assert_eq!(back.warm_marks, snap.warm_marks);
+        assert_eq!(back.warm_mark, snap.warm_mark);
         assert_eq!(back.journal, snap.journal);
-        assert_eq!(back.shards.len(), 2);
-        assert_eq!(back.shards[0].resources, snap.shards[0].resources);
+        assert_eq!(back.state.resources, snap.state.resources);
         assert_eq!(
-            back.shards[0].metrics.fires_by_rule,
-            snap.shards[0].metrics.fires_by_rule
+            back.state.metrics.fires_by_rule,
+            snap.state.metrics.fires_by_rule
         );
-        assert_eq!(back.shards[0].metrics.errors, snap.shards[0].metrics.errors);
-        assert_eq!(back.shards[0].metrics.join_attempts, 11);
-        assert_eq!(back.shards[0].metrics.index_probes, 5);
-        assert_eq!(back.shards[0].action_log, snap.shards[0].action_log);
+        assert_eq!(back.state.metrics.errors, snap.state.metrics.errors);
+        assert_eq!(back.state.metrics.join_attempts, 11);
+        assert_eq!(back.state.metrics.index_probes, 5);
+        assert_eq!(back.state.action_log, snap.state.action_log);
     }
 
     #[test]

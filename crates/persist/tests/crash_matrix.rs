@@ -17,14 +17,13 @@
 //! 4. requires `outputs(prefix) ++ outputs(rest after recovery)` to equal
 //!    the uninterrupted run's outputs exactly — order and bytes.
 //!
-//! Runs cover the single engine and sharded engines (serial and
-//! thread-per-shard executors), with snapshots forced at an aggressive
+//! Runs cover the single engine, with snapshots forced at an aggressive
 //! cadence so warm-replay recovery is exercised, not just genesis
 //! replay.
 
 use proptest::prelude::*;
 
-use reweb_core::{Engine, InMessage, MessageMeta, ReactiveEngine, ShardedEngine};
+use reweb_core::{InMessage, MessageMeta, ReactiveEngine};
 use reweb_persist::{DurableEngine, DurableOptions, SyncPolicy};
 use reweb_term::{parse_term, Term, Timestamp};
 
@@ -145,7 +144,7 @@ enum Step {
     Advance(Timestamp),
 }
 
-fn run_step<E: Engine>(d: &mut DurableEngine<E>, s: &Step) -> Vec<String> {
+fn run_step(d: &mut DurableEngine, s: &Step) -> Vec<String> {
     match s {
         Step::Install(src) => {
             d.install_program(src).expect("install");
@@ -157,11 +156,11 @@ fn run_step<E: Engine>(d: &mut DurableEngine<E>, s: &Step) -> Vec<String> {
 }
 
 /// Drive the full matrix for one engine builder; panics on divergence.
-fn crash_matrix<E: Engine>(
+fn crash_matrix(
     tag: &str,
     steps: &[Step],
     opts: DurableOptions,
-    build: impl Fn() -> E + Copy,
+    build: impl Fn() -> ReactiveEngine + Copy,
     tail_cuts: &[u64],
 ) {
     // Uninterrupted reference run.
@@ -289,95 +288,6 @@ proptest! {
         };
         crash_matrix("single", &steps, opts, build, &cuts);
     }
-
-    /// Sharded crash matrix (3 shards, serial executor), snapshots every
-    /// 4 records.
-    #[test]
-    fn sharded_engine_crash_matrix(
-        rules in proptest::collection::vec((0..9u8, 0..6usize, 0..6usize), 1..5),
-        stream in proptest::collection::vec((0..7usize, 0..10u64, 1..20_000u64), 4..16),
-        cuts in proptest::collection::vec(0..10_000u64, 2..3),
-    ) {
-        let program: String = rules
-            .iter()
-            .enumerate()
-            .map(|(i, &(kind, a, b))| fragment(i, kind, a, b))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let meta = MessageMeta::from_uri("http://peer");
-        let mut at = 0u64;
-        let msgs: Vec<InMessage> = stream
-            .iter()
-            .map(|&(l, v, dt)| {
-                at += dt;
-                InMessage::new(event_payload(l, v), meta.clone(), Timestamp(at))
-            })
-            .collect();
-        let steps = steps(&program, &msgs);
-        let opts = DurableOptions {
-            sync: SyncPolicy::Os,
-            snapshot_every: Some(4),
-        };
-        let build = || {
-            let mut e = ShardedEngine::new("http://node", 3);
-            e.put_resource("http://data/items", seed_store());
-            e
-        };
-        crash_matrix("sharded", &steps, opts, build, &cuts);
-    }
-}
-
-/// Deterministic regression: the marketplace mix through a durable
-/// *thread-per-shard* engine with dynamic installs, snapshots every 5
-/// records, killed at every boundary.
-#[test]
-fn threaded_sharded_marketplace_crash_matrix() {
-    use reweb_core::{parse_program, ruleset_to_term};
-
-    let program = r#"
-        RULE on_payment ON and(order{{id[[var O]], total[[var T]]}},
-                               payment{{order[[var O]], amount[[var A]]}}) within 2h
-             where var A >= var T
-          DO SEND paid{order[var O]} TO "http://ship" END
-        DETECT big{id[var O]} ON order{{id[[var O]], total[[var T]]}} where var T >= 100 END
-        RULE on_big ON big{{id[[var O]]}} DO SEND audit{id[var O]} TO "http://audit" END
-        RULE quiet ON absence(ping{{n[[var N]]}}, pong{{n[[var N]]}}, 10s)
-          DO SEND silent{n[var N]} TO "http://ops" END
-    "#;
-    let meta = MessageMeta::from_uri("http://peer");
-    let carried = parse_program(
-        r#"RULE fresh ON newevt{{v[[var X]]}} DO SEND got{v[var X]} TO "http://sink" END"#,
-    )
-    .unwrap();
-    let install_msg = InMessage::new(
-        Term::ordered("install_rules", vec![ruleset_to_term(&carried)]),
-        meta.clone(),
-        Timestamp(9_000),
-    );
-    let mut msgs = Vec::new();
-    for k in 0..24u64 {
-        let at = Timestamp(1_000 + k * 6_000);
-        let payload = match k % 5 {
-            0 => parse_term(&format!("order{{id[\"o{k}\"], total[\"{}\"]}}", 50 + k * 9)).unwrap(),
-            1 => parse_term(&format!(
-                "payment{{order[\"o{}\"], amount[\"500\"]}}",
-                k - 1
-            ))
-            .unwrap(),
-            2 => parse_term(&format!("ping{{n[\"{k}\"]}}")).unwrap(),
-            3 if k % 2 == 1 => parse_term(&format!("pong{{n[\"{}\"]}}", k - 1)).unwrap(),
-            _ => parse_term(&format!("newevt{{v[\"{k}\"]}}")).unwrap(),
-        };
-        msgs.push(InMessage::new(payload, meta.clone(), at));
-    }
-    msgs.insert(2, install_msg);
-    let steps = steps(program, &msgs);
-    let opts = DurableOptions {
-        sync: SyncPolicy::Os,
-        snapshot_every: Some(5),
-    };
-    let build = || ShardedEngine::new_parallel("http://node", 4);
-    crash_matrix("threaded", &steps, opts, build, &[17, 4242]);
 }
 
 /// Deterministic regression for the beta network (PR 7): composite

@@ -234,18 +234,46 @@ fn incomplete_snapshot_falls_back_to_genesis_replay() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Recovering a log with a differently shaped engine is refused.
+/// Logs written by a differently shaped engine are refused, not
+/// misread: a write-ahead log whose header names a sharded engine, and a
+/// complete snapshot that declares two shards.
 #[test]
 fn engine_shape_mismatch_is_refused() {
-    use reweb_core::ShardedEngine;
+    use reweb_persist::log::write_frames_atomically;
+    use reweb_persist::wal::{Wal, WAL_SCHEMA};
+    use reweb_persist::Record;
+
     let dir = fresh_dir("shape");
+    {
+        let mut wal = Wal::open(&dir.join("wal.log")).unwrap().wal;
+        wal.append(&Record::Head {
+            schema: WAL_SCHEMA.into(),
+            engine: "sharded:2:Serial".into(),
+        })
+        .unwrap();
+        wal.append(&Record::Install(PROGRAM.into())).unwrap();
+        wal.sync().unwrap();
+    }
+    let err = DurableEngine::open(&dir, opts(), build).expect_err("sharded log");
+    assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
+
+    let dir = fresh_dir("shape-snapshot");
     {
         let mut d = DurableEngine::open(&dir, opts(), build).unwrap();
         d.install_program(PROGRAM).unwrap();
     }
-    let err = DurableEngine::open(&dir, opts(), || ShardedEngine::new("http://node", 2))
-        .expect_err("shape mismatch");
-    assert!(matches!(err, PersistError::Corrupt(_)));
+    let log_end = std::fs::metadata(dir.join("wal.log")).unwrap().len();
+    let meta = format!(
+        r#"s_meta{{schema["reweb-snap/v1"], engine["single"], log_offset["{log_end}"], warm_offset["{log_end}"], warm_clock["0"], shards["2"]}}"#
+    );
+    write_frames_atomically(
+        &dir.join("snapshot.bin"),
+        [meta.into_bytes(), b"s_end{}".to_vec()],
+    )
+    .unwrap();
+    let err = DurableEngine::open(&dir, opts(), build).expect_err("two-shard snapshot");
+    assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
+    assert!(err.to_string().contains("2 shards"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

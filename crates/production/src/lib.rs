@@ -101,11 +101,6 @@ impl ProductionEngine {
         self.rules.push(r);
     }
 
-    /// Register a named procedure callable from `CALL` actions.
-    pub fn add_procedure(&mut self, p: ProcedureDef) {
-        self.procedures.insert(p.name.clone(), p);
-    }
-
     /// Number of installed rules.
     pub fn rule_count(&self) -> usize {
         self.rules.len()

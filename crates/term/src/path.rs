@@ -28,11 +28,6 @@ impl Path {
         Path(ixs)
     }
 
-    /// Does this path address the root?
-    pub fn is_root(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// The child indexes, root-to-leaf.
     pub fn indexes(&self) -> &[usize] {
         &self.0

@@ -72,11 +72,6 @@ impl Dur {
         self.0 as f64 / 1_000.0
     }
 
-    /// True for the empty duration.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Parse a duration literal with unit suffix: `"250ms"`, `"3s"`, `"5m"`,
     /// `"2h"`, `"1d"`. A bare number is milliseconds.
     pub fn parse(s: &str) -> Option<Dur> {

@@ -10,6 +10,8 @@
 //! * Every node processes its rules **locally** ([`NodeKind::Engine`]
 //!   wraps a `reweb_core::ReactiveEngine`); coordination happens only
 //!   through messages — there is no central rule processor (Thesis 2).
+//!   Locality is between nodes: a node is one engine (plain, durable or
+//!   served over TCP), never a set of in-process shards.
 //! * **Push**: resource owners notify subscribers on every change
 //!   ([`Simulation::subscribe_push`]); **poll**: a [`Poller`] GETs a
 //!   remote resource periodically and synthesizes change events from the

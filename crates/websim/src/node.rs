@@ -3,7 +3,7 @@
 
 use std::path::PathBuf;
 
-use reweb_core::{Engine, ReactiveEngine, ShardedEngine};
+use reweb_core::{Engine, ReactiveEngine};
 use reweb_net::wire::Reply;
 use reweb_net::NetClient;
 use reweb_persist::log::{read_frames, FrameLog};
@@ -18,13 +18,6 @@ pub enum NodeKind {
     /// `ReactiveEngine` is by far the largest variant, and nodes of all
     /// kinds live together in the simulation's node map.
     Engine(Box<ReactiveEngine>),
-    /// A reactive node whose rules are partitioned across N engine
-    /// shards by event-label affinity (batch-ingestion front-end).
-    /// Works with either executor — build the engine with
-    /// `ShardedEngine::new` (serial) or `ShardedEngine::new_parallel`
-    /// (one worker thread per shard); the simulation cannot tell them
-    /// apart.
-    Sharded(Box<ShardedEngine>),
     /// A passive resource server: answers `GET`s, ignores `POST`s.
     Store(ResourceStore),
     /// A polling observer (the Thesis 3 baseline).
@@ -45,24 +38,19 @@ pub enum NodeKind {
 }
 
 impl NodeKind {
-    /// The store served to `GET` requests, if this node has one. A
-    /// sharded node serves shard 0's store (resource updates are
-    /// replicated to every shard, so the shards agree on served data).
+    /// The store served to `GET` requests, if this node has one.
     pub fn store(&self) -> Option<&ResourceStore> {
         match self {
             NodeKind::Engine(e) => Some(&e.qe.store),
-            NodeKind::Sharded(e) => Some(&e.shards()[0].qe.store),
             NodeKind::Store(s) => Some(s),
             NodeKind::Durable(d) => d.engine.as_ref().map(|e| &e.engine().qe.store),
             _ => None,
         }
     }
 
-    /// Mutable access to the single backing store. `None` for sharded
-    /// nodes (writes there must replicate to every shard, which the
-    /// simulation does through [`ShardedEngine::put_resource`]) and for
-    /// durable nodes (writes there must be logged, which the simulation
-    /// does through [`DurableEngine::put_resource`]).
+    /// Mutable access to the single backing store. `None` for durable
+    /// nodes (writes there must be logged, which the simulation does
+    /// through [`DurableEngine::put_resource`]).
     pub fn store_mut(&mut self) -> Option<&mut ResourceStore> {
         match self {
             NodeKind::Engine(e) => Some(&mut e.qe.store),
@@ -79,23 +67,14 @@ impl NodeKind {
         }
     }
 
-    /// The reactive engine behind an [`NodeKind::Engine`],
-    /// [`NodeKind::Sharded`] or live [`NodeKind::Durable`] node, through
+    /// The reactive engine behind an [`NodeKind::Engine`] or live
+    /// [`NodeKind::Durable`] node, through
     /// the one [`Engine`] surface (`None` for other kinds and for a
     /// crashed durable node).
     pub fn as_dyn_engine_mut(&mut self) -> Option<&mut dyn Engine> {
         match self {
             NodeKind::Engine(e) => Some(e.as_mut() as &mut dyn Engine),
-            NodeKind::Sharded(e) => Some(e.as_mut() as &mut dyn Engine),
             NodeKind::Durable(d) => d.engine.as_deref_mut().map(|e| e as &mut dyn Engine),
-            _ => None,
-        }
-    }
-
-    /// The sharded engine, if this node is an [`NodeKind::Sharded`].
-    pub fn as_sharded(&self) -> Option<&ShardedEngine> {
-        match self {
-            NodeKind::Sharded(e) => Some(e),
             _ => None,
         }
     }

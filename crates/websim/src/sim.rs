@@ -12,7 +12,7 @@ use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use reweb_core::{Credentials, MessageMeta, OutMessage, ReactiveEngine, ShardedEngine};
+use reweb_core::{Credentials, MessageMeta, OutMessage, ReactiveEngine};
 use reweb_persist::{DurableEngine, DurableOptions};
 use reweb_term::{Dur, IdentityMode, ResourceStore, Term, TermError, Timestamp};
 
@@ -131,13 +131,6 @@ impl Simulation {
     pub fn add_engine(&mut self, uri: impl Into<String>, engine: ReactiveEngine) {
         self.nodes
             .insert(uri.into(), NodeKind::Engine(Box::new(engine)));
-    }
-
-    /// Add a node backed by a sharded engine: deliveries route through
-    /// its label-affinity front-end instead of a single engine.
-    pub fn add_sharded_engine(&mut self, uri: impl Into<String>, engine: ShardedEngine) {
-        self.nodes
-            .insert(uri.into(), NodeKind::Sharded(Box::new(engine)));
     }
 
     /// Add a node whose engine is served over real TCP by a
@@ -287,11 +280,6 @@ impl Simulation {
     /// The engine at `uri`, if that node is an [`NodeKind::Engine`].
     pub fn engine(&self, uri: &str) -> Option<&ReactiveEngine> {
         self.nodes.get(uri).and_then(NodeKind::as_engine)
-    }
-
-    /// The sharded engine at `uri`, if that node is sharded.
-    pub fn sharded(&self, uri: &str) -> Option<&ShardedEngine> {
-        self.nodes.get(uri).and_then(NodeKind::as_sharded)
     }
 
     /// The durable engine at `uri`, if that node is durable and up
@@ -573,10 +561,8 @@ impl Simulation {
             .get(&owner)
             .and_then(NodeKind::store)
             .and_then(|s| s.get(&uri).ok().cloned());
-        // An engine owner stores through its engine: a sharded one
-        // replicates the update to every shard's store, so every rule
-        // reads the same data; a durable one logs it so recovery replays
-        // it.
+        // An engine owner stores through its engine: a durable one logs
+        // the update so recovery replays it.
         let stored = match self.nodes.get_mut(&owner) {
             Some(n) => match n.as_dyn_engine_mut() {
                 Some(e) => e.put_doc(&uri, doc.clone()).is_ok(),
@@ -613,9 +599,8 @@ impl Simulation {
 }
 
 /// Shape an engine call's outputs for re-posting. Empty when the node
-/// has no engine or the call fails (a durable node's log write, a
-/// poisoned sharded engine) — the simulated Web drops messages, it does
-/// not crash the run.
+/// has no engine or the call fails (a durable node's log write) — the
+/// simulated Web drops messages, it does not crash the run.
 fn reposts(outs: Option<Result<Vec<OutMessage>, TermError>>) -> Vec<(String, Term)> {
     outs.and_then(Result::ok)
         .unwrap_or_default()
@@ -772,123 +757,6 @@ mod tests {
         assert_eq!(sim.owner_of("http://a/deep/doc"), Some("http://a/deep"));
         assert_eq!(sim.owner_of("http://a/other"), Some("http://a"));
         assert_eq!(sim.owner_of("http://zzz"), None);
-    }
-
-    #[test]
-    fn sharded_node_processes_deliveries_and_timers() {
-        let mut sim = Simulation::new(7);
-        let mut engine = ShardedEngine::new("http://shop", 4);
-        engine
-            .install_program(
-                r#"RULE fwd ON order{{id[[var O]]}} DO SEND ack{id[var O]} TO "http://client" END
-                   RULE quiet ON absence(ping, ping, 5s) DO SEND alarm TO "http://client" END"#,
-            )
-            .unwrap();
-        sim.add_sharded_engine("http://shop", engine);
-        sim.add_sink("http://client");
-        sim.post(
-            "http://client",
-            "http://shop",
-            parse_term("order{id[\"o1\"]}").unwrap(),
-            Timestamp(0),
-        );
-        sim.post(
-            "http://client",
-            "http://shop",
-            Term::elem("ping"),
-            Timestamp(0),
-        );
-        sim.run_until(Timestamp(10_000));
-        let got = sim.sink("http://client");
-        let labels: Vec<_> = got.iter().filter_map(|(_, e)| e.body.label()).collect();
-        // The order was acked and the absence deadline fired through the
-        // simulation's wakeup machinery.
-        assert!(labels.contains(&"ack"), "got {labels:?}");
-        assert!(labels.contains(&"alarm"), "got {labels:?}");
-        let shop = sim.sharded("http://shop").expect("sharded accessor");
-        assert_eq!(shop.metrics().events_received, 2);
-    }
-
-    /// A thread-per-shard engine drops into the same node slot: same
-    /// deliveries, same timer wakeups, same outputs — the simulation
-    /// never observes which executor is behind `NodeKind::Sharded`.
-    #[test]
-    fn parallel_sharded_node_behaves_like_serial() {
-        let run = |parallel: bool| {
-            let mut sim = Simulation::new(7);
-            let mut engine = if parallel {
-                ShardedEngine::new_parallel("http://shop", 4)
-            } else {
-                ShardedEngine::new("http://shop", 4)
-            };
-            engine
-                .install_program(
-                    r#"RULE fwd ON order{{id[[var O]]}} DO SEND ack{id[var O]} TO "http://client" END
-                       RULE quiet ON absence(ping, ping, 5s) DO SEND alarm TO "http://client" END"#,
-                )
-                .unwrap();
-            sim.add_sharded_engine("http://shop", engine);
-            sim.add_sink("http://client");
-            sim.post(
-                "http://client",
-                "http://shop",
-                parse_term("order{id[\"o1\"]}").unwrap(),
-                Timestamp(0),
-            );
-            sim.post(
-                "http://client",
-                "http://shop",
-                Term::elem("ping"),
-                Timestamp(0),
-            );
-            sim.run_until(Timestamp(10_000));
-            sim.sink("http://client")
-                .iter()
-                .map(|(t, e)| (t.millis(), e.body.to_string()))
-                .collect::<Vec<_>>()
-        };
-        let serial = run(false);
-        let parallel = run(true);
-        assert!(!serial.is_empty());
-        assert_eq!(
-            serial, parallel,
-            "executor choice must be invisible to the sim"
-        );
-    }
-
-    #[test]
-    fn sharded_node_resource_updates_replicate() {
-        let mut sim = Simulation::new(7);
-        let mut engine = ShardedEngine::new("http://shop", 2);
-        engine
-            .install_program(
-                r#"RULE chk ON probe{{v[[var X]]}}
-                   IF in "http://shop/items" item{{v[[var X]]}}
-                   THEN SEND yes{v[var X]} TO "http://client"
-                   ELSE SEND no{v[var X]} TO "http://client" END"#,
-            )
-            .unwrap();
-        sim.add_sharded_engine("http://shop", engine);
-        sim.add_sink("http://client");
-        sim.schedule_update(
-            "http://shop/items",
-            parse_term("items[item{v[\"1\"]}]").unwrap(),
-            Timestamp(100),
-        );
-        sim.post(
-            "http://client",
-            "http://shop",
-            parse_term("probe{v[\"1\"]}").unwrap(),
-            Timestamp(500),
-        );
-        sim.run_until(Timestamp(2_000));
-        let got = sim.sink("http://client");
-        assert_eq!(got.len(), 1);
-        assert_eq!(
-            got[0].1.body.label(),
-            Some("yes"),
-            "update reached the shard store"
-        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! * [`core`] — the ECA rule language and reactive engine (the paper's
 //!   primary contribution), including meta-rules and AAA.
 //! * [`persist`] — durability: write-ahead log, snapshots, and crash
-//!   recovery wrapping single or sharded engines ([`DurableEngine`]).
+//!   recovery wrapping a single engine ([`DurableEngine`]).
 //! * [`net`] — the networked ingress tier: a framed TCP listener,
 //!   backpressured router, and per-client reply streams in front of any
 //!   engine ([`NetServer`], [`NetClient`]; `docs/WIRE_PROTOCOL.md`).
