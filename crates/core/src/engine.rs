@@ -26,7 +26,7 @@
 //! Rule failures are contained: an action error is recorded in the
 //! metrics, never unwinding the engine.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
@@ -38,16 +38,31 @@ use reweb_obs::{Obs, Provenance, Stage};
 use reweb_query::compiled::{AlphaNetwork, CandidateIndex, EventShape, InterpretedIndex};
 use reweb_query::QueryEngine;
 use reweb_term::{Dur, Sym, Term, Timestamp};
-use reweb_update::{Executor, ProcedureDef};
-
-use crate::shard::InMessage;
-use crate::surface::Engine;
+use reweb_update::{Action, Executor, ProcedureDef};
 
 pub use reweb_update::OutMessage;
 
 use crate::aaa::{Aaa, AaaConfig, MessageMeta, Permission};
 use crate::meta::ruleset_from_term;
 use crate::rule::{EcaRule, RuleSet};
+
+/// One unit of batch input: everything [`ReactiveEngine::receive`] takes.
+#[derive(Clone, Debug, PartialEq)]
+pub struct InMessage {
+    /// The event payload.
+    pub payload: Term,
+    /// Transport metadata (sender, credentials) for AAA admission.
+    pub meta: MessageMeta,
+    /// Arrival time; batches should be non-decreasing in `at`.
+    pub at: Timestamp,
+}
+
+impl InMessage {
+    /// Bundle a payload, its transport metadata, and an arrival time.
+    pub fn new(payload: Term, meta: MessageMeta, at: Timestamp) -> InMessage {
+        InMessage { payload, meta, at }
+    }
+}
 
 /// Counters and error log of one engine (experiments E1, E9, E12).
 #[derive(Clone, Debug, Default)]
@@ -544,6 +559,37 @@ impl ReactiveEngine {
         out
     }
 
+    /// Every `CALL` an installed rule can make to a procedure outside its
+    /// scope, as `(rule, procedure)` pairs, each pair once. Calls are
+    /// followed through the bodies of the procedures they reach. Such a
+    /// rule still installs — a peer's policy installed as knowledge need
+    /// not run here (Thesis 11) — but firing it fails the action with an
+    /// unknown procedure. Computed on demand from the compiled rules.
+    pub fn unresolved_calls(&self) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        for cr in &self.compiled {
+            let mut seen = BTreeSet::new();
+            let mut todo: Vec<&Action> = cr.rule.branches.iter().map(|b| &b.action).collect();
+            while let Some(action) = todo.pop() {
+                match action {
+                    Action::Seq(xs) | Action::Alt(xs) => todo.extend(xs),
+                    Action::If { then, else_, .. } => {
+                        todo.push(then);
+                        todo.extend(else_.as_deref());
+                    }
+                    Action::Call { name, .. } if seen.insert(name.as_str()) => {
+                        match cr.procs.get(name) {
+                            Some(p) => todo.push(&p.body),
+                            None => out.push((cr.rule.name.clone(), name.clone())),
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        out
+    }
+
     /// Capture the sequence state a recovery must restore before
     /// replaying the next input (see [`ReplayMark`]).
     pub fn replay_mark(&self) -> ReplayMark {
@@ -978,40 +1024,6 @@ impl ReactiveEngine {
     }
 }
 
-impl Engine for ReactiveEngine {
-    fn descriptor(&self) -> String {
-        "single".into()
-    }
-    fn install_source(&mut self, src: &str) -> crate::Result<()> {
-        self.install_program(src)
-    }
-    fn receive_batch_tagged(
-        &mut self,
-        msgs: &[InMessage],
-    ) -> crate::Result<Vec<(u32, OutMessage)>> {
-        Ok(ReactiveEngine::receive_batch_tagged(self, msgs))
-    }
-    fn advance_clock(&mut self, t: Timestamp) -> crate::Result<Vec<OutMessage>> {
-        Ok(self.advance_time(t))
-    }
-    fn put_doc(&mut self, uri: &str, doc: Term) -> crate::Result<()> {
-        self.qe.store.put(uri.to_string(), doc);
-        Ok(())
-    }
-    fn metrics(&self) -> EngineMetrics {
-        self.metrics.clone()
-    }
-    fn obs(&self) -> &Arc<Obs> {
-        ReactiveEngine::obs(self)
-    }
-    fn set_obs(&mut self, obs: Arc<Obs>) {
-        ReactiveEngine::set_obs(self, obs);
-    }
-    fn next_deadline(&self) -> Option<Timestamp> {
-        ReactiveEngine::next_deadline(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1124,6 +1136,41 @@ mod tests {
             Timestamp(1),
         );
         assert_eq!(e.state_size(), 0);
+    }
+
+    #[test]
+    fn unresolved_calls_follow_procedure_bodies_and_leave_the_install_alone() {
+        let mut e = ReactiveEngine::new("http://me");
+        e.install_program(
+            r#"
+            RULESET own
+              PROCEDURE p() DO IF in "http://me/x" x THEN CALL missing() ELSE CALL p() END END
+              RULE fine ON a DO CALL p() END
+              RULE direct ON b DO SEQ CALL p(); CALL gone(); CALL gone(); END END
+            END
+            "#,
+        )
+        .unwrap();
+        let policy =
+            crate::parse_program(r#"RULESET peer RULE r ON c DO CALL unlock("x") END END"#)
+                .unwrap();
+        let msg = crate::meta::install_rules_payload(&policy);
+        e.receive(msg, &MessageMeta::from_uri("http://peer"), Timestamp(1));
+        let mut calls = e.unresolved_calls();
+        calls.sort();
+        let pair = |r: &str, p: &str| (r.to_string(), p.to_string());
+        assert_eq!(
+            calls,
+            [
+                pair("direct", "gone"),
+                pair("direct", "missing"),
+                pair("fine", "missing"),
+                pair("r", "unlock"),
+            ]
+        );
+        // Reported, not refused: the peer's rule installed without an error.
+        assert_eq!(e.rule_count(), 3);
+        assert!(e.metrics.errors.is_empty(), "{:?}", e.metrics.errors);
     }
 
     #[test]

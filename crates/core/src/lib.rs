@@ -26,6 +26,9 @@
 //! * [`engine`] — [`ReactiveEngine`]: event-label-indexed dispatch,
 //!   incremental event query evaluation, condition evaluation over the
 //!   local store and views, action execution, timer handling, metrics.
+//!   It is the one engine type hosts drive: `reweb_persist` pairs it
+//!   with an optional write-ahead journal, and the TCP tier and the Web
+//!   simulator hold that pair.
 //! * [`parser`] — the full textual rule language (programs, rule sets,
 //!   rules, procedures, views, DETECT rules, actions), round-trippable
 //!   with the `Display` impls.
@@ -37,8 +40,6 @@
 //!   engines, partitioning rules by event-label affinity and routing each
 //!   event to the one shard that needs it — semantically equivalent to a
 //!   single engine (`sharded_equivalence` pins it).
-//! * [`surface`] — [`Engine`], the one surface every engine shape
-//!   (single, sharded, durable) offers hosts and crash recovery.
 //! * [`aaa`] — Thesis 12: authentication (salted-hash credentials),
 //!   authorization (ACL over event labels, resources, rule installation),
 //!   and accounting — realized as *derived events* fed back into the same
@@ -52,16 +53,14 @@ pub mod meta;
 pub mod parser;
 pub mod rule;
 pub mod shard;
-pub mod surface;
 
 pub use aaa::{AaaConfig, AccountingRecord, Acl, Credentials, MessageMeta, Permission, Principal};
-pub use engine::{EngineMetrics, MatchMode, OutMessage, ReactiveEngine, ReplayMark};
+pub use engine::{EngineMetrics, InMessage, MatchMode, OutMessage, ReactiveEngine, ReplayMark};
 pub use meta::{rule_from_term, rule_to_term, ruleset_from_term, ruleset_to_term};
 pub use parser::{parse_action, parse_program, parse_rule};
 pub use reweb_events::JoinMode;
 pub use rule::{Branch, EcaRule, RuleSet};
-pub use shard::{ExecMode, InMessage, ShardedEngine};
-pub use surface::Engine;
+pub use shard::{ExecMode, ShardedEngine};
 
 pub use reweb_term::TermError;
 

@@ -63,7 +63,7 @@ use reweb_events::{EventQuery, EventRule};
 use reweb_term::{fnv1a, Dur, Sym, SymMap, Term, Timestamp};
 
 use crate::aaa::MessageMeta;
-use crate::engine::{EngineMetrics, OutMessage, ReactiveEngine};
+use crate::engine::{EngineMetrics, InMessage, OutMessage, ReactiveEngine};
 use crate::meta::ruleset_from_term;
 use crate::rule::RuleSet;
 
@@ -72,24 +72,6 @@ pub mod exec;
 pub use exec::ExecMode;
 
 use exec::{Job, JobKind, Reply, WorkerPool};
-
-/// One unit of batch input: everything [`ReactiveEngine::receive`] takes.
-#[derive(Clone, Debug, PartialEq)]
-pub struct InMessage {
-    /// The event payload.
-    pub payload: Term,
-    /// Transport metadata (sender, credentials) for AAA admission.
-    pub meta: MessageMeta,
-    /// Arrival time; batches should be non-decreasing in `at`.
-    pub at: Timestamp,
-}
-
-impl InMessage {
-    /// Bundle a payload, its transport metadata, and an arrival time.
-    pub fn new(payload: Term, meta: MessageMeta, at: Timestamp) -> InMessage {
-        InMessage { payload, meta, at }
-    }
-}
 
 /// Where a rule's trigger places it among the shards.
 enum Affinity {

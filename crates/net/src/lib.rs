@@ -16,11 +16,11 @@
 //!   queue whose overflow is an explicit `busy`
 //!   reply — backpressure is part of the protocol, not a TCP accident;
 //! - **the driver** ([`server`]): one thread forming batches under size
-//!   and latency bounds and feeding any [`reweb_core::Engine`] — a
-//!   [`reweb_core::ReactiveEngine`] or a [`reweb_persist::DurableEngine`]
-//!   over one — through the
-//!   *tagged* batch surface, so every reaction routes back to the
-//!   connection whose event produced it;
+//!   and latency bounds and feeding the one served engine type, a
+//!   [`reweb_persist::DurableEngine`]: a [`reweb_core::ReactiveEngine`]
+//!   and, when its inputs are logged, its journal. It feeds the engine
+//!   through the *tagged* batch surface, so every reaction routes back
+//!   to the connection whose event produced it;
 //! - **the client** ([`client`]): the blocking reference client the
 //!   tests, benches, and the websim TCP front use;
 //! - **outbound delivery** ([`delivery`]): the push half of Thesis 2 —

@@ -20,11 +20,12 @@ use std::collections::HashMap;
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use reweb_core::{Engine, InMessage, OutMessage};
+use reweb_core::{InMessage, OutMessage};
+use reweb_persist::DurableEngine;
 use reweb_term::frame::{read_frame, FrameError};
 use reweb_term::Timestamp;
 
@@ -124,8 +125,8 @@ struct ClientHandle {
 /// State shared by every server thread.
 struct Shared {
     cfg: NetConfig,
-    engine: Mutex<Box<dyn Engine>>,
-    /// The engine's [`Engine::descriptor`], read once at bind: it never
+    engine: Mutex<DurableEngine>,
+    /// The engine's [`DurableEngine::descriptor`], read once at bind: it never
     /// changes, and `welcome` must not depend on the engine lock (a
     /// driver that panicked mid-batch leaves that lock poisoned).
     descriptor: String,
@@ -193,12 +194,14 @@ pub struct NetServer {
 
 impl NetServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// start serving `engine` under `cfg`.
+    /// start serving `engine` under `cfg`: a `ReactiveEngine`, served
+    /// without a journal, or a journalled [`DurableEngine`].
     pub fn bind(
         addr: impl ToSocketAddrs,
-        engine: impl Engine + 'static,
+        engine: impl Into<DurableEngine>,
         cfg: NetConfig,
     ) -> std::io::Result<NetServer> {
+        let engine = engine.into();
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let ledger = match &cfg.delivery_journal {
@@ -210,7 +213,7 @@ impl NetServer {
             queue: IngressQueue::new(cfg.queue_capacity),
             cfg,
             descriptor: engine.descriptor(),
-            engine: Mutex::new(Box::new(engine)),
+            engine: Mutex::new(engine),
             clients: Mutex::new(HashMap::new()),
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
@@ -278,10 +281,8 @@ impl NetServer {
     /// lock per batch, so this sees a consistent state between batches
     /// — use it to install programs at startup or to read metrics in
     /// tests; holding it stalls ingestion.
-    pub fn with_engine<R>(&self, f: impl FnOnce(&mut dyn Engine) -> R) -> R {
-        let mut guard: MutexGuard<'_, Box<dyn Engine>> =
-            self.shared.engine.lock().expect("engine mutex poisoned");
-        f(guard.as_mut())
+    pub fn with_engine<R>(&self, f: impl FnOnce(&mut DurableEngine) -> R) -> R {
+        f(&mut self.shared.engine.lock().expect("engine mutex poisoned"))
     }
 
     /// Attach a delivery agent: from now on every reaction the engine
@@ -924,7 +925,7 @@ fn driver_loop(shared: Arc<Shared>) {
                         .engine
                         .lock()
                         .expect("engine mutex poisoned")
-                        .advance_clock(at);
+                        .advance_time(at);
                     match outcome {
                         Ok(outs) => {
                             for o in outs {

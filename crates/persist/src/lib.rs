@@ -2,11 +2,11 @@
 //!
 //! Every engine in the lower layers is in-memory: kill the process and
 //! rules, resource stores, and in-flight composite-event state vanish.
-//! This crate wraps a [`reweb_core::ReactiveEngine`] in a
-//! [`DurableEngine`] that makes the node recoverable. Recovery steps that
-//! one engine directly: it logs the engine's inputs and replays them
-//! into it, with no per-shard views in between.
-//!
+//! This crate makes a [`reweb_core::ReactiveEngine`] recoverable by
+//! stepping it through a [`Journal`]: the journal logs each input and
+//! then applies it to the engine, and on open it replays the log into
+//! the engine in place. [`DurableEngine`] pairs the engine with an
+//! optional journal; it is the one type hosts serve, journalled or not.
 //!
 //! * **Write-ahead log.** Every input — `install_program`,
 //!   `receive`/`receive_batch` payloads, `advance_time`, `put_resource`
@@ -18,7 +18,7 @@
 //!   reprinted rule programs (the install journal), the resource store,
 //!   metrics, and action log — is written to
 //!   `snapshot.bin` together with a log offset ([`snapshot::Snapshot`]).
-//! * **Recovery.** [`DurableEngine::open`] rebuilds the engine: load the
+//! * **Recovery.** [`Journal::open`] rebuilds the engine: load the
 //!   snapshot (if any), then replay the log suffix. A torn or corrupt
 //!   final record — the expected residue of a crash mid-write — is
 //!   discarded and the file truncated back to the last valid boundary,
@@ -84,9 +84,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use reweb_core::{
-    Engine, EngineMetrics, InMessage, MessageMeta, OutMessage, ReactiveEngine, ReplayMark,
-};
+use reweb_core::{EngineMetrics, InMessage, MessageMeta, OutMessage, ReactiveEngine, ReplayMark};
 use reweb_obs::{Obs, Stage};
 use reweb_term::{Term, TermError, Timestamp};
 
@@ -164,7 +162,7 @@ pub enum SyncPolicy {
     Os,
 }
 
-/// Configuration of a [`DurableEngine`].
+/// Configuration of a [`Journal`].
 #[derive(Clone, Copy, Debug)]
 pub struct DurableOptions {
     /// Fsync policy (default: [`SyncPolicy::Always`]).
@@ -183,7 +181,7 @@ impl Default for DurableOptions {
     }
 }
 
-/// What [`DurableEngine::open`] did to bring the engine back.
+/// What [`Journal::open`] did to bring the engine back.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryStats {
     /// True when an existing log was found and replayed.
@@ -198,9 +196,10 @@ pub struct RecoveryStats {
     pub replayed_records: u64,
     /// Install-journal entries replayed from the snapshot.
     pub journal_entries: u64,
-    /// Wall-clock nanoseconds [`DurableEngine::open`] spent bringing the
+    /// Wall-clock nanoseconds [`Journal::open`] spent bringing the
     /// engine back (0 for a fresh log). Reported as a `recovery` span
-    /// once an observability handle is attached.
+    /// once an observability handle is attached
+    /// ([`DurableEngine::set_obs`]).
     pub elapsed_ns: u64,
 }
 
@@ -220,41 +219,28 @@ struct Mark {
     journal_len: usize,
 }
 
-/// A crash-recoverable wrapper around a [`ReactiveEngine`]: same input
-/// surface, plus a write-ahead log and snapshots underneath. See the
-/// crate docs for the recovery discipline.
-///
-/// Every method is defined for `DurableEngine<ReactiveEngine>` only. The
-/// type parameter stays, defaulted, so that code naming
-/// `DurableEngine<ReactiveEngine>` (the benchmark harness does) keeps
-/// compiling.
-pub struct DurableEngine<E = ReactiveEngine> {
-    engine: E,
+/// The shape descriptor of a [`ReactiveEngine`] in log and snapshot
+/// headers; a pair with a journal serves as `durable:single`. Recovery
+/// refuses any other shape, so both strings are frozen: changing one
+/// makes every existing log unreadable.
+const ENGINE: &str = "single";
+
+/// The write-ahead journal of one [`ReactiveEngine`]: the log, the
+/// snapshots, and what recovery and the next snapshot need to know. It
+/// does not own the engine; every call takes it, so stepping an engine
+/// and logging its inputs stay one step (see the crate docs).
+pub struct Journal {
     wal: wal::Wal,
     snap_path: PathBuf,
     opts: DurableOptions,
     /// Offset of the first non-header record (genesis warm start).
     genesis_offset: u64,
     /// Every rule install since genesis, in order.
-    journal: Vec<JournalEntry>,
+    installs: Vec<JournalEntry>,
     /// Replay marks of recent records, pruned to the retention horizon.
     marks: VecDeque<Mark>,
     records_since_snapshot: u64,
     recovery: RecoveryStats,
-    /// Mirror of the wrapped engine's observability handle, kept locally
-    /// so the per-record fsync path pays one relaxed load, not a call
-    /// through the wrapped engine.
-    obs: Arc<Obs>,
-}
-
-impl fmt::Debug for DurableEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DurableEngine")
-            .field("engine", &self.engine.descriptor())
-            .field("wal_len", &self.wal.len())
-            .field("journal_entries", &self.journal.len())
-            .finish_non_exhaustive()
-    }
 }
 
 enum Mode {
@@ -263,28 +249,20 @@ enum Mode {
     Replay,
 }
 
-impl DurableEngine {
-    /// Open (or create) a durable engine rooted at `dir`. `build` must
-    /// return the engine in its *configured blank* state — same shape,
-    /// AAA setup, and TTL the original process used; everything dynamic
+impl Journal {
+    /// Open (or create) the journal rooted at `dir` and recover `engine`
+    /// in place. `engine` must be in its *configured blank* state — the
+    /// AAA setup and TTL the original process used; everything dynamic
     /// (rules, events, stores) is replayed from disk. Fails on real
     /// corruption (unknown records, schema/shape mismatch, a snapshot
     /// pointing past the log end); a torn log tail or half-written
     /// snapshot is healed silently and reported in
-    /// [`DurableEngine::recovery`].
-    pub fn open(
-        dir: &Path,
-        opts: DurableOptions,
-        build: impl FnOnce() -> ReactiveEngine,
-    ) -> Result<Self> {
+    /// [`Journal::recovery`].
+    pub fn open(dir: &Path, opts: DurableOptions, engine: &mut ReactiveEngine) -> Result<Journal> {
         let opened_at = std::time::Instant::now();
         std::fs::create_dir_all(dir)?;
-        let wal_path = dir.join("wal.log");
         let snap_path = dir.join("snapshot.bin");
-        let opened = wal::Wal::open(&wal_path)?;
-        let engine = build();
-        let desc = engine.descriptor();
-
+        let opened = wal::Wal::open(&dir.join("wal.log"))?;
         let mut records = opened.records;
         let mut wal = opened.wal;
         let fresh = records.is_empty();
@@ -302,7 +280,7 @@ impl DurableEngine {
                 }
                 wal.append(&Record::Head {
                     schema: wal::WAL_SCHEMA.to_string(),
-                    engine: desc,
+                    engine: ENGINE.to_string(),
                 })?;
                 wal.sync()?;
                 wal.len()
@@ -314,9 +292,9 @@ impl DurableEngine {
                         wal::WAL_SCHEMA
                     )));
                 }
-                if *engine != desc {
+                if engine != ENGINE {
                     return Err(PersistError::Corrupt(format!(
-                        "log was written by engine `{engine}` but `{desc}` is recovering it"
+                        "log was written by engine `{engine}` but `{ENGINE}` is recovering it"
                     )));
                 }
                 records.remove(0);
@@ -332,18 +310,15 @@ impl DurableEngine {
             }
         };
 
-        let obs = Arc::clone(engine.obs());
-        let mut me = DurableEngine {
-            engine,
+        let mut me = Journal {
             wal,
             snap_path,
             opts,
             genesis_offset,
-            journal: Vec::new(),
+            installs: Vec::new(),
             marks: VecDeque::new(),
             records_since_snapshot: 0,
             recovery: RecoveryStats::default(),
-            obs,
         };
         if fresh {
             return Ok(me);
@@ -355,11 +330,11 @@ impl DurableEngine {
         };
         match Snapshot::read_from(&me.snap_path)? {
             Some(snap) => {
-                me.recover_with_snapshot(&records, snap, &mut stats)?;
+                me.recover_with_snapshot(engine, &records, snap, &mut stats)?;
             }
             None => {
                 for (off, rec) in &records {
-                    me.apply(*off, rec, Mode::Replay)?;
+                    me.apply(engine, *off, rec, Mode::Replay)?;
                     stats.replayed_records += 1;
                 }
             }
@@ -370,36 +345,32 @@ impl DurableEngine {
         Ok(me)
     }
 
-    /// The attached observability handle.
-    pub fn obs(&self) -> &Arc<Obs> {
-        &self.obs
-    }
-
-    /// Flush the WAL, recording the stall into the fsync histogram (and
-    /// an untraced `fsync` span) when observability is on.
-    fn sync_wal(&mut self) -> Result<()> {
-        if !self.obs.is_enabled() {
+    /// Flush the log to stable storage regardless of [`SyncPolicy`],
+    /// recording the stall into `obs`'s fsync histogram (and an untraced
+    /// `fsync` span) when observability is on.
+    pub fn sync(&mut self, obs: &Obs) -> Result<()> {
+        if !obs.is_enabled() {
             return self.wal.sync();
         }
-        let t0 = self.obs.now_ns();
+        let t0 = obs.now_ns();
         let r = self.wal.sync();
-        let dur = self.obs.now_ns().saturating_sub(t0);
-        self.obs.fsync.record(dur);
-        self.obs.span(0, Stage::Fsync, t0, dur);
+        let dur = obs.now_ns().saturating_sub(t0);
+        obs.fsync.record(dur);
+        obs.span(0, Stage::Fsync, t0, dur);
         r
     }
 
     fn recover_with_snapshot(
         &mut self,
+        engine: &mut ReactiveEngine,
         records: &[(u64, Record)],
         snap: Snapshot,
         stats: &mut RecoveryStats,
     ) -> Result<()> {
         stats.used_snapshot = true;
-        let desc = self.engine.descriptor();
-        if snap.engine != desc {
+        if snap.engine != ENGINE {
             return Err(PersistError::Corrupt(format!(
-                "snapshot was taken from engine `{}` but `{desc}` is recovering it",
+                "snapshot was taken from engine `{}` but `{ENGINE}` is recovering it",
                 snap.engine
             )));
         }
@@ -419,7 +390,7 @@ impl DurableEngine {
             ));
         }
         // 1. Suppress all effects while state is reassembled.
-        self.engine.set_replay_warmup(true);
+        engine.set_replay_warmup(true);
 
         // 2. Rule base as of the warm offset: replay the install journal
         //    through the engine's normal install paths, so scoping comes
@@ -427,21 +398,21 @@ impl DurableEngine {
         for entry in &snap.journal {
             match entry {
                 JournalEntry::Static(src) => {
-                    let _ = self.engine.install_program(src);
+                    let _ = engine.install_program(src);
                 }
                 JournalEntry::Dynamic(m) => {
-                    self.engine.receive_batch_tagged(std::slice::from_ref(m));
+                    engine.receive_batch_tagged(std::slice::from_ref(m));
                 }
             }
             stats.journal_entries += 1;
         }
-        self.journal = snap.journal.clone();
+        self.installs = snap.journal.clone();
 
         // 3. Sequence state (clock included) as of the warm offset, the
         //    store as of the snapshot offset (warmup never touches it).
-        self.engine.restore_replay_mark(snap.warm_mark);
+        engine.restore_replay_mark(snap.warm_mark);
         for (uri, version, doc) in &snap.state.resources {
-            self.engine
+            engine
                 .qe
                 .store
                 .put_with_version(uri.clone(), doc.clone(), *version);
@@ -452,18 +423,18 @@ impl DurableEngine {
             if *off < snap.warm_offset || *off >= snap.log_offset {
                 continue;
             }
-            self.apply(*off, rec, Mode::Warm)?;
+            self.apply(engine, *off, rec, Mode::Warm)?;
             stats.warm_records += 1;
         }
 
         // 5. Deadlines the restored clock jumped over must not fire
         //    spuriously later; discharge them while still suppressed.
-        self.engine.flush_due_deadlines();
-        self.engine.set_replay_warmup(false);
+        engine.flush_due_deadlines();
+        engine.set_replay_warmup(false);
 
         // 6. Observability as of S overwrites whatever warmup touched.
-        self.engine.metrics = snap.state.metrics;
-        self.engine.action_log = snap.state.action_log;
+        engine.metrics = snap.state.metrics;
+        engine.action_log = snap.state.action_log;
 
         // 7. Full replay of the suffix [S, …): effects on, outputs
         //    discarded (the pre-crash process already returned them).
@@ -471,7 +442,7 @@ impl DurableEngine {
             if *off < snap.log_offset {
                 continue;
             }
-            self.apply(*off, rec, Mode::Replay)?;
+            self.apply(engine, *off, rec, Mode::Replay)?;
             stats.replayed_records += 1;
         }
         Ok(())
@@ -483,24 +454,29 @@ impl DurableEngine {
     /// caller; in replay modes they are swallowed — the original caller
     /// already saw them, and installation has no rollback, so re-running
     /// the same text reproduces the same partial state.
-    fn apply(&mut self, offset: u64, rec: &Record, mode: Mode) -> Result<Vec<(u32, OutMessage)>> {
-        self.push_mark(offset, rec);
+    fn apply(
+        &mut self,
+        engine: &mut ReactiveEngine,
+        offset: u64,
+        rec: &Record,
+        mode: Mode,
+    ) -> Result<Vec<(u32, OutMessage)>> {
+        self.push_mark(engine, offset, rec);
         let outcome = match rec {
             Record::Head { .. } => Ok(Vec::new()),
             Record::Install(src) => {
-                self.journal.push(JournalEntry::Static(src.clone()));
-                self.engine.install_program(src).map(|()| Vec::new())
+                self.installs.push(JournalEntry::Static(src.clone()));
+                engine.install_program(src).map(|()| Vec::new())
             }
             Record::Batch(msgs) => {
                 for m in msgs {
                     if m.payload.label() == Some("install_rules") {
-                        self.journal.push(JournalEntry::Dynamic(m.clone()));
+                        self.installs.push(JournalEntry::Dynamic(m.clone()));
                     }
                 }
-                Ok(self.engine.receive_batch_tagged(msgs))
+                Ok(engine.receive_batch_tagged(msgs))
             }
-            Record::Advance(t) => Ok(self
-                .engine
+            Record::Advance(t) => Ok(engine
                 .advance_time(*t)
                 .into_iter()
                 .map(|o| (0, o))
@@ -510,7 +486,7 @@ impl DurableEngine {
             // later in-window updates.
             Record::Put { .. } if matches!(mode, Mode::Warm) => Ok(Vec::new()),
             Record::Put { uri, doc } => {
-                self.engine.qe.store.put(uri.clone(), doc.clone());
+                engine.qe.store.put(uri.clone(), doc.clone());
                 Ok(Vec::new())
             }
         };
@@ -524,8 +500,8 @@ impl DurableEngine {
     /// Capture this record's replay mark (sequence state *before*
     /// processing) and prune marks that fell behind the retention
     /// horizon.
-    fn push_mark(&mut self, offset: u64, rec: &Record) {
-        let mark = self.engine.replay_mark();
+    fn push_mark(&mut self, engine: &ReactiveEngine, offset: u64, rec: &Record) {
+        let mark = engine.replay_mark();
         let clock = mark.clock;
         let at = match rec {
             Record::Batch(msgs) => msgs.iter().map(|m| m.at).fold(clock, Timestamp::max),
@@ -536,9 +512,9 @@ impl DurableEngine {
             offset,
             at,
             mark,
-            journal_len: self.journal.len(),
+            journal_len: self.installs.len(),
         });
-        match self.engine.replay_horizon() {
+        match engine.replay_horizon() {
             Some(r) => {
                 let horizon = at.saturating_sub(r);
                 while self.marks.front().is_some_and(|m| m.at < horizon) {
@@ -549,109 +525,73 @@ impl DurableEngine {
         }
     }
 
-    /// The one input path: log the record, sync it per policy, process
-    /// it, and snapshot on cadence.
-    fn commit(&mut self, rec: Record) -> Result<Vec<(u32, OutMessage)>> {
+    /// The one input path: log the record, sync it per policy, apply it
+    /// to `engine`, and snapshot on cadence.
+    pub fn commit(
+        &mut self,
+        engine: &mut ReactiveEngine,
+        rec: Record,
+    ) -> Result<Vec<(u32, OutMessage)>> {
         let offset = self.wal.append(&rec)?;
         if self.opts.sync == SyncPolicy::Always {
-            self.sync_wal()?;
+            self.sync(engine.obs())?;
         }
-        let out = self.apply(offset, &rec, Mode::Live)?;
+        let out = self.apply(engine, offset, &rec, Mode::Live)?;
         self.records_since_snapshot += 1;
         if let Some(n) = self.opts.snapshot_every {
             if self.records_since_snapshot >= n {
-                self.snapshot_now()?;
+                self.snapshot_now(engine)?;
             }
         }
         Ok(out)
     }
 
-    /// Log and install a rule program.
-    pub fn install_program(&mut self, src: &str) -> Result<()> {
-        self.commit(Record::Install(src.to_string())).map(|_| ())
-    }
-
-    /// Log and process one message.
-    pub fn receive(
-        &mut self,
-        payload: Term,
-        meta: &MessageMeta,
-        at: Timestamp,
-    ) -> Result<Vec<OutMessage>> {
-        self.commit(Record::Batch(vec![InMessage::new(
-            payload,
-            meta.clone(),
-            at,
-        )]))
-        .map(untag)
-    }
-
-    /// Log and process one ingestion batch (one log record, one fsync).
-    pub fn receive_batch(&mut self, msgs: &[InMessage]) -> Result<Vec<OutMessage>> {
-        self.commit(Record::Batch(msgs.to_vec())).map(untag)
-    }
-
-    /// Log and apply a clock advance.
-    pub fn advance_time(&mut self, t: Timestamp) -> Result<Vec<OutMessage>> {
-        self.commit(Record::Advance(t)).map(untag)
-    }
-
-    /// Log and apply a direct resource write.
-    pub fn put_resource(&mut self, uri: &str, doc: Term) -> Result<()> {
-        self.commit(Record::Put {
-            uri: uri.to_string(),
-            doc,
-        })
-        .map(|_| ())
-    }
-
-    /// Write a snapshot of the current durable state (see crate docs).
-    pub fn snapshot_now(&mut self) -> Result<()> {
+    /// Write a snapshot of `engine`'s durable state (see crate docs).
+    pub fn snapshot_now(&mut self, engine: &ReactiveEngine) -> Result<()> {
         // The snapshot references `wal.len()`; under `SyncPolicy::Os`
         // those bytes may still live in the page cache. Flush first, so
         // a durable snapshot can never point past the durable log — a
         // machine crash in that window would otherwise leave a node that
         // refuses to start ("snapshot is newer than the log").
-        self.sync_wal()?;
+        self.sync(engine.obs())?;
         let end = self.wal.len();
-        let clock = self.engine.now();
+        let clock = engine.now();
         // Warm start: the first retained record inside the retention
         // horizon. No such record (quiet log, or everything expired) ⇒
         // the snapshot is self-sufficient and warms from its own offset;
         // unbounded retention ⇒ warm from genesis.
-        let (warm_offset, warm_mark, journal_len) = match self.engine.replay_horizon() {
+        let (warm_offset, warm_mark, journal_len) = match engine.replay_horizon() {
             None => (self.genesis_offset, ReplayMark::default(), 0usize),
             Some(r) => {
                 let horizon = clock.saturating_sub(r);
                 match self.marks.iter().find(|m| m.at >= horizon) {
                     Some(m) => (m.offset, m.mark, m.journal_len),
-                    None => (end, self.engine.replay_mark(), self.journal.len()),
+                    None => (end, engine.replay_mark(), self.installs.len()),
                 }
             }
         };
-        let e = &self.engine;
         let state = ShardState {
-            resources: e
+            resources: engine
                 .qe
                 .store
                 .uris()
                 .map(|u| {
                     (
                         u.to_string(),
-                        e.qe.store.version(u).expect("listed uri"),
-                        e.qe.store.get(u).expect("listed uri").clone(),
+                        engine.qe.store.version(u).expect("listed uri"),
+                        engine.qe.store.get(u).expect("listed uri").clone(),
                     )
                 })
                 .collect(),
-            metrics: e.metrics.clone(),
-            action_log: e.action_log.clone(),
+            metrics: engine.metrics.clone(),
+            action_log: engine.action_log.clone(),
         };
         let snap = Snapshot {
-            engine: e.descriptor(),
+            engine: ENGINE.to_string(),
             log_offset: end,
             warm_offset,
             warm_mark,
-            journal: self.journal[..journal_len].to_vec(),
+            journal: self.installs[..journal_len].to_vec(),
             state,
         };
         snap.write_to(&self.snap_path)?;
@@ -659,13 +599,7 @@ impl DurableEngine {
         Ok(())
     }
 
-    /// The wrapped engine (read access; mutating it directly would
-    /// bypass the log).
-    pub fn engine(&self) -> &ReactiveEngine {
-        &self.engine
-    }
-
-    /// What recovery did when this handle was opened.
+    /// What recovery did when this journal was opened.
     pub fn recovery(&self) -> &RecoveryStats {
         &self.recovery
     }
@@ -674,68 +608,195 @@ impl DurableEngine {
     pub fn wal_len(&self) -> u64 {
         self.wal.len()
     }
+}
 
-    /// Path of the write-ahead log file.
-    pub fn wal_path(&self) -> &Path {
-        self.wal.path()
+/// One served engine: a [`ReactiveEngine`] and, when its inputs are
+/// logged, its [`Journal`]. Hosts (the TCP ingress tier, the Web
+/// simulator) hold this one type. With a journal every state-changing
+/// call is logged before the engine steps ([`DurableEngine::open`]);
+/// without one ([`From<ReactiveEngine>`]) the calls go straight to the
+/// engine and build no log record.
+///
+/// The type parameter stays, defaulted and with every method defined
+/// for `DurableEngine<ReactiveEngine>` only, so that code naming
+/// `DurableEngine<ReactiveEngine>` (the benchmark harness does) keeps
+/// compiling.
+pub struct DurableEngine<E = ReactiveEngine> {
+    engine: E,
+    journal: Option<Journal>,
+}
+
+impl fmt::Debug for DurableEngine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DurableEngine")
+            .field("engine", &self.descriptor())
+            .field("wal_len", &self.wal_len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// An engine served without a journal: nothing is logged.
+impl From<ReactiveEngine> for DurableEngine {
+    fn from(engine: ReactiveEngine) -> Self {
+        DurableEngine {
+            engine,
+            journal: None,
+        }
+    }
+}
+
+impl DurableEngine {
+    /// Open (or create) the journal at `dir` for the engine `build`
+    /// returns in its configured blank state, recovering it from disk
+    /// (see [`Journal::open`]).
+    pub fn open(
+        dir: &Path,
+        opts: DurableOptions,
+        build: impl FnOnce() -> ReactiveEngine,
+    ) -> Result<Self> {
+        let mut engine = build();
+        let journal = Journal::open(dir, opts, &mut engine)?;
+        Ok(DurableEngine {
+            engine,
+            journal: Some(journal),
+        })
     }
 
-    /// Flush the log to stable storage regardless of [`SyncPolicy`].
+    /// Shape descriptor: `single`, or `durable:single` with a journal.
+    /// Frozen (see the wire's `welcome`).
+    pub fn descriptor(&self) -> String {
+        match self.journal {
+            Some(_) => format!("durable:{ENGINE}"),
+            None => ENGINE.to_string(),
+        }
+    }
+
+    /// Install a rule program, logged first when there is a journal.
+    pub fn install_program(&mut self, src: &str) -> Result<()> {
+        match &mut self.journal {
+            Some(j) => j
+                .commit(&mut self.engine, Record::Install(src.to_string()))
+                .map(drop),
+            None => Ok(self.engine.install_program(src)?),
+        }
+    }
+
+    /// [`DurableEngine::install_program`] under the name the benchmark
+    /// harness calls.
+    pub fn install_source(&mut self, src: &str) -> Result<()> {
+        self.install_program(src)
+    }
+
+    /// Process one ingestion batch (with a journal: one log record, one
+    /// fsync), tagging each output with the index of the batch message
+    /// that produced it — what lets a host route every reaction back to
+    /// its submitter.
+    pub fn receive_batch_tagged(&mut self, msgs: &[InMessage]) -> Result<Vec<(u32, OutMessage)>> {
+        match &mut self.journal {
+            Some(j) => j.commit(&mut self.engine, Record::Batch(msgs.to_vec())),
+            None => Ok(self.engine.receive_batch_tagged(msgs)),
+        }
+    }
+
+    /// [`DurableEngine::receive_batch_tagged`] with the tags stripped.
+    pub fn receive_batch(&mut self, msgs: &[InMessage]) -> Result<Vec<OutMessage>> {
+        self.receive_batch_tagged(msgs).map(untag)
+    }
+
+    /// Process one message: a batch of one.
+    pub fn receive(
+        &mut self,
+        payload: Term,
+        meta: &MessageMeta,
+        at: Timestamp,
+    ) -> Result<Vec<OutMessage>> {
+        self.receive_batch(&[InMessage::new(payload, meta.clone(), at)])
+    }
+
+    /// Advance the virtual clock, firing due absence deadlines.
+    pub fn advance_time(&mut self, t: Timestamp) -> Result<Vec<OutMessage>> {
+        match &mut self.journal {
+            Some(j) => j.commit(&mut self.engine, Record::Advance(t)).map(untag),
+            None => Ok(self.engine.advance_time(t)),
+        }
+    }
+
+    /// Store a document in the engine's resource store.
+    pub fn put_resource(&mut self, uri: &str, doc: Term) -> Result<()> {
+        let uri = uri.to_string();
+        match &mut self.journal {
+            Some(j) => j
+                .commit(&mut self.engine, Record::Put { uri, doc })
+                .map(drop),
+            None => {
+                self.engine.qe.store.put(uri, doc);
+                Ok(())
+            }
+        }
+    }
+
+    /// The engine's metrics.
+    pub fn metrics(&self) -> EngineMetrics {
+        self.engine.metrics.clone()
+    }
+
+    /// The engine's observability handle; the journal reports into it
+    /// too.
+    pub fn obs(&self) -> &Arc<Obs> {
+        self.engine.obs()
+    }
+
+    /// Attach a shared observability handle. If the journal recovered an
+    /// existing log, the recovery duration is recorded as a `recovery`
+    /// span at attach time.
+    pub fn set_obs(&mut self, obs: Arc<Obs>) {
+        let recovered = self.journal.as_ref().map(Journal::recovery);
+        if let Some(r) = recovered.filter(|r| r.recovered && obs.is_enabled()) {
+            obs.span(0, Stage::Recovery, 0, r.elapsed_ns);
+        }
+        self.engine.set_obs(obs);
+    }
+
+    /// Write a snapshot now (a no-op without a journal).
+    pub fn snapshot_now(&mut self) -> Result<()> {
+        match &mut self.journal {
+            Some(j) => j.snapshot_now(&self.engine),
+            None => Ok(()),
+        }
+    }
+
+    /// The engine (read access; mutating it directly would bypass the
+    /// journal).
+    pub fn engine(&self) -> &ReactiveEngine {
+        &self.engine
+    }
+
+    /// What recovery did when the journal was opened (nothing, without
+    /// one).
+    pub fn recovery(&self) -> RecoveryStats {
+        self.journal
+            .as_ref()
+            .map(Journal::recovery)
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    /// Flush the log to stable storage regardless of [`SyncPolicy`] (a
+    /// no-op without a journal).
     pub fn sync(&mut self) -> Result<()> {
-        self.sync_wal()
+        match &mut self.journal {
+            Some(j) => j.sync(self.engine.obs()),
+            None => Ok(()),
+        }
+    }
+
+    /// Valid bytes in the write-ahead log (0 without a journal).
+    pub fn wal_len(&self) -> u64 {
+        self.journal.as_ref().map_or(0, Journal::wal_len)
     }
 }
 
 /// Drop the batch-message tags from a record's outputs.
 fn untag(out: Vec<(u32, OutMessage)>) -> Vec<OutMessage> {
     out.into_iter().map(|(_, o)| o).collect()
-}
-
-/// A durability failure as seen through the [`Engine`] surface, with the
-/// text [`PersistError`]'s `Display` gives it.
-fn engine_error(e: PersistError) -> TermError {
-    TermError::Engine(e.to_string())
-}
-
-/// Every call that changes state is logged first.
-impl Engine for DurableEngine {
-    fn descriptor(&self) -> String {
-        format!("durable:{}", self.engine.descriptor())
-    }
-    fn install_source(&mut self, src: &str) -> std::result::Result<(), TermError> {
-        self.install_program(src).map_err(engine_error)
-    }
-    fn receive_batch_tagged(
-        &mut self,
-        msgs: &[InMessage],
-    ) -> std::result::Result<Vec<(u32, OutMessage)>, TermError> {
-        self.commit(Record::Batch(msgs.to_vec()))
-            .map_err(engine_error)
-    }
-    fn advance_clock(&mut self, t: Timestamp) -> std::result::Result<Vec<OutMessage>, TermError> {
-        self.advance_time(t).map_err(engine_error)
-    }
-    fn put_doc(&mut self, uri: &str, doc: Term) -> std::result::Result<(), TermError> {
-        self.put_resource(uri, doc).map_err(engine_error)
-    }
-    fn metrics(&self) -> EngineMetrics {
-        self.engine.metrics()
-    }
-    fn obs(&self) -> &Arc<Obs> {
-        &self.obs
-    }
-    /// Also covers this durability layer (fsync stalls, recovery span).
-    /// If this handle recovered an existing log, the recovery duration
-    /// is recorded as a `recovery` span at attach time.
-    fn set_obs(&mut self, obs: Arc<Obs>) {
-        self.engine.set_obs(Arc::clone(&obs));
-        self.obs = obs;
-        if self.obs.is_enabled() && self.recovery.recovered {
-            self.obs
-                .span(0, Stage::Recovery, 0, self.recovery.elapsed_ns);
-        }
-    }
-    fn next_deadline(&self) -> Option<Timestamp> {
-        self.engine.next_deadline()
-    }
 }

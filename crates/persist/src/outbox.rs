@@ -63,9 +63,15 @@ enum OutboxRecord {
     /// `next` is written only by [`Outbox::compact`]: the first sequence
     /// number not yet handed out, which the settled records it drops no
     /// longer show.
-    Head { schema: String, next: Option<u64> },
+    Head {
+        schema: String,
+        next: Option<u64>,
+    },
     Enq(PendingDelivery),
-    Settle { seq: u64, how: Settle },
+    Settle {
+        seq: u64,
+        how: Settle,
+    },
 }
 
 impl OutboxRecord {
@@ -412,16 +418,25 @@ mod tests {
         let path = scratch("all-settled");
         let mut ob = Outbox::open(&path, SyncPolicy::Always).unwrap().outbox;
         for i in 0..4 {
-            let seq = ob.enqueue("http://b/", Timestamp(i), &Term::elem("e")).unwrap();
+            let seq = ob
+                .enqueue("http://b/", Timestamp(i), &Term::elem("e"))
+                .unwrap();
             ob.settle(seq, Settle::Acked).unwrap();
         }
         ob.compact().unwrap();
         drop(ob);
         let open = Outbox::open(&path, SyncPolicy::Always).unwrap();
         assert!(open.pending.is_empty());
-        assert_eq!(reweb_term::scan_frames(&std::fs::read(&path).unwrap()).frames.len(), 1);
+        assert_eq!(
+            reweb_term::scan_frames(&std::fs::read(&path).unwrap())
+                .frames
+                .len(),
+            1
+        );
         let mut ob = open.outbox;
-        let seq = ob.enqueue("http://b/", Timestamp(9), &Term::elem("f")).unwrap();
+        let seq = ob
+            .enqueue("http://b/", Timestamp(9), &Term::elem("f"))
+            .unwrap();
         assert_eq!(seq, 4, "a compacted outbox must not reuse sequence numbers");
         let _ = std::fs::remove_file(&path);
     }

@@ -36,15 +36,16 @@ pub enum Record {
     Head {
         /// Always [`WAL_SCHEMA`] for logs this build writes.
         schema: String,
-        /// [`reweb_core::Engine::descriptor`] of the writing engine.
+        /// Shape descriptor of the writing engine: always `single`
+        /// (frozen; recovery refuses any other).
         engine: String,
     },
     /// A rule program installed through the durable API (or reprinted
     /// from a [`reweb_core::RuleSet`]).
     Install(String),
-    /// One ingestion batch (a single `receive` is a batch of one). The
-    /// batch boundary itself is semantic for the sharded engine (its
-    /// epilogue clock sweep runs per batch), so it is preserved.
+    /// One ingestion batch (a single `receive` is a batch of one): one
+    /// record and one fsync, whose outputs are tagged with the index of
+    /// the message that produced them.
     Batch(Vec<InMessage>),
     /// An explicit clock advance.
     Advance(Timestamp),

@@ -8,10 +8,11 @@
 //! whole-system runs are reproducible bit for bit.
 //!
 //! * Every node processes its rules **locally** ([`NodeKind::Engine`]
-//!   wraps a `reweb_core::ReactiveEngine`); coordination happens only
-//!   through messages — there is no central rule processor (Thesis 2).
-//!   Locality is between nodes: a node is one engine (plain, durable or
-//!   served over TCP), never a set of in-process shards.
+//!   holds one `reweb_core::ReactiveEngine`, with a journal when its
+//!   inputs are logged); coordination happens only through messages —
+//!   there is no central rule processor (Thesis 2). Locality is between
+//!   nodes: a node is one engine (in memory, journalled or served over
+//!   TCP), never a set of in-process shards.
 //! * **Push**: resource owners notify subscribers on every change
 //!   ([`Simulation::subscribe_push`]); **poll**: a [`Poller`] GETs a
 //!   remote resource periodically and synthesizes change events from the
@@ -25,7 +26,7 @@
 //!   cross the actual wire protocol in lockstep, so a networked engine
 //!   can be dropped into any experiment without losing determinism.
 //! * **Fault injection**: [`Simulation::kill_node`] crashes a node
-//!   mid-run — a [`NodeKind::Durable`] node drops its in-memory engine
+//!   mid-run — a journalled [`EngineNode`] drops its in-memory engine
 //!   (its write-ahead log survives on disk), a [`NodeKind::Net`] node
 //!   drops its TCP session — and [`Simulation::recover_node`] brings it
 //!   back, replaying the log or reconnecting. Deliveries that arrive
@@ -40,7 +41,7 @@ pub mod node;
 pub mod sim;
 
 pub use envelope::Envelope;
-pub use node::{DurableNode, NetFront, NodeKind, Poller};
+pub use node::{EngineNode, NetFront, NodeKind, Poller};
 pub use sim::{NetMetrics, Simulation};
 
 pub use reweb_term::TermError;

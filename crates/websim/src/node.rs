@@ -1,9 +1,9 @@
 //! Web nodes: engines, resource servers, pollers, sinks, and TCP
 //! fronts.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use reweb_core::{Engine, ReactiveEngine};
+use reweb_core::ReactiveEngine;
 use reweb_net::wire::Reply;
 use reweb_net::NetClient;
 use reweb_persist::log::{read_frames, FrameLog};
@@ -14,10 +14,9 @@ use crate::envelope::Envelope;
 
 /// What a node does with the messages and timers it receives.
 pub enum NodeKind {
-    /// A reactive node: rules processed locally (Thesis 2). Boxed: a
-    /// `ReactiveEngine` is by far the largest variant, and nodes of all
-    /// kinds live together in the simulation's node map.
-    Engine(Box<ReactiveEngine>),
+    /// A reactive node: rules processed locally (Thesis 2), by one
+    /// engine with an optional journal ([`EngineNode`]).
+    Engine(EngineNode),
     /// A passive resource server: answers `GET`s, ignores `POST`s.
     Store(ResourceStore),
     /// A polling observer (the Thesis 3 baseline).
@@ -29,52 +28,32 @@ pub enum NodeKind {
     /// the wire protocol and the engine's reactions re-enter the
     /// simulation as ordinary posts.
     Net(NetFront),
-    /// A reactive node whose engine is wrapped in a WAL-backed
-    /// [`DurableEngine`] ([`DurableNode`]): the fault-injection target.
-    /// `Simulation::kill_node` drops the in-memory engine (the on-disk
-    /// log survives); `Simulation::recover_node` reopens it from the
-    /// log, replaying to the exact pre-crash state.
-    Durable(DurableNode),
 }
 
 impl NodeKind {
     /// The store served to `GET` requests, if this node has one.
     pub fn store(&self) -> Option<&ResourceStore> {
         match self {
-            NodeKind::Engine(e) => Some(&e.qe.store),
+            NodeKind::Engine(_) => self.as_engine().map(|e| &e.qe.store),
             NodeKind::Store(s) => Some(s),
-            NodeKind::Durable(d) => d.engine.as_ref().map(|e| &e.engine().qe.store),
             _ => None,
         }
     }
 
-    /// Mutable access to the single backing store. `None` for durable
-    /// nodes (writes there must be logged, which the simulation does
-    /// through [`DurableEngine::put_resource`]).
+    /// Mutable access to a resource server's store. Engine nodes store
+    /// through their engine, which logs the write when it has a journal.
     pub fn store_mut(&mut self) -> Option<&mut ResourceStore> {
         match self {
-            NodeKind::Engine(e) => Some(&mut e.qe.store),
             NodeKind::Store(s) => Some(s),
             _ => None,
         }
     }
 
-    /// The engine, if this node is an [`NodeKind::Engine`].
+    /// The engine, if this is an engine node (`None` while a journalled
+    /// node is crashed).
     pub fn as_engine(&self) -> Option<&ReactiveEngine> {
         match self {
-            NodeKind::Engine(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// The reactive engine behind an [`NodeKind::Engine`] or live
-    /// [`NodeKind::Durable`] node, through
-    /// the one [`Engine`] surface (`None` for other kinds and for a
-    /// crashed durable node).
-    pub fn as_dyn_engine_mut(&mut self) -> Option<&mut dyn Engine> {
-        match self {
-            NodeKind::Engine(e) => Some(e.as_mut() as &mut dyn Engine),
-            NodeKind::Durable(d) => d.engine.as_deref_mut().map(|e| e as &mut dyn Engine),
+            NodeKind::Engine(n) => n.engine().map(DurableEngine::engine),
             _ => None,
         }
     }
@@ -86,69 +65,64 @@ impl NodeKind {
             _ => None,
         }
     }
-
-    /// The durable node, if this is an [`NodeKind::Durable`].
-    pub fn as_durable(&self) -> Option<&DurableNode> {
-        match self {
-            NodeKind::Durable(d) => Some(d),
-            _ => None,
-        }
-    }
 }
 
-/// A WAL-backed reactive node (the `Simulation::kill_node` /
-/// `recover_node` fault-injection target). While crashed the in-memory
-/// engine is gone (`engine` is `None`) but the log directory persists;
-/// recovery reopens the [`DurableEngine`] from disk, replaying rules,
-/// state, and pending absence deadlines exactly as the persistence tier
-/// guarantees.
-pub struct DurableNode {
+/// A reactive node: one engine and, when its inputs are logged, the
+/// directory of its journal. Killing a journalled node drops its
+/// in-memory engine (the log survives) and recovering it reopens the
+/// [`DurableEngine`] from disk, replaying rules, state, and pending
+/// absence deadlines exactly as the persistence tier guarantees. A node
+/// without a journal keeps its engine across a kill and only stops
+/// receiving while down.
+pub struct EngineNode {
     pub(crate) uri: String,
-    pub(crate) dir: PathBuf,
-    pub(crate) opts: DurableOptions,
-    pub(crate) engine: Option<Box<DurableEngine<ReactiveEngine>>>,
+    pub(crate) journal: Option<(PathBuf, DurableOptions)>,
+    /// `None` while a journalled node is crashed.
+    pub(crate) engine: Option<Box<DurableEngine>>,
 }
 
-impl DurableNode {
-    /// The running engine, `None` while the node is crashed.
-    pub fn engine(&self) -> Option<&DurableEngine<ReactiveEngine>> {
+impl EngineNode {
+    /// The running engine with its optional journal, `None` while the
+    /// node is crashed.
+    pub fn engine(&self) -> Option<&DurableEngine> {
         self.engine.as_deref()
     }
 
-    /// True while the node is crashed (killed and not yet recovered).
-    pub fn is_down(&self) -> bool {
-        self.engine.is_none()
-    }
-
-    /// Simulate a crash: drop the in-memory engine. The log directory
+    /// Simulate a crash: drop a journalled engine. The log directory
     /// survives; whatever was synced is what recovery will see.
     pub(crate) fn kill(&mut self) {
-        self.engine = None;
+        if self.journal.is_some() {
+            self.engine = None;
+        }
     }
 
-    /// Reopen the engine from its log directory (crash recovery).
+    /// Reopen a crashed engine from its log directory (crash recovery).
     pub(crate) fn recover(&mut self) -> reweb_persist::Result<()> {
-        if self.engine.is_some() {
+        let Some((dir, opts)) = self.journal.as_ref().filter(|_| self.engine.is_none()) else {
             return Ok(());
-        }
+        };
         let uri = self.uri.clone();
-        let eng = DurableEngine::open(&self.dir, self.opts, move || ReactiveEngine::new(uri))?;
+        let eng = DurableEngine::open(dir, *opts, move || ReactiveEngine::new(uri))?;
         self.engine = Some(Box::new(eng));
         Ok(())
     }
 
-    /// Journal one delivery lost while this node was down. The count
-    /// lives beside the WAL (CRC-framed, one `lost{at[…]}` record per
-    /// loss) so `NetMetrics::lost_while_down` survives a simulation
-    /// restart over the same directory — the counter is durability
-    /// accounting, and accounting that forgets losses across the very
-    /// crash that caused them is useless. Best-effort: the node is
-    /// *down*; a journaling failure must not take the simulation with
-    /// it. Opening heals a torn tail left by an earlier crash, so the
-    /// new record is never written behind garbage.
+    /// Journal one delivery lost while this node was down (nothing
+    /// without a journal directory). The count lives beside the WAL
+    /// (CRC-framed, one `lost{at[…]}` record per loss) so
+    /// `NetMetrics::lost_while_down` survives a simulation restart over
+    /// the same directory — the counter is durability accounting, and
+    /// accounting that forgets losses across the very crash that caused
+    /// them is useless. Best-effort: the node is *down*; a journaling
+    /// failure must not take the simulation with it. Opening heals a torn
+    /// tail left by an earlier crash, so the new record is never written
+    /// behind garbage.
     pub(crate) fn journal_lost(&self, at: Timestamp) {
-        let path = DurableNode::lost_journal_path(&self.dir);
-        let Ok(mut log) = FrameLog::open(&path).map(|open| open.log) else {
+        let Some((dir, _)) = &self.journal else {
+            return;
+        };
+        let Ok(mut log) = FrameLog::open(&EngineNode::lost_journal_path(dir)).map(|open| open.log)
+        else {
             return;
         };
         let bytes = Term::build("lost")
@@ -163,15 +137,15 @@ impl DurableNode {
     }
 
     /// The loss journal's path inside a node's log directory.
-    pub(crate) fn lost_journal_path(dir: &std::path::Path) -> PathBuf {
+    pub(crate) fn lost_journal_path(dir: &Path) -> PathBuf {
         dir.join("lost.log")
     }
 
     /// Replay the loss journal of `dir`: how many deliveries were lost
     /// while the node logging there was down, across every incarnation.
     /// A torn tail (crash mid-append) drops only the torn record.
-    pub fn lost_journal_count(dir: &std::path::Path) -> u64 {
-        read_frames(&DurableNode::lost_journal_path(dir)).map_or(0, |f| f.len() as u64)
+    pub fn lost_journal_count(dir: &Path) -> u64 {
+        read_frames(&EngineNode::lost_journal_path(dir)).map_or(0, |f| f.len() as u64)
     }
 }
 

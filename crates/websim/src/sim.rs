@@ -14,10 +14,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use reweb_core::{Credentials, MessageMeta, OutMessage, ReactiveEngine};
 use reweb_persist::{DurableEngine, DurableOptions};
-use reweb_term::{Dur, IdentityMode, ResourceStore, Term, TermError, Timestamp};
+use reweb_term::{Dur, IdentityMode, ResourceStore, Term, Timestamp};
 
 use crate::envelope::Envelope;
-use crate::node::{DurableNode, NetFront, NodeKind, Poller};
+use crate::node::{EngineNode, NetFront, NodeKind, Poller};
 
 /// Network traffic and delivery statistics (experiments E2, E3).
 #[derive(Clone, Debug, Default)]
@@ -127,10 +127,16 @@ impl Simulation {
 
     // ----- topology -------------------------------------------------------
 
-    /// Add a reactive node processing its rules locally.
+    /// Add a reactive node processing its rules locally, without a
+    /// journal.
     pub fn add_engine(&mut self, uri: impl Into<String>, engine: ReactiveEngine) {
-        self.nodes
-            .insert(uri.into(), NodeKind::Engine(Box::new(engine)));
+        let uri = uri.into();
+        let node = EngineNode {
+            uri: uri.clone(),
+            journal: None,
+            engine: Some(Box::new(engine.into())),
+        };
+        self.nodes.insert(uri, NodeKind::Engine(node));
     }
 
     /// Add a node whose engine is served over real TCP by a
@@ -155,8 +161,8 @@ impl Simulation {
         Ok(())
     }
 
-    /// Add a reactive node whose engine is wrapped in a WAL-backed
-    /// [`DurableEngine`] journaling to `dir` — the target for
+    /// Add a reactive node whose engine is journalled to `dir` (a
+    /// WAL-backed [`DurableEngine`]) — the target for
     /// [`Simulation::kill_node`] / [`Simulation::recover_node`] fault
     /// injection. On a fresh directory the `program` is installed (and
     /// logged); on an existing one the log is replayed and `program` is
@@ -178,16 +184,13 @@ impl Simulation {
         // down were journaled beside its WAL; fold them back into the
         // metrics so the counter round-trips across a simulation
         // restart, exactly like the engine state does.
-        self.metrics.lost_while_down += DurableNode::lost_journal_count(dir.as_ref());
-        self.nodes.insert(
-            uri.clone(),
-            NodeKind::Durable(DurableNode {
-                uri,
-                dir: dir.as_ref().to_path_buf(),
-                opts,
-                engine: Some(Box::new(eng)),
-            }),
-        );
+        self.metrics.lost_while_down += EngineNode::lost_journal_count(dir.as_ref());
+        let node = EngineNode {
+            uri: uri.clone(),
+            journal: Some((dir.as_ref().to_path_buf(), opts)),
+            engine: Some(Box::new(eng)),
+        };
+        self.nodes.insert(uri, NodeKind::Engine(node));
         Ok(())
     }
 
@@ -195,7 +198,7 @@ impl Simulation {
 
     /// Kill `uri` mid-run: deliveries addressed to it are lost (counted
     /// in [`NetMetrics::lost_while_down`]), its engine neither advances
-    /// nor answers polls. A [`NodeKind::Durable`] node drops its
+    /// nor answers polls. A journalled engine node drops its
     /// in-memory engine (the on-disk log survives, crash-style); a
     /// [`NodeKind::Net`] node drops its TCP session without a `bye`.
     /// Returns false if no such node exists.
@@ -205,22 +208,22 @@ impl Simulation {
         };
         self.down.insert(uri.to_string());
         match node {
-            NodeKind::Durable(d) => d.kill(),
+            NodeKind::Engine(n) => n.kill(),
             NodeKind::Net(f) => f.kill(),
             _ => {}
         }
         true
     }
 
-    /// Recover a killed node: durable nodes reopen their engine from the
-    /// log (replaying to the pre-crash state), net nodes reconnect their
-    /// gateway session. No-op for nodes that are up.
+    /// Recover a killed node: journalled engine nodes reopen their
+    /// engine from the log (replaying to the pre-crash state), net nodes
+    /// reconnect their gateway session. No-op for nodes that are up.
     pub fn recover_node(&mut self, uri: &str) -> std::io::Result<()> {
         let Some(node) = self.nodes.get_mut(uri) else {
             return Err(std::io::Error::other(format!("no node at {uri}")));
         };
         match node {
-            NodeKind::Durable(d) => d.recover().map_err(std::io::Error::other)?,
+            NodeKind::Engine(n) => n.recover().map_err(std::io::Error::other)?,
             NodeKind::Net(f) => f.recover()?,
             _ => {}
         }
@@ -277,18 +280,19 @@ impl Simulation {
         self.nodes.get(uri)
     }
 
-    /// The engine at `uri`, if that node is an [`NodeKind::Engine`].
+    /// The engine at `uri`, if that node is an engine node (`None` while
+    /// a journalled node is killed).
     pub fn engine(&self, uri: &str) -> Option<&ReactiveEngine> {
         self.nodes.get(uri).and_then(NodeKind::as_engine)
     }
 
-    /// The durable engine at `uri`, if that node is durable and up
-    /// (`None` while killed).
-    pub fn durable(&self, uri: &str) -> Option<&DurableEngine<ReactiveEngine>> {
-        self.nodes
-            .get(uri)
-            .and_then(NodeKind::as_durable)
-            .and_then(DurableNode::engine)
+    /// The engine at `uri` with its optional journal, if that node is an
+    /// engine node (`None` while a journalled node is killed).
+    pub fn durable(&self, uri: &str) -> Option<&DurableEngine> {
+        match self.nodes.get(uri)? {
+            NodeKind::Engine(n) => n.engine(),
+            _ => None,
+        }
     }
 
     /// Deliveries recorded at the sink `uri` (empty for non-sinks).
@@ -370,12 +374,11 @@ impl Simulation {
 
     /// The earliest pending rule deadline (absence timers) across all
     /// engine nodes.
-    fn min_engine_deadline(&mut self) -> Option<Timestamp> {
-        let down = &self.down;
+    fn min_engine_deadline(&self) -> Option<Timestamp> {
         self.nodes
-            .iter_mut()
-            .filter(|(uri, _)| !down.contains(uri.as_str()))
-            .filter_map(|(_, n)| n.as_dyn_engine_mut()?.next_deadline())
+            .iter()
+            .filter(|(uri, _)| !self.down.contains(uri.as_str()))
+            .filter_map(|(_, n)| n.as_engine()?.next_deadline())
             .min()
     }
 
@@ -397,8 +400,8 @@ impl Simulation {
         }
         let outs = match self.nodes.get_mut(uri) {
             Some(NodeKind::Net(f)) => f.advance(at),
-            Some(n) => reposts(n.as_dyn_engine_mut().map(|e| e.advance_clock(at))),
-            None => Vec::new(),
+            Some(NodeKind::Engine(n)) => reposts(n.engine.as_mut().map(|e| e.advance_time(at))),
+            _ => Vec::new(),
         };
         for (to, payload) in outs {
             self.post(uri, &to, payload, at);
@@ -458,11 +461,11 @@ impl Simulation {
         if self.down.contains(&owner) {
             // The destination crashed: push delivery is fire-and-forget
             // on this simulated Web, so the message is simply lost. A
-            // durable owner journals the loss beside its WAL, so the
+            // journalled owner logs the loss beside its WAL, so the
             // counter survives a restart of the simulation itself.
             self.metrics.lost_while_down += 1;
-            if let Some(NodeKind::Durable(d)) = self.nodes.get(&owner) {
-                d.journal_lost(self.now);
+            if let Some(NodeKind::Engine(n)) = self.nodes.get(&owner) {
+                n.journal_lost(self.now);
             }
             return;
         }
@@ -482,18 +485,20 @@ impl Simulation {
                 v.push((now, env));
                 Vec::new()
             }
-            // Stores and pollers have no engine: they accept but ignore
-            // pushes.
-            Some(n) => {
+            Some(NodeKind::Engine(n)) => {
                 let meta = MessageMeta {
                     from: env.from.clone(),
                     credentials: env.credentials.clone(),
                 };
                 reposts(
-                    n.as_dyn_engine_mut()
+                    n.engine
+                        .as_mut()
                         .map(|e| e.receive(env.body.clone(), &meta, now)),
                 )
             }
+            // Stores and pollers have no engine: they accept but ignore
+            // pushes.
+            Some(_) => Vec::new(),
             None => unreachable!("owner resolved above"),
         };
         for (to, payload) in outs {
@@ -548,11 +553,11 @@ impl Simulation {
         };
         if self.down.contains(&owner) {
             // A crashed owner can't accept the write; the update is lost
-            // (the workload driver does not retry). Durable owners
-            // journal the loss, as in `deliver`.
+            // (the workload driver does not retry). Journalled owners
+            // log the loss, as in `deliver`.
             self.metrics.lost_while_down += 1;
-            if let Some(NodeKind::Durable(d)) = self.nodes.get(&owner) {
-                d.journal_lost(self.now);
+            if let Some(NodeKind::Engine(n)) = self.nodes.get(&owner) {
+                n.journal_lost(self.now);
             }
             return;
         }
@@ -561,16 +566,17 @@ impl Simulation {
             .get(&owner)
             .and_then(NodeKind::store)
             .and_then(|s| s.get(&uri).ok().cloned());
-        // An engine owner stores through its engine: a durable one logs
-        // the update so recovery replays it.
+        // An engine owner stores through its engine: a journalled one
+        // logs the update so recovery replays it.
         let stored = match self.nodes.get_mut(&owner) {
-            Some(n) => match n.as_dyn_engine_mut() {
-                Some(e) => e.put_doc(&uri, doc.clone()).is_ok(),
-                None => n
-                    .store_mut()
-                    .map(|s| s.put(uri.clone(), doc.clone()))
-                    .is_some(),
-            },
+            Some(NodeKind::Engine(n)) => n
+                .engine
+                .as_mut()
+                .is_some_and(|e| e.put_resource(&uri, doc.clone()).is_ok()),
+            Some(n) => n
+                .store_mut()
+                .map(|s| s.put(uri.clone(), doc.clone()))
+                .is_some(),
             None => false,
         };
         if !stored {
@@ -598,10 +604,10 @@ impl Simulation {
     }
 }
 
-/// Shape an engine call's outputs for re-posting. Empty when the node
-/// has no engine or the call fails (a durable node's log write) — the
-/// simulated Web drops messages, it does not crash the run.
-fn reposts(outs: Option<Result<Vec<OutMessage>, TermError>>) -> Vec<(String, Term)> {
+/// Shape an engine call's outputs for re-posting. Empty when the engine
+/// is down or the call fails (a journal write) — the simulated Web drops
+/// messages, it does not crash the run.
+fn reposts(outs: Option<reweb_persist::Result<Vec<OutMessage>>>) -> Vec<(String, Term)> {
     outs.and_then(Result::ok)
         .unwrap_or_default()
         .into_iter()
@@ -845,11 +851,11 @@ mod tests {
         std::fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(DurableNode::lost_journal_path(&dir))
+            .open(EngineNode::lost_journal_path(&dir))
             .unwrap()
             .write_all(&[0xde, 0xad, 0xbe])
             .unwrap();
-        let before = DurableNode::lost_journal_count(&dir);
+        let before = EngineNode::lost_journal_count(&dir);
         for (i, at) in [(1, 1_000), (2, 2_000)] {
             sim.post(
                 "http://client",
@@ -860,7 +866,7 @@ mod tests {
         }
         sim.run_until(Timestamp(3_000));
         assert_eq!(sim.metrics.lost_while_down, 2);
-        assert_eq!(DurableNode::lost_journal_count(&dir), before + 2);
+        assert_eq!(EngineNode::lost_journal_count(&dir), before + 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

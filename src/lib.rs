@@ -21,10 +21,12 @@
 //! * [`core`] — the ECA rule language and reactive engine (the paper's
 //!   primary contribution), including meta-rules and AAA.
 //! * [`persist`] — durability: write-ahead log, snapshots, and crash
-//!   recovery wrapping a single engine ([`DurableEngine`]).
+//!   recovery of one engine, paired with it as [`DurableEngine`], the
+//!   engine and its optional journal.
 //! * [`net`] — the networked ingress tier: a framed TCP listener,
-//!   backpressured router, and per-client reply streams in front of any
-//!   engine ([`NetServer`], [`NetClient`]; `docs/WIRE_PROTOCOL.md`).
+//!   backpressured router, and per-client reply streams in front of one
+//!   engine, journalled or not ([`NetServer`], [`NetClient`];
+//!   `docs/WIRE_PROTOCOL.md`).
 //! * [`obs`] — observability: causal tracing through a lock-free flight
 //!   recorder, log-scale latency histograms, and reaction provenance
 //!   (`docs/OBSERVABILITY.md`).
@@ -42,11 +44,11 @@ pub use reweb_core::{ExecMode, InMessage, ShardedEngine};
 pub use reweb_events as events;
 pub use reweb_persist as persist;
 // Durability is likewise a facade-level concern: a node that must
-// survive restarts wraps its engine once, here.
+// survive restarts pairs its engine with a journal once, here.
 pub use reweb_net as net;
 pub use reweb_persist::{DurableEngine, DurableOptions, SyncPolicy};
 // Serving over TCP is the facade-level entry point to the whole stack:
-// bind a server around any engine, point clients at it.
+// bind a server around an engine, point clients at it.
 pub use reweb_net::{NetClient, NetConfig, NetServer};
 pub use reweb_obs as obs;
 // Observability is a facade-level concern too: one shared `Obs` handle

@@ -3,7 +3,7 @@
 //! as rule sets (`reweb_bench::negotiation`).
 
 use reweb::core::meta::{ruleset_from_term, ruleset_to_term};
-use reweb::core::parse_program;
+use reweb::core::{parse_program, ReactiveEngine};
 use reweb::term::Timestamp;
 use reweb::websim::Simulation;
 use reweb_bench::negotiation::{self, Outcome, Party, EAGER, QUIET_BY, REACTIVE};
@@ -117,6 +117,34 @@ fn thesis_11_an_unknown_item_fails_cleanly() {
     // The request and the shop's refusal; no policy travelled.
     assert_eq!(out.messages, 2);
     assert_eq!(out.policies_sent, 0);
+}
+
+/// A policy travels as knowledge: its rules `CALL unlock`, which only
+/// the sender's program defines, so on the receiving node every rule of
+/// every set installed from the peer reports that call as unresolved —
+/// reported, not refused, and not logged as an error. Each party's own
+/// program resolves every call it makes.
+#[test]
+fn thesis_11_installed_policies_report_their_unresolved_unlock() {
+    let (franz, shop) = (Party::franz(), Party::fussbaelle(0));
+    for strategy in STRATEGIES {
+        let (sim, out) = negotiation::run(strategy, &franz, &shop, "purchase");
+        assert_clean(&sim, [&franz, &shop]);
+        assert!(out.success, "{out:?}");
+        for (me, peer) in [(&franz, &shop), (&shop, &franz)] {
+            let mut own = ReactiveEngine::new(me.uri());
+            own.install_program(&me.program(strategy, peer)).unwrap();
+            let unresolved = own.unresolved_calls();
+            assert!(unresolved.is_empty(), "{}: {unresolved:?}", me.name);
+
+            let e = sim.engine(&me.uri()).unwrap();
+            let calls = e.unresolved_calls();
+            let installed = e.rule_count() - own.rule_count();
+            assert!(installed > 0, "{} installed no policy", me.name);
+            assert_eq!(calls.len(), installed, "{}: {calls:?}", me.name);
+            assert!(calls.iter().all(|(_, p)| p == "unlock"), "{calls:?}");
+        }
+    }
 }
 
 #[test]
